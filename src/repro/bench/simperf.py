@@ -261,13 +261,6 @@ def write_bench_json(results: List[SimPerfResult], workers: int,
         "measurement": {"policy": "best-of", "repeats": repeats},
         # Probes are never cacheable, so the hit rate is 0 by design.
         "cache_hit_rate": 0.0,
-        # Diffusion rows carry the comm backend under test and gates
-        # compare like-for-like per backend.  Rows written before the
-        # field existed are proxy measurements; a measured backend with
-        # no matching baseline row falls back to the proxy row for one
-        # release (see check_regression) and should be re-baselined.
-        "backend_policy": "per-backend rows; missing baseline backend "
-                          "falls back to proxy for one release",
         "source_fingerprint": source_fingerprint()[:16],
         "rows": [
             dict({"probe": r.label, "events": r.events,
@@ -324,12 +317,11 @@ def check_regression(results: List[SimPerfResult], baseline_path,
 
     The blocking CI gate.  A failure message is returned when
 
+    * a measured row has no committed row for the same probe and
+      backend — a gate with nothing to compare against must not pass
+      (fix by recording the trajectory with ``--backend all``);
     * a diffusion row's events/s falls below ``threshold`` (default
-      80%) of the committed row **for the same backend** — baselines
-      recorded before rows carried a ``backend`` field, and backends
-      missing from the baseline, fall back to the committed proxy row
-      for one release (the fallback is named in the gate output; fix by
-      re-recording the trajectory);
+      80%) of the committed row **for the same backend**;
     * the synthetic probe falls below ``synthetic_threshold`` (default
       70%).  The kernel microbenchmark has higher run-to-run variance
       than the full stack, hence the wider band, but a sub-70% reading
@@ -343,23 +335,15 @@ def check_regression(results: List[SimPerfResult], baseline_path,
     failures = []
     for r in results:
         base = committed.get((r.label, r.backend))
-        note = ""
-        if base is None and r.backend is not None:
-            # Like-for-like fallbacks: a proxy measurement matches a
-            # pre-backend-field row; other backends borrow the proxy
-            # baseline for one release.
-            base = committed.get((r.label, None))
-            if base is None:
-                base = committed.get((r.label, "proxy"))
-            if base is not None and r.backend != "proxy":
-                note = (" [no committed row for this backend; compared "
-                        "against proxy — re-record the trajectory]")
+        backend = f"[{r.backend}] " if r.backend else ""
         if base is None or base <= 0:
+            failures.append(f"MISSING {r.label} {backend}has no committed "
+                            f"row in {baseline_path} — record one with "
+                            "`python -m repro.bench.simperf --backend all`")
             continue
         ratio = r.events_per_sec / base
-        backend = f"[{r.backend}] " if r.backend else ""
         line = (f"{r.label} {backend}{r.events_per_sec:,.0f} ev/s vs "
-                f"committed {base:,.0f} ev/s ({ratio:.2f}x){note}")
+                f"committed {base:,.0f} ev/s ({ratio:.2f}x)")
         gate = synthetic_threshold if r.label == "synthetic" else threshold
         if ratio < gate:
             failures.append(f"REGRESSION {line} — below the {gate:.0%} gate")
@@ -402,7 +386,8 @@ def main(argv=None) -> int:  # pragma: no cover - thin CLI
                         help="regression gate: compare against the "
                              "committed trajectory (default "
                              "BENCH_simperf.json) and exit 1 if the "
-                             "diffusion probe regressed >20%%; does not "
+                             "diffusion probe regressed >20%% or a "
+                             "measured row has no committed row; does not "
                              "overwrite the trajectory file")
     parser.add_argument("--gate-threshold", type=float, default=0.8,
                         help="allowed fraction of the committed diffusion "

@@ -15,9 +15,14 @@ then :func:`launch` it on a simulated :class:`~repro.hw.Cluster`::
         yield from rank.finish()
 
     result = launch(Cluster(greina(2)), kernel, ranks_per_device=2)
+
+The :mod:`capi`, :mod:`collectives` and :mod:`ext` subpackages load on
+first use (PEP 562): a launch that calls none of them does not pay for
+their imports.
 """
 
-from . import capi, collectives, ext
+import importlib
+
 from .device_api import (
     DCUDA_ANY_SOURCE,
     DCUDA_ANY_TAG,
@@ -50,3 +55,12 @@ __all__ = [
     "NotificationMatcher",
     "Window", "same_memory",
 ]
+
+_LAZY_SUBMODULES = ("capi", "collectives", "ext")
+
+
+def __getattr__(name):
+    if name in _LAZY_SUBMODULES:
+        # The import binds the submodule on the package, so this runs once.
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,9 +18,9 @@ Three pieces:
 * :mod:`repro.faults.report` — the per-rank fault report and the seeded
   chaos runner behind ``python -m repro.faults report``.
 
-The report symbols load lazily (PEP 562) for the same reason as
-:mod:`repro.obs`: the report pulls in apps/hw, and ``repro.hw.config``
-imports :mod:`repro.faults.config` for the ``faults`` field.
+The report symbols load lazily (PEP 562), like every package surface:
+``repro.hw.config`` imports :mod:`repro.faults.config` for the
+``faults`` field, and that import should not pay for the report.
 """
 
 from .config import (

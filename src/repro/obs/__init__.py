@@ -19,10 +19,9 @@ observability cannot move a simulated timestamp.  CLI::
     python -m repro.obs report
     python -m repro.obs export --chrome trace.json
 
-The report symbols are loaded lazily (PEP 562): :mod:`repro.obs.report`
-pulls in the benchmark layer, which itself imports :mod:`repro.hw` — and
-``repro.hw.config`` imports :mod:`repro.obs.config` for the ``ObsConfig``
-field.  Lazy loading keeps that triangle acyclic.
+The report symbols are loaded lazily (PEP 562), like every package
+surface: ``repro.hw.config`` imports :mod:`repro.obs.config` for the
+``ObsConfig`` field, and that import should not pay for the report.
 """
 
 from .config import (

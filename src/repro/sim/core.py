@@ -873,7 +873,8 @@ class Environment:
         winner already resumed the process) are *not* entries: they are
         consumed and dropped without dispatching and without advancing the
         clock — the same guard the batch loops apply — and the step
-        processes the next live entry instead.
+        processes the next live entry instead.  A failed process nobody
+        waits on re-raises its exception, as in :meth:`run`.
         """
         if not self._due and self._next_entry is _NO_ENTRY:
             raise SimulationError("step() on an empty schedule")
@@ -913,6 +914,9 @@ class Environment:
                 stats.callbacks += len(callbacks)
             for callback in callbacks:
                 callback(obj)
+            if (not callbacks and obj._exception is not None
+                    and isinstance(obj, Process)):
+                raise obj._exception
             return
         # Every remaining entry was abandoned: the schedule is effectively
         # empty, and a silent no-op would strand ``while True: step()``

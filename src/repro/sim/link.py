@@ -29,30 +29,15 @@ virtual clock never loses precision on long runs.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Generator, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Any, Generator, List, Optional, Tuple
 
 from .core import Environment, Event
-from .primitives import AllOf, Semaphore
-
-try:  # numpy is an optional [perf] extra — the fluid model runs without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy smoke test
-    _np = None
+from .primitives import Semaphore
 
 __all__ = ["FairShareLink", "SerialLink"]
 
 _EPS_BYTES = 1e-6  # flows with fewer remaining bytes are considered done
-
-#: Batch sizes at or above this use one ``heapify`` merge (O(n+m)) instead
-#: of m pushes; below it the pushes are cheaper.  Either strategy yields
-#: the identical pop order (the heap keys are totally ordered by
-#: ``(target, seq)``), so the threshold is a pure cost knob.
-_BULK_HEAPIFY_MIN = 8
-
-#: Completion sweeps over heaps at least this large go through the numpy
-#: array sweep (when numpy is importable); smaller heaps pop one by one.
-_SWEEP_MIN = 64
 
 
 class _Flow:
@@ -135,92 +120,10 @@ class FairShareLink:
         self._reschedule()
         return ev
 
-    def transfer_batch(self, sizes: Sequence[float],
-                       weight: float = 1.0) -> List[Event]:
-        """Enter one flow per entry of *sizes* in a single state change.
-
-        Bit-identical to calling :meth:`transfer` once per size at the
-        same instant — same targets (the virtual clock cannot move between
-        same-timestamp entries), same entry-sequence numbers, hence the
-        same completion order and times — but it rolls the virtual clock
-        once, reschedules the wakeup once instead of per flow, computes
-        the target service levels in one (optionally numpy) sweep, and
-        merges large batches into the heap with a single ``heapify``.
-        """
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
-        for nbytes in sizes:
-            if nbytes < 0:
-                raise ValueError(f"negative transfer size {nbytes!r}")
-        env = self.env
-        events = [env.event(name=f"xfer:{self.name}") for _ in sizes]
-        # Empty flows ahead of the first real one complete before the
-        # clock rolls — exactly where transfer() succeeds them relative
-        # to the completions _advance() delivers.
-        first = 0
-        n = len(events)
-        while first < n and sizes[first] <= _EPS_BYTES:
-            events[first].succeed()
-            first += 1
-        if first == n:
-            return events
-        self._advance()
-        service = self._service
-        # Every float expression below mirrors :meth:`transfer` elementwise
-        # (``service + (nbytes * factor) / weight``, per-flow ``weight_sum``
-        # and byte accumulation) so batch entry is IEEE-exact against
-        # sequential entry — the parity tests compare with ``==``.
-        if self._faults is not None:
-            factor = self._faults.degrade_factor(self.name, env._now)
-            if _np is not None and n - first >= _BULK_HEAPIFY_MIN:
-                targets = (service + (_np.asarray(sizes[first:], dtype=float)
-                                      * factor) / weight).tolist()
-            else:
-                targets = [service + (nbytes * factor) / weight
-                           for nbytes in sizes[first:]]
-        elif _np is not None and n - first >= _BULK_HEAPIFY_MIN:
-            targets = (service + _np.asarray(sizes[first:],
-                                             dtype=float) / weight).tolist()
-        else:
-            targets = [service + nbytes / weight for nbytes in sizes[first:]]
-        heap = self._heap
-        seq = self._flow_seq
-        entries = []
-        batch_bytes = 0.0
-        for nbytes, target, ev in zip(sizes[first:], targets, events[first:]):
-            if nbytes <= _EPS_BYTES:
-                ev.succeed()
-                continue
-            seq += 1
-            entries.append((target, seq, _Flow(ev, weight)))
-            self._weight_sum += weight
-            self.bytes_transferred += nbytes
-            batch_bytes += nbytes
-        self._flow_seq = seq
-        if entries:
-            if len(entries) >= _BULK_HEAPIFY_MIN:
-                heap.extend(entries)
-                heapify(heap)
-            else:
-                for entry in entries:
-                    heappush(heap, entry)
-            if self._flow_series is not None:
-                self._flow_series.sample(env._now, len(heap))
-                self._byte_counter.inc(batch_bytes)
-            self._reschedule()
-        return events
-
     def stream(self, nbytes: float,
                weight: float = 1.0) -> Generator[Event, Any, None]:
         """``yield from link.stream(n)`` — blocking transfer helper."""
         yield self.transfer(nbytes, weight)
-
-    def stream_batch(self, sizes: Sequence[float],
-                     weight: float = 1.0) -> Generator[Event, Any, None]:
-        """``yield from link.stream_batch(sizes)`` — wait for all flows."""
-        events = self.transfer_batch(sizes, weight)
-        if events:
-            yield AllOf(self.env, events)
 
     def time_to_transfer(self, nbytes: float) -> float:
         """Uncontended transfer time (convenience for cost estimates)."""
@@ -241,25 +144,6 @@ class FairShareLink:
         # A flow is done when its remaining bytes ``(target - S) * weight``
         # drop below the epsilon — only completed flows are ever touched.
         completed = 0
-        if (_np is not None and len(heap) >= _SWEEP_MIN
-                and (heap[0][0] - service) * heap[0][2].weight <= _EPS_BYTES):
-            # Array sweep: completions pop in sorted ``(target, seq)``
-            # order, and a fully sorted list is a valid heap, so sort once
-            # and find the due prefix in one vector comparison.  The due
-            # set is a prefix of the sorted order because the pop loop
-            # below stops at the first non-due top.  Per-flow weight-sum
-            # decrements stay sequential — IEEE-exact vs. the pop loop.
-            heap.sort()
-            targets = _np.fromiter((e[0] for e in heap), dtype=float,
-                                   count=len(heap))
-            weights = _np.fromiter((e[2].weight for e in heap), dtype=float,
-                                   count=len(heap))
-            due = (targets - service) * weights <= _EPS_BYTES
-            completed = int(due.argmin()) if not due.all() else len(heap)
-            for _target, _seq, flow in heap[:completed]:
-                self._weight_sum -= flow.weight
-                flow.event.succeed()
-            del heap[:completed]
         while heap and (heap[0][0] - service) * heap[0][2].weight <= _EPS_BYTES:
             _target, _seq, flow = heappop(heap)
             self._weight_sum -= flow.weight

@@ -1,0 +1,74 @@
+"""Import budget: a sweep worker and the report modules never load scipy.
+
+Every Fig. 6 point and chaos seed runs in a fresh interpreter (a pool,
+stdio or HTTP worker, or a ``python -m repro.*`` command), so what that
+interpreter imports is paid once per worker and per command.
+``repro.bench`` and ``repro.dcuda`` therefore re-export on use, and scipy
+sits only behind the SpMV app.  This test bootstraps a pool worker in a
+fresh interpreter, runs one chaos case and one ping-pong point through
+the worker's task body, imports the fault, overlap and table report
+modules, and checks that scipy never loaded.  It then checks that every
+lazily re-exported name still resolves.  Module counts are not compared:
+they move with numpy versions; scipy is the dependency worth pinning.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+_SCRIPT = """
+import pickle
+import sys
+
+from repro.exec.executors import _execute_in_worker, _worker_init
+
+_worker_init(pickle.dumps({}))
+outcome = _execute_in_worker(
+    "chaos_case", {"seed": 7, "num_nodes": 2, "ranks_per_device": 1},
+    "chaos:7")
+assert outcome.clean, outcome.status
+point = _execute_in_worker(
+    "pingpong_point",
+    {"shared_mem": False, "packet_bytes": 8, "iterations": 2}, "fig6:8")
+assert point.latency > 0
+
+import repro.bench.table
+import repro.faults.report
+import repro.obs.report
+
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, f"scipy loaded: {loaded[:5]}"
+
+import repro.bench
+import repro.dcuda
+
+assert repro.bench.Table is repro.bench.table.Table
+assert callable(repro.dcuda.collectives.allreduce)
+assert callable(repro.dcuda.capi.dcuda_put_notify)
+namespace = {}
+exec("from repro.dcuda import *", namespace)
+assert {"capi", "collectives", "ext", "launch"} <= set(namespace)
+try:
+    repro.bench.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("unknown names must raise AttributeError")
+assert "scipy" not in sys.modules
+assert callable(repro.bench.spmv_weak_scaling)
+assert "scipy.sparse" in sys.modules
+print("ok")
+"""
+
+
+@pytest.mark.slow
+def test_worker_and_reports_load_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

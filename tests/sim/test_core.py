@@ -350,6 +350,53 @@ def test_step_raises_when_only_abandoned_entries_remain():
         env.step()
 
 
+def test_step_reraises_unobserved_process_failure():
+    """Regression: a ``while True: step()`` driver sees a failed process
+    nobody waits on, as run() does, instead of stepping past it."""
+    env = Environment()
+    ticks = []
+
+    def bad(env):
+        yield env.timeout(1.0)
+        raise ValueError("unobserved")
+
+    def ticker(env):
+        for _ in range(3):
+            yield env.timeout(0.75)
+            ticks.append(env.now)
+
+    env.process(bad(env))
+    env.process(ticker(env))
+    with pytest.raises(ValueError, match="unobserved"):
+        while True:
+            env.step()
+    assert env.now == 1.0
+    assert ticks == [0.75]
+
+
+def test_step_keeps_observed_process_failure_inside():
+    env = Environment()
+    caught = []
+
+    def bad(env):
+        yield env.timeout(1.0)
+        raise ValueError("observed")
+
+    def parent(env):
+        try:
+            yield env.process(bad(env))
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    env.process(parent(env))
+    while True:
+        try:
+            env.step()
+        except SimulationError:
+            break
+    assert caught == ["observed"]
+
+
 def test_step_and_run_agree_on_abandoned_heavy_schedule():
     """Driving the same workload by repeated step() calls yields the
     run() dispatch order even with interleaved abandoned entries."""

@@ -222,30 +222,29 @@ def test_serial_link_validation():
         next(link.transact(-5.0))
 
 
-# -- batched flow entry (transfer_batch) ------------------------------------
+# -- many flows entering at one instant ---------------------------------------
 
-def _completion_schedule(use_batch, sizes, weight=1.0, bandwidth=64.0,
-                         background=None):
-    """Completion (time, index) pairs for one batch of flows.
+_BANDWIDTH = 64.0
 
-    *use_batch* picks transfer_batch vs a loop of transfer() calls at the
-    same instant — the two must agree exactly (IEEE ``==``).
+
+def _completions(sizes, weight=1.0, background=()):
+    """(time, index) of each flow of *sizes* in completion order.
+
+    All of *sizes* enter through transfer() at one instant: at t=0, or at
+    t=0.25 behind *background* flows (weight 1) entered at t=0.
     """
     env = Environment()
-    link = FairShareLink(env, bandwidth=bandwidth)
+    link = FairShareLink(env, bandwidth=_BANDWIDTH)
     done = []
 
     def starter(env):
+        for nbytes in background:
+            link.transfer(nbytes)
         if background:
-            for b in background:
-                link.transfer(b)
-            yield 0.25  # enter the batch with flows already in progress
-        if use_batch:
-            events = link.transfer_batch(sizes, weight=weight)
-        else:
-            events = [link.transfer(s, weight=weight) for s in sizes]
-        for i, ev in enumerate(events):
-            ev.add_callback(lambda e, i=i: done.append((env.now, i)))
+            yield 0.25
+        for i, nbytes in enumerate(sizes):
+            link.transfer(nbytes, weight=weight).add_callback(
+                lambda _e, i=i: done.append((env.now, i)))
         yield 0.0
 
     env.process(starter(env))
@@ -254,92 +253,69 @@ def _completion_schedule(use_batch, sizes, weight=1.0, bandwidth=64.0,
     return done
 
 
+def _reference_finish(sizes, weight=1.0, background=()):
+    """Finish time of each flow of *sizes* in the naive fluid model: every
+    active flow drains at ``bandwidth * w / sum(w)`` until the next one
+    finishes (O(n) per state change, no virtual clock)."""
+    flows = {("bg", i): [float(b), 1.0] for i, b in enumerate(background)}
+    finish = {}
+    now = 0.0
+
+    def serve(until):
+        nonlocal now
+        while flows and now < until:
+            total = sum(w for _, w in flows.values())
+            dt = min(min(r / w for r, w in flows.values())
+                     * total / _BANDWIDTH, until - now)
+            for flow in flows.values():
+                flow[0] -= dt * _BANDWIDTH * flow[1] / total
+            now += dt
+            for key in [k for k, (r, _) in flows.items() if r <= 1e-9]:
+                finish[key] = now
+                del flows[key]
+
+    if background:
+        serve(0.25)
+        now = 0.25
+    for i, nbytes in enumerate(sizes):
+        if nbytes:
+            flows[i] = [nbytes, weight]
+        else:
+            finish[i] = now
+    serve(float("inf"))
+    return [finish[i] for i in range(len(sizes))]
+
+
+def _check_against_reference(sizes, **kw):
+    done = _completions(sizes, **kw)
+    # Equal weights entering together: smaller flows finish first, ties
+    # in entry order, empty flows at once.
+    assert [i for _, i in done] == sorted(range(len(sizes)),
+                                          key=lambda i: (sizes[i], i))
+    reference = _reference_finish(sizes, **kw)
+    assert [t for t, _ in done] == pytest.approx(
+        [reference[i] for _, i in done], rel=1e-12, abs=1e-12)
+
+
 @pytest.mark.parametrize("sizes", [
     [7.0],
-    [128.0, 32.0, 32.0, 96.0],                      # below heapify threshold
-    [float(3 + (i * 37) % 101) for i in range(40)],  # bulk-heapify path
+    [128.0, 32.0, 32.0, 96.0],
+    [float(3 + (i * 37) % 101) for i in range(40)],
     [16.0, 0.0, 16.0, 0.0],                          # interleaved empties
     [0.0, 0.0, 8.0],                                 # leading empties
     [0.0, 0.0],                                      # nothing to schedule
-])
-def test_transfer_batch_matches_sequential_entry(sizes):
-    assert (_completion_schedule(True, sizes)
-            == _completion_schedule(False, sizes))
+], ids=["one", "four", "forty", "interleaved-empty", "leading-empty",
+        "all-empty"])
+def test_same_instant_flows_match_fluid_reference(sizes):
+    _check_against_reference(sizes)
 
 
-def test_transfer_batch_parity_with_background_flows_and_weight():
-    sizes = [float(1 + (i * 13) % 50) for i in range(24)]
-    kw = dict(weight=2.0, background=[400.0, 200.0])
-    assert (_completion_schedule(True, sizes, **kw)
-            == _completion_schedule(False, sizes, **kw))
+def test_flows_behind_background_flows_match_fluid_reference():
+    _check_against_reference([float(1 + (i * 13) % 50) for i in range(24)],
+                             weight=2.0, background=[400.0, 200.0])
 
 
-def test_transfer_batch_accounting_matches_sequential():
-    sizes = [5.0, 0.0, 11.0, 3.0]
-    links = []
-    for use_batch in (True, False):
-        env = Environment()
-        link = FairShareLink(env, bandwidth=10.0)
-        if use_batch:
-            link.transfer_batch(sizes)
-        else:
-            for s in sizes:
-                link.transfer(s)
-        env.run()
-        links.append(link)
-    batch, seq = links
-    assert batch.bytes_transferred == seq.bytes_transferred
-    assert batch._flow_seq == seq._flow_seq
-    assert batch.active_flows == seq.active_flows == 0
-
-
-def test_transfer_batch_validation():
-    env = Environment()
-    link = FairShareLink(env, bandwidth=1.0)
-    with pytest.raises(ValueError):
-        link.transfer_batch([1.0, -2.0])
-    with pytest.raises(ValueError):
-        link.transfer_batch([1.0], weight=0.0)
-
-
-def test_stream_batch_waits_for_all_flows():
-    env = Environment()
-    link = FairShareLink(env, bandwidth=10.0)
-
-    def proc(env):
-        yield from link.stream_batch([10.0, 30.0])
-        return env.now
-
-    p = env.process(proc(env))
-    env.run()
-    # Two flows share 10 B/s: the short one finishes at 2s, the long one
-    # at 2 + 20/10 = 4s; stream_batch returns at the last completion.
-    assert p.value == pytest.approx(4.0)
-
-
-def test_stream_batch_of_empty_flows_completes_at_once():
-    env = Environment()
-    link = FairShareLink(env, bandwidth=10.0)
-
-    def proc(env):
-        yield from link.stream_batch([0.0, 0.0])
-        return env.now
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == 0.0
-
-
-def test_array_sweep_completion_matches_pop_loop():
-    """A batch large enough to cross the numpy sweep threshold completes
-    in the same order, at the same times, as the scalar pop loop."""
-    from repro.sim import link as link_mod
-    sizes = [float(1 + (i * 29) % 97) for i in range(200)]
-    done_vec = _completion_schedule(True, sizes)
-    orig = link_mod._np
-    link_mod._np = None  # force the pure-python fallback
-    try:
-        done_scalar = _completion_schedule(True, sizes)
-    finally:
-        link_mod._np = orig
-    assert done_vec == done_scalar
+def test_many_flows_complete_in_order():
+    """Two hundred flows in flight at once complete in size order at the
+    fluid model's times."""
+    _check_against_reference([float(1 + (i * 29) % 97) for i in range(200)])

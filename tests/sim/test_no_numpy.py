@@ -1,11 +1,11 @@
-"""Smoke test: the DES core runs with numpy absent (pure-python fallback).
+"""Smoke test: the DES core runs with numpy absent.
 
 numpy is the ``[perf]`` optional extra, not a hard dependency — the
-scheduler, primitives, and the FairShareLink fluid model must all work
-without it, falling back to the scalar code paths.  This test runs the
-same deterministic workload twice in subprocesses — once normally, once
-with a meta-path hook that blocks every ``numpy`` import — and asserts
-the two runs print bit-identical completion schedules.
+scheduler, primitives, and the FairShareLink fluid model import none of
+it.  This test runs the same deterministic workload twice in
+subprocesses — once normally, once with a meta-path hook that blocks
+every ``numpy`` import — and asserts that neither run loaded numpy and
+that both print bit-identical completion schedules.
 """
 
 import subprocess
@@ -17,11 +17,12 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 #: Deterministic workload exercising the scheduler (timeouts, processes,
-#: due-lane zero delays) and every FairShareLink batch entry point that
-#: has a numpy fast path: transfer_batch target computation, the bulk
-#: heapify threshold (>= 8 flows), and the _advance completion sweep
-#: (>= 64 simultaneous flows).
+#: due-lane zero delays) and the FairShareLink fluid model: weighted flows
+#: entering at one instant (empty ones included), a late single transfer,
+#: and a hundred flows in flight at once.
 _WORKLOAD = """
+import sys
+
 from repro.sim import Environment
 from repro.sim.link import FairShareLink
 
@@ -30,19 +31,21 @@ link = FairShareLink(env, bandwidth=100.0)
 out = []
 
 def driver():
-    events = link.transfer_batch([100.0, 50.0, 0.0, 200.0] + [10.0] * 8,
-                                 weight=2.0)
-    for i, ev in enumerate(events):
-        ev.add_callback(lambda _e, i=i: out.append((env.now, "batch", i)))
+    for i, nbytes in enumerate([100.0, 50.0, 0.0, 200.0] + [10.0] * 8):
+        link.transfer(nbytes, weight=2.0).add_callback(
+            lambda _e, i=i: out.append((env.now, "flow", i)))
     yield env.timeout(0.5)
     done = link.transfer(75.0)
     yield done
     out.append((env.now, "single", 0))
-    yield from link.stream_batch([1.0] * 100, weight=0.5)
-    out.append((env.now, "sweep", 0))
+    for _ in range(99):
+        link.transfer(1.0, weight=0.5)
+    yield from link.stream(1.0, weight=0.5)
+    out.append((env.now, "many", 0))
 
 env.process(driver())
 env.run()
+assert "numpy" not in sys.modules, "the sim core imported numpy"
 print(repr(out))
 print(repr(env.now))
 """
@@ -59,13 +62,6 @@ class _NumpyBlocker:
 sys.meta_path.insert(0, _NumpyBlocker())
 """
 
-_SANITY = """
-import sys
-assert "numpy" not in sys.modules, "numpy leaked past the blocker"
-import repro.sim.link as _link
-assert _link._np is None, "link module did not fall back to pure python"
-"""
-
 
 def _run(script: str) -> str:
     proc = subprocess.run(
@@ -80,12 +76,12 @@ def _run(script: str) -> str:
 @pytest.mark.slow
 def test_core_runs_without_numpy_bit_identically():
     with_numpy = _run(_WORKLOAD)
-    without_numpy = _run(_BLOCKER + _WORKLOAD + _SANITY)
+    without_numpy = _run(_BLOCKER + _WORKLOAD)
     assert with_numpy == without_numpy
-    # The schedule is non-trivial: batch flows, the single transfer, and
-    # the 100-flow sweep all completed.
-    assert "'sweep'" in with_numpy
-    assert with_numpy.count("'batch'") == 12
+    # The schedule is non-trivial: the weighted flows, the single
+    # transfer, and the 100-flow burst all completed.
+    assert "'many'" in with_numpy
+    assert with_numpy.count("'flow'") == 12
 
 
 @pytest.mark.slow
