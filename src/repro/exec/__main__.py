@@ -8,18 +8,18 @@ Subcommands::
                     --port N (HTTP worker daemon)
     status          census the result cache + live sweep progress
     cache stats     census with optional per-shard breakdown
-    cache migrate   move legacy unsharded entries into their shards
     cache gc        delete entries from stale source fingerprints
     cache clear     delete every cache entry
 
 ``run`` prints the suite's table, an engine summary line, and writes the
 machine-readable sweep record to ``BENCH_sweep.json`` at the repo root:
-wall-clock, worker count, executor, cache hit rate, and the canonical
-digest of the merged result list.  The digest is the bit-identity
-witness — it is a pure function of the spec list, so any two invocations
-of the same suite at the same source fingerprint must print the same
-digest regardless of executor, worker count, completion order, cache
-state, or worker deaths survived along the way.
+wall-clock, the coordinator's phase times (keys, probes, publishes),
+worker count, executor, cache hit rate, and the canonical digest of the
+merged result list.  The digest is the bit-identity witness — it is a
+pure function of the spec list, so any two invocations of the same suite
+at the same source fingerprint must print the same digest regardless of
+executor, worker count, completion order, cache state, or worker deaths
+survived along the way.
 
 ``--require-cached`` exits with status 3 unless *every* cacheable task
 was served from the cache — CI uses it to assert that a warm replay does
@@ -146,10 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     status.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
 
     cache = sub.add_parser("cache", help="cache maintenance")
-    cache.add_argument("action", choices=("stats", "migrate", "gc",
-                                          "clear"),
-                       help="stats: census; migrate: move legacy entries "
-                            "into shards; gc: drop stale generations; "
+    cache.add_argument("action", choices=("stats", "gc", "clear"),
+                       help="stats: census; gc: drop stale generations; "
                             "clear: drop everything")
     cache.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
     cache.add_argument("--shard", action="store_true",
@@ -207,6 +205,10 @@ def _cmd_run(args) -> int:
             "workers": report.workers,
             "executor": report.executor,
             "wall_s": round(report.wall_s, 6),
+            "key_s": round(report.key_s, 6),
+            "probe_s": round(report.probe_s, 6),
+            "publish_s": round(report.publish_s, 6),
+            "publish_failures": report.publish_failures,
             "results_digest": digest,
             "source_fingerprint": source_fingerprint()[:16],
         }
@@ -270,9 +272,6 @@ def _print_census(cache: ResultCache, shard: bool = False) -> None:
     print(f"generations:    {stats.generations}")
     print(f"shards:         {stats.shards or '(generation absent)'}")
     print(f"live entries:   {stats.entries} ({stats.bytes} bytes)")
-    if stats.legacy_entries:
-        print(f"legacy entries: {stats.legacy_entries} (unsharded; run "
-              "'cache migrate' or let reads migrate them)")
     print(f"stale entries:  {stats.stale_entries} ({stats.stale_bytes} "
           "bytes, reclaimable via 'cache gc')")
     status = _read_status(cache.root)
@@ -296,11 +295,6 @@ def _cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         _print_census(cache, shard=args.shard)
-    elif args.action == "migrate":
-        migrated, dropped = cache.migrate()
-        print(f"migrate: moved {migrated} legacy entr"
-              f"{'y' if migrated == 1 else 'ies'} into shards, dropped "
-              f"{dropped} corrupt")
     elif args.action == "gc":
         removed, freed = cache.gc()
         print(f"gc: removed {removed} stale entr{'y' if removed == 1 else 'ies'}, "

@@ -14,11 +14,8 @@ without contending on a single directory's metadata.
 A ``meta.json`` next to the shards records the generation's shard
 count.  The count on disk always wins over the constructor argument, so
 readers and writers with different defaults agree on where every key
-lives.  Generations written before sharding existed have their entries
-directly in the generation directory; those *legacy* entries are
-verified and moved into their home shard transparently on first read
-(or in bulk via :meth:`ResultCache.migrate`), so an old cache keeps its
-hits across the upgrade.
+lives.  A cache instance resolves its shard directories once, on first
+use; after that a probe is one ``open()`` of the entry's path.
 
 Entry format (self-verifying, unchanged from the unsharded store)::
 
@@ -33,7 +30,9 @@ file, and the coordinator simply re-runs the task.  Corruption can cost
 time, never correctness, and never crashes a sweep.  Writes go through a
 same-directory temp file + :func:`os.replace`, so a crashed writer
 leaves either the old entry or a (detectable) partial temp file, never a
-half-new entry under the real name.
+half-new entry under the real name.  A write that fails (full disk,
+read-only or deleted store) leaves the entry uncached: :meth:`ResultCache.put`
+returns ``False`` and the sweep goes on with its in-memory result.
 """
 
 from __future__ import annotations
@@ -93,9 +92,6 @@ class CacheStats:
     generations: int
     #: Shard fan-out of the current generation (0 = generation absent).
     shards: int = 0
-    #: Pre-sharding entries still sitting flat in the current generation
-    #: directory (they migrate on first read or via ``migrate``).
-    legacy_entries: int = 0
     #: Per-shard census of the current generation.
     shard_breakdown: Tuple[ShardStats, ...] = field(default=())
 
@@ -123,74 +119,59 @@ class ResultCache:
         if shards < 1:
             raise DCudaUsageError(f"shard count must be >= 1, got {shards}")
         self._configured_shards = int(shards)
+        self._gen = os.path.join(self.root, self.fingerprint[:16])
         self._shards: Optional[int] = None  # resolved lazily, disk wins
+        self._shard_dirs: List[str] = []
 
     # ---------------------------------------------------------- keys -----
     def key_for(self, spec: RunSpec, shared_digest: str = "") -> str:
         """Task key: spec content hash salted with the shared digest."""
-        h = hashlib.sha256()
-        h.update(spec.content_hash().encode())
-        h.update(shared_digest.encode())
-        return h.hexdigest()
+        return hashlib.sha256(
+            (spec.content_hash() + shared_digest).encode()).hexdigest()
 
     def _generation_dir(self) -> Path:
-        return self.root / self.fingerprint[:16]
+        return Path(self._gen)
 
     # -------------------------------------------------------- sharding -----
     def shard_count(self) -> int:
         """Shard fan-out of the current generation (disk wins)."""
         if self._shards is None:
-            self._shards = self._read_meta_shards(self._generation_dir())
+            self._shards = self._read_meta_shards()
         return self._shards
 
-    def _read_meta_shards(self, gen: Path) -> int:
-        """Shard count recorded in *gen*'s meta.json, else configured."""
+    def _read_meta_shards(self) -> int:
+        """Shard count recorded in the generation's meta.json, else the
+        configured one."""
         try:
-            meta = json.loads((gen / _META_NAME).read_text())
-            count = int(meta["shards"])
+            with open(os.path.join(self._gen, _META_NAME)) as f:
+                count = int(json.load(f)["shards"])
             if count >= 1:
                 return count
         except (OSError, ValueError, KeyError, TypeError):
             pass
         return self._configured_shards
 
-    def _write_meta(self, gen: Path) -> None:
+    def _write_meta(self) -> None:
         """Publish meta.json atomically if absent (first write wins)."""
-        path = gen / _META_NAME
-        if path.exists():
-            return
-        blob = json.dumps({"format": "repro-cache-v2",
-                           "shards": self.shard_count()},
-                          sort_keys=True).encode()
-        fd, tmp = tempfile.mkstemp(dir=gen, prefix=".tmp-", suffix=".json")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        path = os.path.join(self._gen, _META_NAME)
+        if not os.path.exists(path):
+            self._write_atomic(path, json.dumps(
+                {"format": "repro-cache-v2", "shards": self.shard_count()},
+                sort_keys=True).encode())
 
-    @staticmethod
-    def shard_index(key: str, shards: int) -> int:
-        """Shard a task key by its hex prefix (hash fallback otherwise)."""
+    def _entry_path(self, key: str) -> str:
+        """Where *key*'s entry lives: the shard its hex prefix picks (a
+        crc32 of the key for a non-hex one)."""
+        dirs = self._shard_dirs
+        if not dirs:
+            dirs = self._shard_dirs = [
+                os.path.join(self._gen, f"shard-{i:03d}", "")
+                for i in range(self.shard_count())]
         try:
-            return int(key[:2], 16) % shards
+            idx = int(key[:2], 16)
         except ValueError:
-            return zlib.crc32(key.encode()) % shards
-
-    def _shard_dir(self, key: str) -> Path:
-        idx = self.shard_index(key, self.shard_count())
-        return self._generation_dir() / f"shard-{idx:03d}"
-
-    def _entry_path(self, key: str) -> Path:
-        return self._shard_dir(key) / f"{key}.pkl"
-
-    def _legacy_path(self, key: str) -> Path:
-        """Where a pre-sharding store kept this key (flat in the gen)."""
-        return self._generation_dir() / f"{key}.pkl"
+            idx = zlib.crc32(key.encode())
+        return dirs[idx % len(dirs)] + key + ".pkl"
 
     # ----------------------------------------------------------- I/O -----
     @staticmethod
@@ -206,119 +187,80 @@ class ResultCache:
     def get(self, key: str) -> Tuple[bool, Any]:
         """Look up *key*; returns ``(hit, result)``.
 
-        Checks the key's home shard first, then the legacy flat location
-        of a pre-sharding store; a verified legacy entry is moved into
-        its shard on the way out, so the migration is incremental and
-        free.  A corrupted, truncated, or unreadable entry in either
-        place is treated as a miss and deleted best-effort — the caller
-        re-runs the task and the subsequent :meth:`put` repairs it.
+        One ``open()`` of the key's path in its home shard.  A missing
+        entry (or store) is a miss; a corrupted, truncated (a short read
+        included), or unreadable one is a miss too and is deleted
+        best-effort — the caller re-runs the task and the subsequent
+        :meth:`put` repairs it.
         """
         path = self._entry_path(key)
         try:
-            entry = self._verify(path.read_bytes())
-            return True, entry["result"]
-        except FileNotFoundError:
-            pass
-        except Exception:
+            fd = os.open(path, os.O_RDONLY)
             try:
-                path.unlink()
-            except OSError:
-                pass
-            return False, None
-        # Miss in the shard — a legacy (unsharded) entry may hold it.
-        legacy = self._legacy_path(key)
-        try:
-            blob = legacy.read_bytes()
-            entry = self._verify(blob)
+                blob = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            return True, self._verify(blob)["result"]
         except FileNotFoundError:
             return False, None
         except Exception:
             try:
-                legacy.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return False, None
-        self._publish(path, blob)
-        try:
-            legacy.unlink()
-        except OSError:
-            pass
-        return True, entry["result"]
 
-    def put(self, key: str, result: Any, label: str = "") -> None:
+    def put(self, key: str, result: Any, label: str = "") -> bool:
         """Store *result* under *key*, atomically, in its home shard.
 
-        A result the pickle module cannot serialize is silently not
-        cached (the sweep already has the in-memory value; only replay
-        speed is lost).
+        Returns whether the entry was stored.  A result the pickle
+        module cannot serialize, or a write the filesystem refuses, is
+        not cached; the sweep already has the in-memory value and only
+        replay speed is lost.
         """
         try:
             payload = pickle.dumps({"result": result, "label": label},
                                    protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
-            return
+            return False
         blob = (_MAGIC + b"\n"
                 + hashlib.sha256(payload).hexdigest().encode() + b"\n"
                 + payload)
-        self._publish(self._entry_path(key), blob)
+        path = self._entry_path(key)
+        try:
+            try:
+                self._write_atomic(path, blob)
+            except FileNotFoundError:
+                # First write to this shard, or the store was deleted.
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                self._write_meta()
+                self._write_atomic(path, blob)
+        except OSError:
+            return False
+        return True
 
-    def _publish(self, path: Path, blob: bytes) -> None:
-        """Atomically write *blob* to *path* (same-dir temp + replace)."""
-        shard = path.parent
-        gen = shard.parent
-        shard.mkdir(parents=True, exist_ok=True)
-        self._write_meta(gen)
-        fd, tmp = tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".pkl")
+    @staticmethod
+    def _write_atomic(path: str, blob: bytes) -> None:
+        """Write *blob* to *path* through a same-directory temp file and
+        :func:`os.replace`; on failure, remove the temp file and raise."""
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(blob)
             os.replace(tmp, path)
-        except OSError:
+        except BaseException:
             try:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    # ------------------------------------------------------- migration -----
-    def migrate(self) -> Tuple[int, int]:
-        """Move every legacy flat entry of the current generation into
-        its home shard, verifying each on the way.
-
-        Returns:
-            ``(migrated, dropped)`` — entries moved vs. corrupt entries
-            deleted (a dropped entry degrades to a miss + re-run later,
-            never a wrong result).
-        """
-        gen = self._generation_dir()
-        migrated = dropped = 0
-        if not gen.is_dir():
-            return 0, 0
-        for entry in sorted(gen.glob("*.pkl")):
-            if entry.name.startswith(".tmp-"):
-                continue
-            key = entry.stem
-            try:
-                blob = entry.read_bytes()
-                self._verify(blob)
-            except Exception:
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-                dropped += 1
-                continue
-            self._publish(self._entry_path(key), blob)
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-            migrated += 1
-        return migrated, dropped
+            raise
 
     # ----------------------------------------------------- maintenance -----
-    def _census(self):
+    def stats(self) -> CacheStats:
+        """Census the cache directory (current vs. stale generations,
+        plus the current generation's per-shard breakdown)."""
         current = self._generation_dir().name
-        live = stale = live_b = stale_b = legacy = 0
+        live = stale = live_b = stale_b = 0
         gens = set()
         per_shard: Dict[str, List[int]] = {}
         if self.root.is_dir():
@@ -333,55 +275,54 @@ class ResultCache:
                     if gen.name == current:
                         live += 1
                         live_b += size
-                        if entry.parent == gen:
-                            legacy += 1
-                        else:
-                            counts = per_shard.setdefault(
-                                entry.parent.name, [0, 0])
-                            counts[0] += 1
-                            counts[1] += size
+                        counts = per_shard.setdefault(entry.parent.name,
+                                                      [0, 0])
+                        counts[0] += 1
+                        counts[1] += size
                     else:
                         stale += 1
                         stale_b += size
-        return current, live, live_b, stale, stale_b, gens, legacy, per_shard
-
-    def stats(self) -> CacheStats:
-        """Census the cache directory (current vs. stale generations,
-        plus the current generation's per-shard breakdown)."""
-        (_, live, live_b, stale, stale_b, gens, legacy,
-         per_shard) = self._census()
         breakdown = tuple(
             ShardStats(name=name, entries=counts[0], bytes=counts[1])
             for name, counts in sorted(per_shard.items()))
-        shards = self.shard_count() if self._generation_dir().is_dir() else 0
+        shards = self.shard_count() if os.path.isdir(self._gen) else 0
         return CacheStats(root=str(self.root), fingerprint=self.fingerprint,
                           entries=live, bytes=live_b, stale_entries=stale,
                           stale_bytes=stale_b, generations=len(gens),
-                          shards=shards, legacy_entries=legacy,
-                          shard_breakdown=breakdown)
+                          shards=shards, shard_breakdown=breakdown)
 
-    def _remove_tree(self, gen: Path) -> Tuple[int, int]:
-        """Delete a generation dir recursively; count only entries."""
+    def _remove_generations(self, keep: str = "") -> Tuple[int, int]:
+        """Delete every generation directory except *keep*, recursively.
+
+        Returns:
+            ``(entries_removed, bytes_freed)``; only entries count.
+        """
         removed = freed = 0
-        for entry in sorted(gen.rglob("*"), reverse=True):
-            if entry.is_dir():
+        if not self.root.is_dir():
+            return 0, 0
+        for gen in list(self.root.iterdir()):
+            if not gen.is_dir() or gen.name == keep:
+                continue
+            for entry in sorted(gen.rglob("*"), reverse=True):
+                if entry.is_dir():
+                    try:
+                        entry.rmdir()
+                    except OSError:
+                        pass
+                    continue
+                size = entry.stat().st_size
                 try:
-                    entry.rmdir()
+                    entry.unlink()
                 except OSError:
-                    pass
-                continue
-            size = entry.stat().st_size
+                    continue
+                if (entry.suffix == ".pkl"
+                        and not entry.name.startswith(".tmp-")):
+                    removed += 1
+                    freed += size
             try:
-                entry.unlink()
+                gen.rmdir()
             except OSError:
-                continue
-            if entry.suffix == ".pkl" and not entry.name.startswith(".tmp-"):
-                removed += 1
-                freed += size
-        try:
-            gen.rmdir()
-        except OSError:
-            pass
+                pass
         return removed, freed
 
     def gc(self) -> Tuple[int, int]:
@@ -390,27 +331,8 @@ class ResultCache:
         Returns:
             ``(files_removed, bytes_freed)``.
         """
-        current = self._generation_dir().name
-        removed = freed = 0
-        if not self.root.is_dir():
-            return 0, 0
-        for gen in list(self.root.iterdir()):
-            if not gen.is_dir() or gen.name == current:
-                continue
-            r, f = self._remove_tree(gen)
-            removed += r
-            freed += f
-        return removed, freed
+        return self._remove_generations(keep=self._generation_dir().name)
 
     def clear(self) -> Tuple[int, int]:
         """Delete *every* entry, current generation included."""
-        removed = freed = 0
-        if not self.root.is_dir():
-            return 0, 0
-        for gen in list(self.root.iterdir()):
-            if not gen.is_dir():
-                continue
-            r, f = self._remove_tree(gen)
-            removed += r
-            freed += f
-        return removed, freed
+        return self._remove_generations()

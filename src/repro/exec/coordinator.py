@@ -11,7 +11,10 @@ deliberately excludes —
   executor only decides *when* a completion arrives, never *what* it
   contains, and a retried task re-runs the same pure function.
 * **Caching**: one probe and one publish per unique task key against
-  the sharded :class:`~repro.exec.cache.ResultCache`.
+  the sharded :class:`~repro.exec.cache.ResultCache`.  A publish the
+  store refuses (full disk, read-only or deleted cache) leaves that
+  result uncached and is counted in
+  :attr:`SweepReport.publish_failures`; it never fails the sweep.
 * **In-flight dedup**: identical cacheable specs submitted concurrently
   execute once; every duplicate index receives the same result and is
   counted as a ``dedup_hit``.  Non-cacheable specs (wall-clock probes)
@@ -29,7 +32,8 @@ deliberately excludes —
 * **Progress streaming**: every state change emits a
   :class:`ProgressEvent` to the ``on_event`` callback and (when a cache
   is attached) to ``<cache-root>/status.json``, which ``python -m
-  repro.exec status`` renders as a live progress line.
+  repro.exec status`` renders as a live progress line.  A sweep with
+  nothing to execute writes the file once, with its final record.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ class SweepReport:
     retries: int = 0
     #: Executor transport that ran the sweep.
     executor: str = "serial"
+    #: Coordinator phase times [s]: task keys (spec digests), cache
+    #: probes, cache publishes.  Timings never enter a results digest.
+    key_s: float = 0.0
+    probe_s: float = 0.0
+    publish_s: float = 0.0
+    #: Executed results the cache refused to store (returned, not cached).
+    publish_failures: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -90,7 +101,11 @@ class SweepReport:
             line += f", {self.dedup_hits} dedup hit(s)"
         if self.retries:
             line += f", {self.retries} retried after worker loss"
-        return line
+        if self.publish_failures:
+            line += f", {self.publish_failures} not cached (publish failed)"
+        return (line + f"; keys {self.key_s * 1e3:.1f} ms, probes "
+                f"{self.probe_s * 1e3:.1f} ms, publishes "
+                f"{self.publish_s * 1e3:.1f} ms")
 
 
 @dataclass(frozen=True)
@@ -178,10 +193,11 @@ class Coordinator:
         self._active: Executor = executor
 
     # ------------------------------------------------------- streaming -----
-    def _emit(self, event: ProgressEvent, final: bool = False) -> None:
+    def _emit(self, event: ProgressEvent, final: bool = False,
+              record: bool = True) -> None:
         if self.on_event is not None:
             self.on_event(event)
-        if self._status_path is None:
+        if self._status_path is None or not record:
             return
         now = time.monotonic()
         if not final and now - self._last_status_write < 0.1:
@@ -249,6 +265,7 @@ class Coordinator:
                 key = f"!independent:{idx}"
             groups.setdefault(key, []).append(idx)
             group_spec.setdefault(key, spec)
+        t_keys = time.perf_counter()
 
         # Cache probe: once per unique key.
         jobs: List[_JobState] = []
@@ -264,6 +281,8 @@ class Coordinator:
                     continue
             dedup_hits += len(indices) - 1
             jobs.append(_JobState(spec=spec, indices=indices, key=key))
+        t_probes = time.perf_counter()
+        phases = dict(key_s=t_keys - t0, probe_s=t_probes - t_keys)
 
         ex = self.executor
         if (self.serial_fallback and len(jobs) <= 1
@@ -274,7 +293,8 @@ class Coordinator:
                    if self.workers_hint is not None
                    else max(1, ex.alive_workers()))
         total = len(specs)
-        retries = 0
+        retries = publish_failures = 0
+        publish_s = 0.0
         quarantined: List[_JobState] = []
         done_indices = cache_hits
 
@@ -285,14 +305,15 @@ class Coordinator:
                                  quarantined=len(quarantined),
                                  label=label, worker=worker)
 
-        self._emit(_snapshot("start"))
+        # A sweep with nothing to run records only its final state.
+        self._emit(_snapshot("start"), record=bool(jobs))
         if not jobs:
             self._emit(_snapshot("finish"), final=True)
             return SweepReport(
                 results=results, tasks=total, executed=0,
                 cache_hits=cache_hits, workers=workers,
                 wall_s=time.perf_counter() - t0, dedup_hits=dedup_hits,
-                executor=ex.name)
+                executor=ex.name, **phases)
 
         ex.start(shared, expected_jobs=len(jobs))
         try:
@@ -363,8 +384,11 @@ class Coordinator:
                     results[idx] = comp.value
                 done_indices += len(state.indices)
                 if self.cache is not None and state.spec.cacheable:
-                    self.cache.put(state.key, comp.value,
-                                   label=state.spec.describe())
+                    t_put = time.perf_counter()
+                    if not self.cache.put(state.key, comp.value,
+                                          label=state.spec.describe()):
+                        publish_failures += 1
+                    publish_s += time.perf_counter() - t_put
                 self._emit(_snapshot("done",
                                      label=state.spec.describe(),
                                      worker=comp.worker))
@@ -391,4 +415,5 @@ class Coordinator:
             results=results, tasks=total, executed=executed,
             cache_hits=cache_hits, workers=workers,
             wall_s=time.perf_counter() - t0, dedup_hits=dedup_hits,
-            retries=retries, executor=ex.name)
+            retries=retries, executor=ex.name, publish_s=publish_s,
+            publish_failures=publish_failures, **phases)

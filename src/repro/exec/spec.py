@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict, List, Mapping
 
 import numpy as np
 
@@ -49,62 +49,112 @@ __all__ = [
 #: serialization itself invalidates all previously cached results.
 _HASH_VERSION = b"runspec-v1"
 
+#: A dataclass that also derives from one of these is serialized as that
+#: type, by the isinstance chain, not field by field.
+_CLAIMED = (int, float, str, bytes, tuple, list, Mapping, np.ndarray,
+            np.generic)
 
-def _feed(h, obj: Any) -> None:
-    """Feed *obj* into hash *h* as an unambiguous, type-tagged token stream.
+#: Per class: ``False``, or for a dataclass the fast path covers, its
+#: token prefix (class tag and field count) and ``(field name, name
+#: token)`` pairs in sorted order.
+_CLASS_TAGS: Dict[type, Any] = {}
+
+
+def _dataclass_tags(cls: type):
+    tags = _CLASS_TAGS.get(cls)
+    if tags is None:
+        tags = False
+        if dataclasses.is_dataclass(cls) and not issubclass(cls, _CLAIMED):
+            out: List[bytes] = []
+            _tokens(f"{cls.__module__}.{cls.__qualname__}", out)
+            names = sorted(f.name for f in dataclasses.fields(cls))
+            for name in names:
+                _tokens(name, out)
+            head = b"C" + out[0] + b"D%d:" % len(names)
+            tags = (head, tuple(zip(names, out[1:])))
+        _CLASS_TAGS[cls] = tags
+    return tags
+
+
+def _tokens(obj: Any, out: List[bytes]) -> None:
+    """Append *obj*'s type-tagged token stream to *out*.
 
     Every token is tagged and length-prefixed, so distinct values can
     never collide by concatenation (``("ab", "c")`` vs ``("a", "bc")``).
+    Exact built-in types, str-keyed dicts and dataclasses dispatch on
+    ``type(obj)``; every other value (subclasses, bytes, other mappings,
+    numpy values) takes the isinstance chain, which yields the same
+    tokens for any value both accept.
 
     Raises:
         DCudaUsageError: If *obj* (or anything nested in it) is not a
             supported spec-parameter type.
     """
-    if obj is None:
-        h.update(b"N")
-    elif isinstance(obj, bool):            # before int: bool is an int
-        h.update(b"B1" if obj else b"B0")
+    cls = type(obj)
+    if cls is str:
+        t = obj.encode()
+        out.append(b"S%d:" % len(t) + t)
+    elif cls is int:
+        t = str(obj).encode()
+        out.append(b"I%d:" % len(t) + t)
+    elif cls is float:
+        t = repr(obj).encode()             # repr round-trips IEEE doubles
+        out.append(b"F%d:" % len(t) + t)
+    elif cls is bool:
+        out.append(b"B1" if obj else b"B0")
+    elif obj is None:
+        out.append(b"N")
+    elif cls is tuple or cls is list:
+        out.append(b"T%d:" % len(obj))
+        for item in obj:
+            _tokens(item, out)
+    elif cls is dict and all(type(k) is str for k in obj):
+        out.append(b"D%d:" % len(obj))
+        for k in sorted(obj):              # insertion order never matters
+            t = k.encode()
+            out.append(b"S%d:" % len(t) + t)
+            _tokens(obj[k], out)
+    elif tags := _dataclass_tags(cls):
+        head, fields = tags
+        out.append(head)
+        for name, token in fields:
+            out.append(token)
+            _tokens(getattr(obj, name), out)
     elif isinstance(obj, int):
         t = str(obj).encode()
-        h.update(b"I%d:" % len(t) + t)
+        out.append(b"I%d:" % len(t) + t)
     elif isinstance(obj, float):
-        t = repr(obj).encode()             # repr round-trips IEEE doubles
-        h.update(b"F%d:" % len(t) + t)
+        t = repr(obj).encode()
+        out.append(b"F%d:" % len(t) + t)
     elif isinstance(obj, str):
         t = obj.encode()
-        h.update(b"S%d:" % len(t) + t)
+        out.append(b"S%d:" % len(t) + t)
     elif isinstance(obj, bytes):
-        h.update(b"Y%d:" % len(obj) + obj)
+        out.append(b"Y%d:" % len(obj) + obj)
     elif isinstance(obj, (tuple, list)):
-        h.update(b"T%d:" % len(obj))
+        out.append(b"T%d:" % len(obj))
         for item in obj:
-            _feed(h, item)
+            _tokens(item, out)
     elif isinstance(obj, Mapping):
         keys = list(obj)
         if not all(isinstance(k, str) for k in keys):
             raise DCudaUsageError(
                 "spec parameter dicts must have string keys, got "
                 f"{sorted(type(k).__name__ for k in keys)}")
-        h.update(b"D%d:" % len(keys))
-        for k in sorted(keys):             # insertion order never matters
-            _feed(h, k)
-            _feed(h, obj[k])
+        out.append(b"D%d:" % len(keys))
+        for k in sorted(keys):
+            _tokens(k, out)
+            _tokens(obj[k], out)
     elif isinstance(obj, np.ndarray):
         data = np.ascontiguousarray(obj)
-        h.update(b"A")
-        _feed(h, data.dtype.str)
-        _feed(h, list(data.shape))
-        h.update(hashlib.sha256(data.tobytes()).digest())
+        out.append(b"A")
+        _tokens(data.dtype.str, out)
+        _tokens(list(data.shape), out)
+        out.append(hashlib.sha256(data.tobytes()).digest())
     elif isinstance(obj, np.generic):
-        h.update(b"G")
-        _feed(h, obj.dtype.str)
-        h.update(obj.tobytes())
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        cls = type(obj)
-        h.update(b"C")
-        _feed(h, f"{cls.__module__}.{cls.__qualname__}")
-        _feed(h, {f.name: getattr(obj, f.name)
-                  for f in dataclasses.fields(obj)})
+        out.append(b"G")
+        _tokens(obj.dtype.str, out)
+        out.append(obj.tobytes())
     else:
         raise DCudaUsageError(
             f"unhashable spec parameter of type {type(obj).__name__!r}: "
@@ -117,15 +167,14 @@ def canonical_digest(obj: Any) -> str:
 
     The digest is stable across processes, interpreter restarts, and dict
     insertion orders — the property the result cache's content addressing
-    rests on.
+    rests on.  The token stream is built first and hashed in one pass.
 
     Raises:
-        DCudaUsageError: For unsupported value types (see :func:`_feed`).
+        DCudaUsageError: For unsupported value types (see :func:`_tokens`).
     """
-    h = hashlib.sha256()
-    h.update(_HASH_VERSION)
-    _feed(h, obj)
-    return h.hexdigest()
+    out = [_HASH_VERSION]
+    _tokens(obj, out)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,12 +1,14 @@
-"""Sharded-store regression tests: layout, migration, corruption.
+"""Sharded-store regression tests: layout, corruption, failed writes.
 
-The non-negotiable property under test: a damaged or legacy cache can
-cost *time* (a miss and a re-run) but never *correctness* (a wrong or
-stale result served as a hit) — including every step of the
-unsharded-to-sharded migration path.
+The non-negotiable property under test: a damaged, full or vanished
+cache can cost *time* (a miss and a re-run) but never *correctness* (a
+wrong or stale result served as a hit), and never crashes a sweep.
 """
 
+import errno
 import json
+import shutil
+import tempfile
 
 import pytest
 
@@ -20,22 +22,6 @@ FP = "a" * 64
 @pytest.fixture
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache", fingerprint=FP, shards=8)
-
-
-def _legacy_put(cache, key, result):
-    """Write an entry the way the pre-sharding store did: flat in the
-    generation directory, same self-verifying format."""
-    sharded = ResultCache(cache.root, fingerprint=cache.fingerprint,
-                          shards=cache.shard_count())
-    sharded.put(key, result)
-    entry = sharded._entry_path(key)
-    legacy = cache._generation_dir() / entry.name
-    entry.rename(legacy)
-    # Drop the meta.json the helper created: a legacy cache has none.
-    meta = cache._generation_dir() / "meta.json"
-    if meta.exists():
-        meta.unlink()
-    return legacy
 
 
 class TestShardedLayout:
@@ -104,53 +90,40 @@ class TestCorruptShardEntry:
         assert not hit and not entry.exists()
 
 
-class TestLegacyMigration:
-    def test_legacy_entry_hits_and_migrates_on_read(self, cache):
-        key = "cd" + "1" * 62
-        legacy = _legacy_put(cache, key, {"answer": 42})
-        hit, value = cache.get(key)
-        assert hit and value == {"answer": 42}
-        # The read moved the entry home: legacy gone, shard populated.
-        assert not legacy.exists()
-        assert cache._entry_path(key).exists()
-        hit, value = cache.get(key)  # …and it keeps hitting
-        assert hit and value == {"answer": 42}
+class TestFailedPublish:
+    """A write the filesystem refuses costs the entry, never the sweep."""
 
-    def test_corrupt_legacy_entry_is_miss_and_deleted(self, cache):
-        key = "ef" + "2" * 62
-        legacy = _legacy_put(cache, key, "good")
-        legacy.write_bytes(b"rotten")
-        hit, _ = cache.get(key)
-        assert not hit and not legacy.exists()
-        assert not cache._entry_path(key).exists()  # no forged promotion
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-    def test_bulk_migrate_moves_good_drops_bad(self, cache):
-        keys = [f"{i:02x}{'3' * 62}" for i in range(6)]
-        for i, key in enumerate(keys):
-            _legacy_put(cache, key, i)
-        bad = _legacy_put(cache, "ff" + "4" * 62, "doomed")
-        bad.write_bytes(b"bit rot")
-        migrated, dropped = cache.migrate()
-        assert migrated == 6 and dropped == 1
-        for i, key in enumerate(keys):
-            hit, value = cache.get(key)
-            assert hit and value == i
-        assert cache.stats().legacy_entries == 0
+        monkeypatch.setattr(tempfile, "mkstemp", no_space)
 
-    def test_legacy_cache_end_to_end_through_run_specs(self, cache):
-        """A sweep against a pre-sharding cache keeps its hits."""
-        spec = RunSpec("selftest_point", {"token": "old-world"})
-        shared_digest = ""
-        key = cache.key_for(spec, shared_digest)
-        result = {"token": "old-world", "payload": [], "mode": "echo"}
-        _legacy_put(cache, key, result)
-        report = run_specs([spec], cache=cache)
-        assert report.cache_hits == 1 and report.executed == 0
-        assert report.results == [result]
+    def test_enospc_publish_does_not_crash_the_sweep(self, cache,
+                                                       full_disk):
+        specs = [RunSpec("selftest_point", {"token": t}) for t in "abc"]
+        expected = run_specs(specs).results
+        report = run_specs(specs, cache=cache)
+        assert report.results == expected
+        assert report.executed == 3 and report.publish_failures == 3
+        assert "3 not cached (publish failed)" in report.summary()
+        assert not list(cache.root.rglob("*.pkl"))
 
-    def test_migrate_missing_generation_is_noop(self, tmp_path):
-        cache = ResultCache(tmp_path / "never", fingerprint=FP)
-        assert cache.migrate() == (0, 0)
+    def test_put_reports_refused_write(self, cache, full_disk):
+        assert cache.put("aa" + "0" * 62, 1) is False
+        assert cache.get("aa" + "0" * 62) == (False, None)
+
+    def test_store_deleted_underneath_is_miss_then_recreated(self, cache):
+        key = "ab" + "1" * 62
+        assert cache.put(key, "first") is True
+        shutil.rmtree(cache.root)
+        assert cache.get(key) == (False, None)
+        assert cache.put(key, "again") is True
+        assert cache.get(key) == (True, "again")
+        meta = json.loads(
+            (cache._generation_dir() / "meta.json").read_text())
+        assert meta["shards"] == 8
 
 
 class TestShardStats:
@@ -163,13 +136,6 @@ class TestShardStats:
         assert sum(s.bytes for s in stats.shard_breakdown) == stats.bytes
         assert all(s.name.startswith("shard-")
                    for s in stats.shard_breakdown)
-
-    def test_legacy_entries_counted_separately(self, cache):
-        cache.put("aa" + "6" * 62, 1)
-        _legacy_put(cache, "bb" + "6" * 62, 2)
-        stats = cache.stats()
-        assert stats.entries == 2
-        assert stats.legacy_entries == 1
 
     def test_gc_reclaims_sharded_stale_generations(self, tmp_path):
         stale = ResultCache(tmp_path / "c", fingerprint="b" * 64,
@@ -186,7 +152,8 @@ class TestShardStats:
 
     def test_clear_reclaims_everything_including_legacy(self, cache):
         cache.put("aa" + "9" * 62, 1)
-        _legacy_put(cache, "bb" + "9" * 62, 2)
+        ResultCache(cache.root, fingerprint="b" * 64).put("bb" + "9" * 62, 2)
         removed, _ = cache.clear()
         assert removed == 2
-        assert cache.stats().entries == 0
+        stats = cache.stats()
+        assert stats.entries == 0 and stats.stale_entries == 0

@@ -40,6 +40,8 @@ class TestRun:
         assert warm["results_digest"] == cold["results_digest"]
         assert warm["cache_hits"] == warm["tasks"]
         assert warm["cache_hit_rate"] == 1.0
+        assert cold["publish_s"] > 0 and cold["publish_failures"] == 0
+        assert warm["publish_s"] == 0 and warm["probe_s"] > 0
         assert "require-cached: ok" in capsys.readouterr().out
 
     def test_require_cached_cold_exits_3(self, tmp_path, capsys):
@@ -103,22 +105,6 @@ class TestCacheMaintenance:
         out = capsys.readouterr().out
         assert "last sweep:" in out
         assert "done [serial]: 2/2 done" in out
-
-    def test_cache_migrate_moves_legacy_entries(self, tmp_path, capsys):
-        _run(tmp_path)
-        # Demote every sharded entry to the legacy flat layout.
-        from repro.exec import ResultCache
-
-        cache = ResultCache(tmp_path / "cache")
-        gen = cache._generation_dir()
-        for entry in list(gen.rglob("*.pkl")):
-            entry.rename(gen / entry.name)
-        capsys.readouterr()
-        assert main(["cache", "migrate", "--cache-dir",
-                     str(tmp_path / "cache")]) == 0
-        assert "moved 2" in capsys.readouterr().out
-        # Migrated cache serves the warm replay in full.
-        assert _run(tmp_path, "--require-cached") == 0
 
 
 class TestWorkerSubcommand:

@@ -7,6 +7,7 @@ without real process churn (the real transports get that treatment in
 """
 
 import json
+import os
 
 import pytest
 
@@ -163,6 +164,26 @@ class TestProgressStream:
         assert record["done"] == 2 and record["total"] == 2
         assert record["executor"] == "serial"
 
+    def test_all_hit_sweep_writes_status_once(self, tmp_path,
+                                              monkeypatch):
+        cache = ResultCache(tmp_path / "cache", fingerprint="e" * 64)
+        Coordinator(SerialExecutor(), cache=cache).run(_specs(2))
+        replaced = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        events = []
+        Coordinator(SerialExecutor(), cache=cache,
+                    on_event=events.append).run(_specs(2))
+        assert [e.kind for e in events] == ["start", "finish"]
+        assert replaced == [STATUS_FILENAME]
+        record = json.loads((cache.root / STATUS_FILENAME).read_text())
+        assert record["state"] == "done" and record["cache_hits"] == 2
+
     def test_event_line_renders_counts(self):
         line = ProgressEvent(kind="done", done=3, total=9, cache_hits=2,
                              retries=1).line()
@@ -181,6 +202,23 @@ class TestSerialFallback:
         ex = ScriptedExecutor()
         report = Coordinator(ex, serial_fallback=True).run(_specs(2))
         assert report.executor == "scripted"
+
+
+class TestPhaseTimes:
+    def test_all_hit_sweep_probes_but_never_publishes(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache", fingerprint="f" * 64)
+        cold = Coordinator(SerialExecutor(), cache=cache).run(_specs(3))
+        assert cold.publish_s > 0 and cold.publish_failures == 0
+        warm = Coordinator(SerialExecutor(), cache=cache).run(_specs(3))
+        assert warm.cache_hits == 3 and warm.executed == 0
+        assert warm.publish_s == 0 and warm.probe_s > 0
+        assert warm.key_s > 0
+        assert warm.results == cold.results
+        assert "probes" in warm.summary()
+
+    def test_no_cache_no_probe_no_publish(self):
+        report = Coordinator(SerialExecutor()).run(_specs(2))
+        assert report.publish_s == 0 and report.publish_failures == 0
 
 
 class TestReport:
