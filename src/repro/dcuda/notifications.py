@@ -65,21 +65,10 @@ def deliver(state: RankState, global_win_id, source: int,
 
 def deliver_bulk(state: RankState,
                  notifications: Any) -> Generator[Event, Any, None]:
-    """Enqueue several ``(global_win_id, source, tag)`` notifications.
-
-    The bulk twin of :func:`deliver` for same-timestamp delivery runs
-    (e.g. a collective fan-in committing one notification per peer):
-    per-entry queue semantics — credits, posted writes, visibility delays
-    — are exactly those of back-to-back :func:`deliver` calls, so the
-    matcher observes identical timestamps; the batch just shares one
-    generator frame, and the matcher's next drain consumes the whole run
-    in one pass (wake coalescing: only the first commit wakes a parked
-    matcher).
-    """
-    win_reverse = state.win_reverse
-    return state.notif_queue.enqueue_bulk(
-        Notification(win_reverse[gid], source, tag)
-        for gid, source, tag in notifications)
+    """Enqueue several ``(global_win_id, source, tag)`` notifications:
+    exactly :func:`deliver` per triple, in order."""
+    for gid, source, tag in notifications:
+        yield from deliver(state, gid, source, tag)
 
 
 class _Entry:

@@ -46,8 +46,6 @@ class Cluster:
         # the Perfetto export are computed from the intervals).
         self.tracer = Tracer(enabled=self.cfg.tracing or (
             self.obs.enabled and self.cfg.obs.trace_intervals))
-        if self.obs.enabled and self.cfg.obs.event_loop_stats:
-            self.env.enable_stats()
         #: Fault plane (or None when ``cfg.faults`` is unset/disabled);
         #: threaded through nodes, devices, links, and queues exactly like
         #: the observability handle.

@@ -47,8 +47,6 @@ class ObsConfig:
     enabled: bool = False
     #: Record per-block activity intervals (forces the cluster Tracer on).
     trace_intervals: bool = True
-    #: Count event-loop entries/dispatches in the simulation kernel.
-    event_loop_stats: bool = True
     #: Per-link bytes counters and active-flow occupancy series.
     link_series: bool = True
     #: Queue depth and credit occupancy series plus enqueue counters.

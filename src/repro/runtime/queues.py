@@ -209,64 +209,11 @@ class CircularQueue:
         self._commit(self._seq, entry)
 
     def enqueue_bulk(self, entries: Any) -> Generator[Event, Any, None]:
-        """Append several entries back-to-back in one generator frame.
-
-        Semantically identical to ``for e in entries: yield from
-        self.enqueue(e)`` — per-entry credits, posted writes, and
-        visibility delays are all preserved (so timestamps are unchanged)
-        — but the whole batch shares one frame instead of paying a
-        generator resume per entry.  Under an attached fault plane each
-        entry goes through the hardened path individually.
-        """
-        if self._faults is not None:
-            for entry in entries:
-                yield from self._enqueue_hardened(entry)
-            return
-        env = self.env
+        """Append several entries back-to-back: exactly ``for e in
+        entries: yield from self.enqueue(e)``, so per-entry credits,
+        posted writes and visibility delays are those of the loop."""
         for entry in entries:
-            if self._credits == 0:
-                yield from self._reload_credits()
-                while self._credits == 0:
-                    self.stats.full_stalls += 1
-                    if self._stall_counter is not None:
-                        self._stall_counter.inc()
-                    yield self._space_freed.wait()
-                    yield from self._reload_credits()
-            self._credits -= 1
-            self._head += 1
-            if self._credit_series is not None:
-                self._credit_series.sample(env._now, self._credits)
-            link = self.link
-            if link is not None:
-                link.mapped_writes += 1
-                lock = link._mapped_lock
-                if lock._available > 0 and not lock._queue:
-                    lock._available -= 1
-                    yield 0.0
-                else:
-                    free = lock._efree
-                    if free:
-                        ev = free.pop()
-                        ev.callbacks = []
-                        ev._value = PENDING
-                        ev._scheduled = False
-                    else:
-                        ev = Event(lock.env, lock._req_name)
-                    lock._queue.append(ev)
-                    yield ev
-                    free.append(ev)
-                try:
-                    yield link.cfg.mapped_post_occupancy
-                finally:
-                    lock.release()
-                self._seq += 1
-                delay = link.cfg.mapped_write_latency
-                if delay > 0:
-                    env.call_at(delay, self._commit, self._seq, entry)
-                    continue
-            else:
-                self._seq += 1
-            self._commit(self._seq, entry)
+            yield from self.enqueue(entry)
 
     def _enqueue_hardened(self, entry: Any) -> Generator[Event, Any, None]:
         """Enqueue under an attached fault plane: bounded, never hangs.

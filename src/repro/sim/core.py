@@ -96,40 +96,44 @@ _DEFAULT_BUCKET_WIDTH = 1e-7
 #: years at the default width) the core degrades to the far heap alone,
 #: which is simply the classic single-heap scheduler.
 _SLOT_LIMIT = float(2 ** 52)
+_INF = float("inf")
 #: Sentinel for "no timed entry pending": compares greater than every real
 #: schedule entry (real priorities are 0–2, the sentinel's is 3), so the
 #: hot loops test ``entry < _NO_ENTRY`` / ``ne[0] > now`` without a
 #: ``None`` branch.  Identity (``is _NO_ENTRY``) is the emptiness test.
-_NO_ENTRY = (float("inf"), 3, 0, None)
+_NO_ENTRY = (_INF, 3, 0, None)
 
 
 class EnvStats:
-    """Event-loop counters for the observability layer.
+    """Event-loop totals, read off the schedule's own state.
 
-    Only attached via :meth:`Environment.enable_stats`; a bare environment
-    carries ``stats = None`` and its hot loop is byte-for-byte the
-    uninstrumented one (``run`` dispatches to the counting twin loop only
-    when stats are attached).  Counting is passive — the instrumented loop
-    pops, advances time, and dispatches in exactly the same order, so
-    attaching stats never moves a simulated timestamp.
+    The read-only view behind :attr:`Environment.stats`.  Nothing is
+    counted on the dispatch path: every push takes one sequence number and
+    every entry sits in one of the three tiers until the loop consumes it,
+    so the totals follow from ``_seq`` and the tier sizes.  The loop is
+    the same one with observability on or off.
     """
 
-    __slots__ = ("entries", "deferred_calls", "events", "callbacks",
-                 "time_advances", "max_queue_len")
+    __slots__ = ("_env",)
 
-    def __init__(self) -> None:
-        #: Queue entries processed (events + deferred calls).
-        self.entries = 0
-        #: Lightweight-lane deferred calls fired.
-        self.deferred_calls = 0
-        #: Full events processed (callback lists run).
-        self.events = 0
-        #: Individual callbacks invoked.
-        self.callbacks = 0
-        #: Entries that advanced the simulated clock.
-        self.time_advances = 0
-        #: High-water mark of pending schedule entries (all three tiers).
-        self.max_queue_len = 0
+    def __init__(self, env: "Environment") -> None:
+        self._env = env
+
+    @property
+    def scheduled(self) -> int:
+        """Entries ever pushed onto the schedule."""
+        return self._env._seq
+
+    @property
+    def pending(self) -> int:
+        """Entries still queued, abandoned timers not yet dropped included."""
+        env = self._env
+        return len(env._due) + env._ring_count + len(env._far)
+
+    @property
+    def entries(self) -> int:
+        """Entries the loop has consumed, dispatched or dropped."""
+        return self.scheduled - self.pending
 
 
 class SimulationError(RuntimeError):
@@ -452,43 +456,6 @@ class Process(Event):
         self._waiting_on = None
         self._step(event)
 
-    def _sleep(self, delay: float) -> None:
-        """Enter a bare-delay sleep: the wakeup occupies the exact queue
-        slot the equivalent ``yield env.timeout(delay)`` would have taken
-        (same time, priority, and sequence number) without building an
-        Event.  The wakeup's deferred carrier calls :meth:`_step` directly
-        — no trampoline frame.  Hot sim-internal delays use this lane (the
-        common float case is inlined in :meth:`_step`; this method serves
-        the float-subclass slow path)."""
-        env = self.env
-        self._waiting_on = _SLEEPING
-        env._seq += 1
-        free = env._dfree
-        if free:
-            d = free.pop()
-            d.fn = self._step_cb
-            d.args = _START_ARGS
-        else:
-            d = _Deferred(self._step_cb, _START_ARGS)
-        self._pending_wake = d
-        if delay == 0.0:
-            env._due.append((env._seq, d))
-            return
-        # Inlined Environment timed push (see _push_timed).
-        when = env._now + delay
-        entry = (when, 1, env._seq, d)
-        t = when * env._inv
-        if t < env._ring_limit:
-            b = env._ring[int(t) & _RING_MASK]
-            heappush(b, entry)
-            env._ring_count += 1
-        else:
-            b = env._far
-            heappush(b, entry)
-        if entry < env._next_entry:
-            env._next_entry = entry
-            env._next_src = b
-
     def _parked_step(self, gen: int, value: Any) -> None:
         """Resume a parked process with *value* (wake_parked's target).
 
@@ -503,38 +470,80 @@ class Process(Event):
         self._step(box)
 
     def _step(self, event: Event) -> None:
+        """Resume the generator with *event*'s outcome and handle what it
+        yields next.
+
+        An invalid yield is answered by throwing an error into the
+        generator, exactly like an exception raised inside the process:
+        uncaught, it fails the process; caught, the generator's next yield
+        goes through the same handling as any other.
+        """
         self._waiting_on = None
         env = self.env
         gen = self._generator
-        env._active_process = self
-        try:
-            exception = event._exception
-            if exception is not None:
-                target = gen.throw(exception)
-            else:
-                value = event._value
-                target = gen.send(None if value is PENDING else value)
-        except StopIteration as stop:
+        exception = event._exception
+        while True:
+            env._active_process = self
+            try:
+                if exception is not None:
+                    target = gen.throw(exception)
+                else:
+                    value = event._value
+                    target = gen.send(None if value is PENDING else value)
+            except StopIteration as stop:
+                env._active_process = None
+                self._value = stop.value
+                env._schedule(self)
+                return
+            except BaseException as exc:
+                env._active_process = None
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self._exception = exc
+                self._value = None
+                env._schedule(self)
+                return
             env._active_process = None
-            self._value = stop.value
-            env._schedule(self)
-            return
-        except BaseException as exc:
-            env._active_process = None
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self._exception = exc
-            self._value = None
-            env._schedule(self)
-            return
-        env._active_process = None
-        cls = target.__class__
-        if cls is float:
-            # Inlined _sleep — the bare-delay lane is the hottest single
-            # scheduling path in the whole model (every compute/latency
-            # cost is a float yield).
+            cls = target.__class__
+            if cls is not float:
+                if cls is Event or isinstance(target, Event):
+                    if target.env is not env:
+                        exception = SimulationError(
+                            "yielded event belongs to a different environment")
+                        continue
+                    callbacks = target.callbacks
+                    if callbacks is None:
+                        # Target already processed: resume at once with
+                        # its outcome (the Event.add_callback fallback).
+                        event = target
+                        exception = target._exception
+                        continue
+                    self._waiting_on = target
+                    callbacks.append(self._step_cb)
+                    return
+                if target is PARK:
+                    # Park: detach from the schedule entirely.  The
+                    # component that handed out PARK (a queue) has
+                    # registered this process and will call
+                    # Environment.wake_parked at the exact tick a poll
+                    # loop would have observed new work.
+                    if self._wake_box is None:
+                        self._wake_box = _WakeBox()
+                    self._waiting_on = _PARKED
+                    return
+                if not isinstance(target, float):
+                    exception = TypeError(
+                        f"process {self.name!r} yielded non-event {target!r}")
+                    continue
+                target = float(target)  # float subclass, e.g. numpy.float64
+            # Bare-delay sleep, the hottest scheduling path in the model
+            # (every compute/latency cost is a float yield).  The wakeup
+            # takes the exact queue slot ``yield env.timeout(target)``
+            # would (same time, priority and sequence number) without
+            # building an Event, and its carrier calls _step directly.
             if target < 0:
-                gen.throw(ValueError(f"negative delay {target!r}"))
+                exception = ValueError(f"negative delay {target!r}")
+                continue
             self._waiting_on = _SLEEPING
             env._seq += 1
             free = env._dfree
@@ -548,6 +557,7 @@ class Process(Event):
             if target == 0.0:
                 env._due.append((env._seq, d))
                 return
+            # Inlined timed push (see Environment._push_timed).
             when = env._now + target
             entry = (when, 1, env._seq, d)
             t = when * env._inv
@@ -562,36 +572,6 @@ class Process(Event):
                 env._next_entry = entry
                 env._next_src = b
             return
-        if cls is not Event and not isinstance(target, Event):
-            if target is PARK:
-                # Park: detach from the schedule entirely.  The component
-                # that handed out PARK (a queue) has registered this
-                # process and will call Environment.wake_parked at the
-                # exact tick a poll loop would have observed new work.
-                if self._wake_box is None:
-                    self._wake_box = _WakeBox()
-                self._waiting_on = _PARKED
-                return
-            if isinstance(target, float):
-                # Slow-path sleep for float subclasses (numpy scalars).
-                delay = float(target)
-                if delay < 0:
-                    gen.throw(ValueError(f"negative delay {target!r}"))
-                self._sleep(delay)
-                return
-            gen.throw(TypeError(
-                f"process {self.name!r} yielded non-event {target!r}"))
-        if target.env is not env:
-            gen.throw(SimulationError(
-                "yielded event belongs to a different environment"))
-        self._waiting_on = target
-        callbacks = target.callbacks
-        if callbacks is not None:
-            callbacks.append(self._step_cb)
-        else:
-            # Target already processed — resume immediately (inlined
-            # Event.add_callback fallback).
-            self._step(target)
 
 
 class Environment:
@@ -640,21 +620,17 @@ class Environment:
         self._next_src: Optional[List[Any]] = None
         #: Freelist of retired _Deferred carriers (slot reuse).
         self._dfree: List[_Deferred] = []
-        #: Event-loop counters (observability); ``None`` keeps the
-        #: uninstrumented hot loop.
-        self.stats: Optional[EnvStats] = None
-
-    def enable_stats(self) -> EnvStats:
-        """Attach (or return the existing) event-loop counters."""
-        if self.stats is None:
-            self.stats = EnvStats()
-        return self.stats
 
     # -- clock ----------------------------------------------------------
     @property
     def now(self) -> float:
         """Current simulated time (seconds by convention)."""
         return self._now
+
+    @property
+    def stats(self) -> EnvStats:
+        """Event-loop totals derived from the schedule (see EnvStats)."""
+        return EnvStats(self)
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -768,7 +744,7 @@ class Environment:
         """Insert a timed entry into the ring or the far heap.
 
         This is the canonical form of the push that the hot call sites
-        (:meth:`timeout`, :meth:`call_at`, ``Process._sleep``) inline:
+        (:meth:`timeout`, :meth:`call_at`, ``Process._step``) inline:
         bucket selection is ``int(when / width) mod _RING_SIZE``, and the
         cached minimum is min-updated so peeks never rescan.
         """
@@ -796,150 +772,77 @@ class Environment:
         else:
             self._push_timed(self._now + delay, priority, self._seq, event)
 
-    def _advance_clock(self, when: float) -> None:
-        """Advance the clock to *when*; slide the ring window forward and
-        migrate newly ring-eligible far-heap entries into their buckets."""
-        self._now = when
-        t = when * self._inv
-        if t < _SLOT_LIMIT:
-            ns = int(t)
-            if ns > self._slot:
-                self._slot = ns
-                limit = float(ns + _RING_SIZE)
-                self._ring_limit = limit
-                far = self._far
-                if far and far[0][0] * self._inv < limit:
-                    ring = self._ring
-                    inv = self._inv
-                    while far and far[0][0] * inv < limit:
-                        e = heappop(far)
-                        heappush(ring[int(e[0] * inv) & _RING_MASK], e)
-                        self._ring_count += 1
-
-    def _rescan(self) -> None:
-        """Recompute the cached minimum timed entry after a timed pop.
-
-        Ring entries all lie within one ring lap of the current slot, so
-        scanning slots upward from the clock's slot visits buckets in
-        time order and the first non-empty bucket's top is the ring
-        minimum; with the ring empty the far-heap top is the minimum.
-        """
-        if self._ring_count:
-            s = self._slot
-            ring = self._ring
-            while True:
-                b = ring[s & _RING_MASK]
-                if b:
-                    self._next_entry = b[0]
-                    self._next_src = b
-                    return
-                s += 1
-        far = self._far
-        if far:
-            self._next_entry = far[0]
-            self._next_src = far
-        else:
-            self._next_entry = _NO_ENTRY
-            self._next_src = None
-
-    def _pop_timed(self) -> Any:
-        """Pop the minimum timed entry; advance the clock; return its
-        payload object — or ``None`` when the entry was an abandoned timer
-        (dropped without advancing the clock, so a dangling timeout cannot
-        stretch the simulated run)."""
-        entry = self._next_entry
-        src = self._next_src
-        heappop(src)
-        if src is not self._far:
-            self._ring_count -= 1
-        obj = entry[3]
-        if obj.__class__ is not _Deferred and obj.abandoned:
-            self._rescan()
-            return None
-        when = entry[0]
-        if when > self._now:
-            self._advance_clock(when)
-        self._rescan()
-        return obj
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
         return self._now if self._due else self._next_entry[0]
 
     def step(self) -> None:
-        """Process exactly one schedule entry.
+        """Process exactly one live schedule entry.
 
         Abandoned timers (e.g. the losing arm of a bounded wait whose
         winner already resumed the process) are *not* entries: they are
         consumed and dropped without dispatching and without advancing the
-        clock — the same guard the batch loops apply — and the step
-        processes the next live entry instead.  A failed process nobody
-        waits on re-raises its exception, as in :meth:`run`.
+        clock, and the step processes the next live entry instead.  A
+        failed process nobody waits on re-raises its exception, as in
+        :meth:`run`.  A schedule with no live entry left raises
+        :class:`SimulationError`, so a ``while True: step()`` loop ends.
         """
-        if not self._due and self._next_entry is _NO_ENTRY:
+        if self._dispatch(_INF, True):
             raise SimulationError("step() on an empty schedule")
-        stats = self.stats
-        due = self._due
-        while due or self._next_entry is not _NO_ENTRY:
-            if stats is not None:
-                stats.entries += 1
-                pending = len(due) + self._ring_count + len(self._far)
-                if pending > stats.max_queue_len:
-                    stats.max_queue_len = pending
-            # Entry selection: due lane vs cached timed minimum, full
-            # (when, priority, seq) order (identical in all loops).
-            ne = self._next_entry
-            if due and (ne[0] > self._now or ne[1] > 1
-                        or (ne[1] == 1 and ne[2] > due[0][0])):
-                obj = due.popleft()[1]
-                if obj.__class__ is not _Deferred and obj.abandoned:
-                    continue
-            else:
-                before = self._now
-                obj = self._pop_timed()
-                if obj is None:
-                    continue
-                if stats is not None and self._now > before:
-                    stats.time_advances += 1
-            if obj.__class__ is _Deferred:
-                if stats is not None:
-                    stats.deferred_calls += 1
-                obj.fn(*obj.args)
-                self._dfree.append(obj)
-                return
-            callbacks = obj.callbacks
-            obj.callbacks = None
-            if stats is not None:
-                stats.events += 1
-                stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(obj)
-            if (not callbacks and obj._exception is not None
-                    and isinstance(obj, Process)):
-                raise obj._exception
-            return
-        # Every remaining entry was abandoned: the schedule is effectively
-        # empty, and a silent no-op would strand ``while True: step()``
-        # drivers.
-        raise SimulationError("step() on an empty schedule")
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or simulated time reaches *until*.
 
-        Unhandled process failures propagate out of :meth:`run` the moment
-        the failed process event is processed with no observer attached.
+        Entries at exactly *until* still run, and the clock ends at
+        *until* whether or not work remains.  Unhandled process failures
+        propagate out of :meth:`run` the moment the failed process event
+        is processed with no observer attached.
         """
-        if self.stats is not None:
-            return self._run_counting(until)
-        if until is not None and until < self._now:
+        if until is None:
+            self._dispatch(_INF, False)
+            return
+        if until < self._now:
             raise ValueError(f"until={until!r} lies in the past")
-        # Hot loop: the pop/rescan/clock-advance machinery of _pop_timed is
-        # inlined (a Python-level call per entry would cost more than the
-        # heap work it wraps), stable containers and module globals are
-        # local aliases, the clock is mirrored in a local (write-through to
-        # ``_now`` so pushes from callbacks see it), and the due lane
-        # drains in a tight batch — the clock only moves on timed pops,
-        # i.e. once per distinct timestamp.
+        self._dispatch(until, False)
+        self._now = until
+
+    def run_watchdog(self, deadline: float) -> bool:
+        """Run like :meth:`run`, but stop *before* crossing ``deadline``.
+
+        Returns ``True`` when the queue drained (normal completion) and
+        ``False`` when the next live event lies beyond the deadline — i.e.
+        the simulation would run past its simulated-time budget.  Unlike
+        ``run(until=deadline)`` the clock is left at the last processed
+        event, not advanced to the deadline, so callers can still report a
+        meaningful elapsed time for the work that did happen.  Unhandled
+        process failures propagate exactly as in :meth:`run`.
+        """
+        return self._dispatch(deadline, False)
+
+    def _dispatch(self, bound: float, once: bool) -> bool:
+        """The one dispatch loop behind :meth:`run`, :meth:`run_watchdog`
+        and :meth:`step`.
+
+        Dispatches entries in ``(when, priority, seq)`` order and stops on
+        the first of three rules:
+
+        * the first *live* timed entry lies beyond *bound*: returns
+          ``False`` with the clock at the last dispatched entry;
+        * *once* is set and one live entry was dispatched: ``False``;
+        * no live entry is left: ``True``.
+
+        Abandoned timers are dropped wherever they reach the head, before
+        the bound test, and never advance the clock.  A failed process
+        nobody waits on re-raises its exception.
+
+        Hot loop: the pop, clock advance and minimum rescan are inlined (a
+        Python-level call per entry would cost more than the heap work it
+        wraps), stable containers and module globals are local aliases,
+        the clock is mirrored in a local (write-through to ``_now`` so
+        pushes from callbacks see it), and the due lane drains in a tight
+        batch — the clock only moves on timed pops, i.e. once per distinct
+        timestamp.
+        """
         due = self._due
         dfree = self._dfree
         ring = self._ring
@@ -963,32 +866,28 @@ class Environment:
                 if event.__class__ is deferred:
                     event.fn(*event.args)
                     dfree.append(event)
+                    if once:
+                        return False
                     continue
                 if event.abandoned:
-                    # An orphaned timer (abandoned after being scheduled):
-                    # dropped like its timed twin below.
                     continue
             else:
                 if ne is no_entry:
-                    if until is not None:
-                        self._now = until
-                    return
+                    return True
                 when = ne[0]
-                if until is not None and when > until:
-                    self._now = until
-                    return
-                # -- inlined _pop_timed ----------------------------------
+                event = ne[3]
+                is_def = event.__class__ is deferred
+                if not is_def and event.abandoned:
+                    event = None  # dropped below; no clock advance
+                elif when > bound:
+                    return False
                 src = self._next_src
                 pop(src)
                 if src is not far:
                     self._ring_count -= 1
-                event = ne[3]
-                is_def = event.__class__ is deferred
-                if not is_def and event.abandoned:
-                    event = None  # dropped; no clock advance
-                elif when > now:
-                    # Inlined _advance_clock: slide the ring window and
-                    # migrate newly eligible far-heap entries.
+                if event is not None and when > now:
+                    # Advance the clock: slide the ring window and migrate
+                    # newly eligible far-heap entries into their buckets.
                     now = when
                     self._now = when
                     t = when * inv
@@ -1002,11 +901,13 @@ class Environment:
                                 e = pop(far)
                                 push(ring[int(e[0] * inv) & _RING_MASK], e)
                                 self._ring_count += 1
-                # Inlined _rescan.  Fast path: a non-empty just-popped ring
-                # bucket still holds the timed minimum — every other ring
+                # Recompute the cached timed minimum.  A non-empty
+                # just-popped ring bucket still holds it: every other ring
                 # entry lives in a strictly later slot (slot selection is
                 # monotone in time), and the far-heap top is beyond the
-                # ring horizon entirely.
+                # ring horizon.  Otherwise scan the ring upward from the
+                # clock's slot (all ring entries lie within one lap of
+                # it), then fall back to the far heap.
                 if src and src is not far:
                     self._next_entry = src[0]
                 elif self._ring_count:
@@ -1024,12 +925,13 @@ class Environment:
                 else:
                     self._next_entry = no_entry
                     self._next_src = None
-                # --------------------------------------------------------
                 if event is None:
                     continue
                 if is_def:
                     event.fn(*event.args)
                     dfree.append(event)
+                    if once:
+                        return False
                     continue
             callbacks = event.callbacks
             event.callbacks = None
@@ -1041,125 +943,5 @@ class Environment:
             if (not callbacks and event._exception is not None
                     and isinstance(event, Process)):
                 raise event._exception
-
-    def run_watchdog(self, deadline: float) -> bool:
-        """Run like :meth:`run`, but stop *before* crossing ``deadline``.
-
-        Returns ``True`` when the queue drained (normal completion) and
-        ``False`` when the next event lies beyond the deadline — i.e. the
-        simulation would run past its simulated-time budget.  Unlike
-        ``run(until=deadline)`` the clock is left at the last processed
-        event, not advanced to the deadline, so callers can still report a
-        meaningful elapsed time for the work that did happen.  Unhandled
-        process failures propagate exactly as in :meth:`run`.
-        """
-        due = self._due
-        dfree = self._dfree
-        stats = self.stats
-        while True:
-            ne = self._next_entry
-            if due:
-                take_due = (ne[0] > self._now or ne[1] > 1
-                            or (ne[1] == 1 and ne[2] > due[0][0]))
-            elif ne is not _NO_ENTRY:
-                if ne[0] > deadline:
-                    head = ne[3]
-                    if head.__class__ is not _Deferred and head.abandoned:
-                        # An orphaned timer beyond the deadline is not
-                        # pending work — drop it instead of declaring a
-                        # timeout.
-                        self._pop_timed()
-                        continue
-                    return False
-                take_due = False
-            else:
-                return True
-            if stats is not None:
-                stats.entries += 1
-                pending = len(due) + self._ring_count + len(self._far)
-                if pending > stats.max_queue_len:
-                    stats.max_queue_len = pending
-            if take_due:
-                event = due.popleft()[1]
-            else:
-                before = self._now
-                event = self._pop_timed()
-                if event is None:
-                    continue
-                if stats is not None and self._now > before:
-                    stats.time_advances += 1
-            if event.__class__ is _Deferred:
-                if stats is not None:
-                    stats.deferred_calls += 1
-                event.fn(*event.args)
-                dfree.append(event)
-                continue
-            if event.abandoned:
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            if stats is not None:
-                stats.events += 1
-                stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(event)
-            if (not callbacks and event._exception is not None
-                    and isinstance(event, Process)):
-                raise event._exception
-
-    def _run_counting(self, until: Optional[float] = None) -> None:
-        """Twin of :meth:`run` that also bumps :class:`EnvStats` counters.
-
-        Pops, time advances, and callback dispatch happen in exactly the
-        same order as the uninstrumented loop — the counters are pure
-        observation, so the schedule (and every simulated timestamp) is
-        identical with stats attached.
-        """
-        due = self._due
-        dfree = self._dfree
-        stats = self.stats
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until!r} lies in the past")
-        while True:
-            ne = self._next_entry
-            if due:
-                take_due = (ne[0] > self._now or ne[1] > 1
-                            or (ne[1] == 1 and ne[2] > due[0][0]))
-            elif ne is not _NO_ENTRY:
-                if until is not None and ne[0] > until:
-                    self._now = until
-                    return
-                take_due = False
-            else:
-                break
-            stats.entries += 1
-            pending = len(due) + self._ring_count + len(self._far)
-            if pending > stats.max_queue_len:
-                stats.max_queue_len = pending
-            if take_due:
-                event = due.popleft()[1]
-            else:
-                before = self._now
-                event = self._pop_timed()
-                if event is None:
-                    continue
-                if self._now > before:
-                    stats.time_advances += 1
-            if event.__class__ is _Deferred:
-                stats.deferred_calls += 1
-                event.fn(*event.args)
-                dfree.append(event)
-                continue
-            if event.abandoned:
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            stats.events += 1
-            stats.callbacks += len(callbacks)
-            for callback in callbacks:
-                callback(event)
-            if (not callbacks and event._exception is not None
-                    and isinstance(event, Process)):
-                raise event._exception
-        if until is not None:
-            self._now = until
+            if once:
+                return False

@@ -88,8 +88,7 @@ def test_obs_run_actually_recorded():
     assert any(n.startswith("link.") for n in names)
     assert any(n.startswith("bm.cmd.") for n in names)
     assert "ntf.match_pass" in reg
-    assert cluster.env.stats is not None
-    assert cluster.env.stats.events > 0
+    assert cluster.env.stats.entries > 0
     assert cluster.tracer.enabled and len(cluster.tracer.intervals) > 0
 
 

@@ -197,3 +197,40 @@ def test_interleaved_producer_consumer_order_with_delay():
     env.process(consumer(env))
     env.run()
     assert got == list(range(20))
+
+
+@pytest.mark.parametrize("with_link", [True, False])
+def test_enqueue_bulk_matches_sequential_enqueues(with_link):
+    """enqueue_bulk is the sequential enqueue loop: same delivered entries
+    at the same instants, same stats, same schedule length, even through
+    credit exhaustion on a tiny queue."""
+    def drive(bulk):
+        env, link, q = make_queue(size=2, with_link=with_link,
+                                  mapped_post_occupancy=0.5,
+                                  mapped_write_latency=3.0,
+                                  mapped_read=1.25)
+        got = []
+
+        def producer(env):
+            items = range(7)
+            if bulk:
+                yield from q.enqueue_bulk(items)
+            else:
+                for i in items:
+                    yield from q.enqueue(i)
+            got.append(("done", env.now))
+
+        def consumer(env):
+            for _ in range(7):
+                yield 2.0
+                item = yield from q.dequeue()
+                got.append((item, env.now))
+
+        env.process(producer(env))
+        env.process(consumer(env))
+        env.run()
+        stats = {k: getattr(q.stats, k) for k in q.stats.__slots__}
+        links = (link.mapped_writes, link.mapped_reads) if link else None
+        return got, stats, links, q.occupancy, env.now, env._seq
+
+    assert drive(bulk=True) == drive(bulk=False)

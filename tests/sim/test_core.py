@@ -419,3 +419,201 @@ def test_step_and_run_agree_on_abandoned_heavy_schedule():
         except SimulationError:
             break
     assert fired_a == fired_b == [(0.0, 0), (0.5, 2), (1.0, 4)]
+
+
+# -- invalid yields: one rejection path -------------------------------------
+
+def test_caught_negative_delay_error_then_valid_sleep():
+    """Regression: after catching the ValueError for a negative delay, the
+    process's next yield is honoured (it used to resume at t=0)."""
+    env = Environment()
+    log = []
+
+    def proc(env):
+        try:
+            yield -1.0
+        except ValueError:
+            log.append(("caught", env.now))
+        yield 1.0
+        log.append(("resumed", env.now))
+
+    env.process(proc(env))
+    env.run()
+    assert log == [("caught", 0.0), ("resumed", 1.0)]
+    assert env.now == 1.0
+
+
+def test_caught_non_event_error_then_timeout():
+    """Regression: the yield after a caught TypeError used to be
+    discarded, so run() crashed with an AttributeError on the int."""
+    env = Environment()
+    log = []
+
+    def proc(env):
+        try:
+            yield 42
+        except TypeError:
+            log.append(("caught", env.now))
+        yield env.timeout(2.0)
+        log.append(("resumed", env.now))
+
+    env.process(proc(env))
+    env.run()
+    assert log == [("caught", 0.0), ("resumed", 2.0)]
+
+
+def test_caught_foreign_event_error_then_timeout():
+    """Regression: after catching the SimulationError for another
+    environment's event, the process used to never resume."""
+    env = Environment()
+    other = Environment()
+    log = []
+
+    def proc(env):
+        try:
+            yield other.timeout(1.0)
+        except SimulationError:
+            log.append(("caught", env.now))
+        yield env.timeout(3.0)
+        log.append(("resumed", env.now))
+
+    p = env.process(proc(env))
+    env.run()
+    assert log == [("caught", 0.0), ("resumed", 3.0)]
+    assert p.ok
+
+
+def test_uncaught_invalid_yield_fails_the_process():
+    """Uncaught, the thrown error fails the process like any exception
+    raised inside it, so a parent joining it sees the error."""
+    env = Environment()
+    caught = []
+
+    def bad(env):
+        yield -2.0
+
+    def parent(env):
+        try:
+            yield env.process(bad(env))
+        except ValueError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(parent(env))
+    env.run()
+    assert caught == [(0.0, "negative delay -2.0")]
+
+
+# -- bare-delay sleeps --------------------------------------------------------
+
+class _Delay(float):
+    """A float subclass, as user code or a library may yield."""
+
+
+def _sleep_trace(delays):
+    env = Environment()
+    stamps = []
+
+    def proc(env):
+        for d in delays:
+            yield d
+            stamps.append(env.now)
+
+    env.process(proc(env))
+    env.run()
+    return stamps, env._seq
+
+
+def test_float_subclass_delays_match_plain_float():
+    np = pytest.importorskip("numpy")
+    plain = [0.0, 1.5e-7, 2.0, 0.25, 300.0]
+    want = _sleep_trace(plain)
+    for delays in ([np.float64(d) for d in plain],
+                   [_Delay(d) for d in plain]):
+        stamps, seq = _sleep_trace(delays)
+        assert (stamps, seq) == want
+        assert all(type(t) is float for t in stamps)
+
+
+def test_negative_float_subclass_delay_raises():
+    np = pytest.importorskip("numpy")
+
+    def proc(env, delay):
+        yield delay
+
+    for delay in (_Delay(-1.0), np.float64(-1.0)):
+        env = Environment()
+        env.process(proc(env, delay))
+        with pytest.raises(ValueError, match="negative delay"):
+            env.run()
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_interrupted_bare_sleep_matches_interrupted_timeout(bare):
+    """Interrupting ``yield d`` drops its stale wakeup as a no-op at the
+    wakeup's queue slot, exactly where the abandoned ``timeout(d)`` of the
+    event form still fires: same log, same final clock."""
+    env = Environment()
+    log = []
+
+    def sleeper(env):
+        try:
+            yield 5.0 if bare else env.timeout(5.0)
+        except Interrupt as i:
+            log.append(("interrupted", env.now, i.cause))
+        yield 1.0
+        log.append(("woke", env.now))
+
+    def interrupter(env, victim):
+        yield env.timeout(2.0)
+        victim.interrupt("stop")
+
+    victim = env.process(sleeper(env))
+    env.process(interrupter(env, victim))
+    env.run()
+    assert log == [("interrupted", 2.0, "stop"), ("woke", 3.0)]
+    assert env.now == 5.0
+    assert env.stats.pending == 0
+
+
+# -- stop rules and derived stats --------------------------------------------
+
+def _abandoned_then_live():
+    env = Environment()
+    fired = []
+    dead = env.timeout(2.0)
+    dead.add_callback(lambda e: fired.append("dead"))
+    dead.abandoned = True
+    live = env.timeout(3.0)
+    live.add_callback(lambda e: fired.append(env.now))
+    return env, fired
+
+
+def test_stop_rules_look_past_abandoned_head():
+    """Every time-bounded stop looks at the first *live* entry: an
+    abandoned timer at the head is dropped, never left as the peek."""
+    env, fired = _abandoned_then_live()
+    env.run(until=1.0)
+    assert env.now == 1.0
+    assert env.peek() == 3.0
+
+    env, fired = _abandoned_then_live()
+    assert env.run_watchdog(2.5) is False
+    assert env.now == 0.0
+    assert env.peek() == 3.0
+    assert env.run_watchdog(3.0) is True
+    assert fired == [3.0]
+
+
+def test_stats_are_derived_from_the_schedule():
+    env = Environment()
+    stats = env.stats
+    assert (stats.scheduled, stats.pending, stats.entries) == (0, 0, 0)
+    env.timeout(1.0).abandoned = True
+    env.timeout(2.0)
+    env.call_at(0.0, lambda: None)
+    assert (stats.scheduled, stats.pending, stats.entries) == (3, 3, 0)
+    env.step()  # the deferred call
+    assert (stats.pending, stats.entries) == (2, 1)
+    env.step()  # drops the abandoned timer, dispatches the live one
+    assert (stats.scheduled, stats.pending, stats.entries) == (3, 0, 3)
+    assert env.now == 2.0

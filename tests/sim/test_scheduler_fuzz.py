@@ -8,7 +8,9 @@ mixed deferred calls, timeout events, explicit priorities, same-timestamp
 storms, far-horizon delays, and mid-run abandonment — runs them through
 a tiny reference implementation of the heap contract *and* through the
 real :class:`~repro.sim.core.Environment`, and asserts the two dispatch
-sequences are identical tuple for tuple.
+sequences are identical tuple for tuple.  The real run is driven under
+every stop rule of the one dispatch loop: ``run()``, repeated ``step()``,
+``run(until=c)`` and ``run_watchdog(c)`` sliced over ascending cut points.
 
 The reference kernel is deliberately the naive model: one ``heapq`` of
 ``(when, priority, seq)`` keys.  Any divergence in bucket selection,
@@ -21,7 +23,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, SimulationError
 
 #: Delay palette: heavy same-timestamp collisions (0.0 and repeated
 #: sub-bucket values), values straddling bucket boundaries of the 1e-7
@@ -95,8 +97,23 @@ def _run_reference(roots) -> list:
     return log
 
 
-def _run_real(roots, stepped: bool = False) -> list:
-    """The same workload through the real bucketed Environment."""
+def _cut_points(log) -> list:
+    """Ascending slice bounds: every third distinct dispatch time (so some
+    entries sit exactly on a bound), the midpoint after each, and a point
+    past the last dispatch."""
+    times = sorted({entry[0] for entry in log})
+    cuts = []
+    for i in range(0, len(times), 3):
+        cuts.append(times[i])
+        if i + 1 < len(times):
+            cuts.append((times[i] + times[i + 1]) / 2)
+    cuts.append(times[-1] + 1.0)
+    return cuts
+
+
+def _run_real(roots, mode: str = "run") -> list:
+    """The same workload through the real bucketed Environment, driven by
+    one stop rule: ``run``, ``step``, ``until`` or ``watchdog``."""
     env = Environment()
     log = []
     seqs = {}
@@ -134,15 +151,31 @@ def _run_real(roots, stepped: bool = False) -> list:
 
     for r in roots:
         push(r)
-    if stepped:
-        from repro.sim.core import SimulationError
+    if mode == "run":
+        env.run()
+    elif mode == "step":
         while True:
             try:
                 env.step()
             except SimulationError:
                 break
     else:
-        env.run()
+        want = _run_reference(roots)
+        last = want[-1][0]
+        for c in _cut_points(want):
+            if mode == "until":
+                env.run(until=c)
+                assert env.now == c
+            else:
+                assert env.run_watchdog(c) is (c >= last)
+                assert env.now == (log[-1][0] if log else 0.0) <= c
+            # Live-head rule: abandoned timers ahead of the next live
+            # entry were dropped, so peek() names the next dispatch.
+            ahead = [entry[0] for entry in want if entry[0] > c]
+            assert env.peek() == (ahead[0] if ahead else float("inf"))
+    stats = env.stats
+    assert stats.pending == 0
+    assert stats.entries == stats.scheduled
     return log
 
 
@@ -157,7 +190,17 @@ def test_fuzz_stepped_dispatch_matches_heap_contract(seed):
     """Single-stepping must follow the identical contract — including
     dropping abandoned timers instead of firing the losing wait arm."""
     roots = _gen_workload(seed)
-    assert _run_real(roots, stepped=True) == _run_reference(roots)
+    assert _run_real(roots, "step") == _run_reference(roots)
+
+
+@pytest.mark.parametrize("mode", ["until", "watchdog"])
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzz_sliced_dispatch_matches_heap_contract(mode, seed):
+    """Slicing the run at time bounds must not perturb the order: an
+    entry exactly on a bound runs in that slice, and abandoned timers at
+    the head are dropped before each bound test."""
+    roots = _gen_workload(seed)
+    assert _run_real(roots, mode) == _run_reference(roots)
 
 
 def test_fuzz_far_horizon_only():
@@ -165,4 +208,6 @@ def test_fuzz_far_horizon_only():
     roots = _gen_workload(99)
     for r in roots:
         r["delay"] = r["delay"] + 300.0  # everything beyond the ring
-    assert _run_real(roots) == _run_reference(roots)
+    want = _run_reference(roots)
+    for mode in ("run", "step", "until", "watchdog"):
+        assert _run_real(roots, mode) == want
