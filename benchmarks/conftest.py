@@ -14,7 +14,7 @@ Every figure's point loop goes through the :func:`engine_sweep` fixture —
 one call into the deterministic sweep service (:mod:`repro.exec`) instead
 of an inline ``for`` loop — so the whole benchmark suite can be
 parallelized (``REPRO_EXEC_WORKERS=4``), moved onto another transport
-(``REPRO_EXEC_EXECUTOR=subprocess``, or ``http`` with
+(``REPRO_EXEC_EXECUTOR=http`` with
 ``REPRO_EXEC_HOSTS=host:port,...``), or served from the result cache
 (``REPRO_EXEC_CACHE=.repro-cache``) without touching any test, and the
 tables are bit-identical every way.

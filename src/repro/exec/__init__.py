@@ -6,9 +6,10 @@ turns each of them into a picklable :class:`~repro.exec.spec.RunSpec`
 and executes whole sweeps through three cooperating layers:
 
 * **Executors** (:mod:`repro.exec.executors`) — *where* tasks run:
-  in-process serial, a spawn process pool, long-lived subprocess
-  workers over pipes, or HTTP worker daemons on other machines — one
-  protocol, so every transport is interchangeable.
+  in-process serial, a same-host fleet of long-lived worker processes
+  over pipes (``local``), or HTTP worker daemons on other machines —
+  one protocol and one worker program, so every transport is
+  interchangeable.
 * **Store** (:mod:`repro.exec.cache`) — results memoized on disk keyed
   by content hash + source-tree fingerprint, sharded by key prefix so
   the directory scales to million-point campaigns (with transparent
@@ -44,7 +45,6 @@ from .executors import (
     HTTPWorkerExecutor,
     LocalPoolExecutor,
     SerialExecutor,
-    SubprocessWorkerExecutor,
     build_executor,
 )
 from .fingerprint import source_fingerprint
@@ -70,7 +70,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "LocalPoolExecutor",
-    "SubprocessWorkerExecutor",
     "HTTPWorkerExecutor",
     "build_executor",
     "EXECUTOR_NAMES",

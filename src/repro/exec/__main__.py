@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = worker.add_mutually_exclusive_group(required=True)
     mode.add_argument("--stdio", action="store_true",
                       help="speak the frame protocol over stdin/stdout "
-                           "(used by the subprocess executor)")
+                           "(used by the local executor)")
     mode.add_argument("--port", type=int, default=None,
                       help="serve HTTP on this port (0 picks a free one)")
     worker.add_argument("--host", type=str, default="127.0.0.1",

@@ -167,7 +167,7 @@ class Coordinator:
         serial_fallback: When True (the engine's default for
             auto-built executors), a sweep that resolves to at most one
             unique miss skips the transport and runs in-process — the
-            historical "don't spin up a pool for one task" behaviour,
+            historical "don't spin up workers for one task" behaviour,
             which also preserves raw exception propagation for that
             case.  Explicitly constructed executors keep their
             transport regardless.
@@ -315,8 +315,8 @@ class Coordinator:
                 wall_s=time.perf_counter() - t0, dedup_hits=dedup_hits,
                 executor=ex.name, **phases)
 
-        ex.start(shared, expected_jobs=len(jobs))
         try:
+            ex.start(shared, expected_jobs=len(jobs))
             pending: Dict[int, _JobState] = {}
             order: List[int] = []  # submission order, for timeout blame
             for job_id, state in enumerate(jobs):

@@ -59,11 +59,12 @@ __all__ = ["SweepReport", "run_specs", "default_workers",
            "HOSTS_ENV"]
 
 #: Environment knob consulted when ``workers`` is not given explicitly:
-#: tests and CI set ``REPRO_EXEC_WORKERS=2`` to exercise the pool without
+#: tests and CI set ``REPRO_EXEC_WORKERS=2`` to exercise workers without
 #: every call site growing a flag.
 WORKERS_ENV = "REPRO_EXEC_WORKERS"
-#: Environment knob for the executor transport (``serial`` / ``local`` /
-#: ``subprocess`` / ``http``); same opt-in philosophy as the worker knob.
+#: Environment knob for the executor transport (one of
+#: :data:`~repro.exec.executors.EXECUTOR_NAMES`); same opt-in philosophy
+#: as the worker knob.
 EXECUTOR_ENV = "REPRO_EXEC_EXECUTOR"
 #: Comma-separated ``host:port`` list for the ``http`` transport.
 HOSTS_ENV = "REPRO_EXEC_HOSTS"
@@ -107,11 +108,11 @@ def _env_hosts() -> tuple:
 def _resolve_executor(executor, workers: int, hosts):
     """Normalize the ``executor`` argument to ``(Executor, fallback)``.
 
-    ``fallback`` enables the coordinator's serial shortcut for *auto-
-    built process transports* — the historical "don't spin up a pool
-    for one task" behaviour.  An executor instance the caller built is
-    used exactly as given; an explicit ``http`` transport keeps its
-    remote workers even for tiny sweeps (the point may be the remote
+    ``fallback`` enables the coordinator's serial shortcut for an
+    *auto-built* ``local`` fleet — the historical "don't spin up
+    workers for one task" behaviour.  An executor instance the caller
+    built is used exactly as given; an explicit ``http`` transport keeps
+    its remote workers even for tiny sweeps (the point may be the remote
     environment).
     """
     if isinstance(executor, Executor):
@@ -124,7 +125,7 @@ def _resolve_executor(executor, workers: int, hosts):
             f"{', '.join(EXECUTOR_NAMES)}; got {executor!r}")
     hosts = tuple(hosts or ()) or _env_hosts()
     built = build_executor(executor, workers=workers, hosts=hosts)
-    return built, executor in ("local", "subprocess")
+    return built, executor == "local"
 
 
 def run_specs(specs: Sequence[RunSpec], *,

@@ -1,4 +1,4 @@
-"""Pluggable sweep executors: one protocol, four transports.
+"""Pluggable sweep executors: one protocol, three transports.
 
 The sweep service splits *what to run* (the coordinator,
 :mod:`repro.exec.coordinator`) from *where it runs* (this module).  An
@@ -14,23 +14,24 @@ Transports:
 * :class:`SerialExecutor` — in-process, lazy execution at drain time;
   task exceptions propagate raw (the debugging-friendly historical
   behaviour of serial sweeps).
-* :class:`LocalPoolExecutor` — the spawn process pool extracted verbatim
-  from the PR 4 engine: fresh interpreters, shared payload shipped once
-  via the pool initializer, untyped task exceptions wrapped in
-  :class:`~repro.errors.DCudaWorkerError` on the worker side.  A broken
-  pool is rebuilt on the next submit, so the coordinator can re-dispatch
-  after worker loss.
-* :class:`SubprocessWorkerExecutor` — long-lived worker processes
+* :class:`LocalPoolExecutor` — a fleet of long-lived worker processes
   (``python -m repro.exec worker --stdio``) speaking the length-prefixed
   pickle frame protocol of :mod:`repro.exec.worker` over stdin/stdout
-  pipes.  Dead workers are detected by pipe EOF and respawned; this is
-  the template for SSH transports (same frames over ``ssh host python -m
-  repro.exec worker --stdio``).
+  pipes.  A worker that dies or sends a frame :func:`decode_done`
+  rejects is reaped and respawned, and :meth:`~LocalPoolExecutor.stop`
+  waits for every process the fleet started.  This is also the template
+  for SSH transports (same frames over ``ssh host python -m repro.exec
+  worker --stdio``).
 * :class:`HTTPWorkerExecutor` — connects to worker daemons started with
   ``python -m repro.exec worker --port N``: the coordinator POSTs specs
   to ``/submit`` and polls ``/poll`` for completions, so workers can
   live on other hosts.  A connection failure marks the worker lost; the
   executor keeps probing ``/healthz`` and re-adopts a restarted daemon.
+
+Both process transports run the same worker program and task body
+(:func:`~repro.exec.worker.run_job_payload`), and credit a result
+through the same decoder, :func:`decode_done`: a done frame counts only
+when it names the job its worker holds.
 
 Worker identity: every :class:`Completion` names the worker that
 produced (or died under) it.  The coordinator uses those names to
@@ -42,7 +43,6 @@ forever.
 from __future__ import annotations
 
 import abc
-import concurrent.futures
 import os
 import pickle
 import queue
@@ -50,11 +50,10 @@ import subprocess
 import sys
 import threading
 import time
-import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..errors import DCudaUsageError, DCudaWorkerError
+from ..errors import DCudaError, DCudaUsageError
 from .spec import resolve_entrypoint
 
 __all__ = [
@@ -63,14 +62,20 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "LocalPoolExecutor",
-    "SubprocessWorkerExecutor",
     "HTTPWorkerExecutor",
     "build_executor",
+    "decode_done",
     "EXECUTOR_NAMES",
 ]
 
 #: Names accepted by :func:`build_executor` (and the CLIs' ``--executor``).
-EXECUTOR_NAMES = ("serial", "local", "subprocess", "http")
+EXECUTOR_NAMES = ("serial", "local", "http")
+
+#: Respawns one ``local`` fleet allows before dead slots stay dead: a
+#: poisoned campaign must not fork-bomb the host.
+_RESPAWN_LIMIT = 16
+#: Seconds :func:`_reap` lets a terminated worker exit before killing it.
+_REAP_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
@@ -201,209 +206,95 @@ class SerialExecutor(Executor):
         self._pending.clear()
 
 
-# ----------------------------------------------------------- local pool -----
-_SHARED: Dict[str, Any] = {}
+# -------------------------------------------------------- frame decoder -----
+def decode_done(frame: Any, held: Optional[Job], worker: str,
+                epoch: Optional[str] = None) -> Optional[Completion]:
+    """The one done-frame decoder of the pipe and HTTP clients.
 
+    A frame is credited to *held*, the job its worker holds, only when
+    it is a dict of kind ``"done"`` whose ``int`` ``job_id`` is
+    ``held.job_id`` and whose outcome has one of the two shapes
+    :func:`~repro.exec.worker.run_job_payload` sends: ``ok=True`` with a
+    value, or ``ok=False`` with a typed error.  This is the host-queue
+    rule of the paper: an entry without a valid sequence number is
+    rejected, never delivered.
 
-def _worker_init(shared_blob: bytes) -> None:
-    """Pool initializer: install the shared payload, load the registry."""
-    global _SHARED
-    _SHARED = pickle.loads(shared_blob)
-    from . import points  # noqa: F401  (registers all entrypoints)
+    Args:
+        frame: One unpickled frame, as received.
+        held: The job the sending worker holds (``None`` when idle).
+        worker: Worker identity recorded on the completion.
+        epoch: HTTP only: the session tag every frame of this sweep
+            echoes.  A frame of another epoch is a dead session's
+            straggler (job ids are only unique within a sweep).
 
+    Returns:
+        The completion to credit, or ``None`` for a stale-epoch frame,
+        which the caller drops.
 
-def _execute_in_worker(entrypoint_name: str, params: Mapping[str, Any],
-                       label: str) -> Any:
-    """Top-level task body run inside a spawned worker process.
-
-    Wraps untyped exceptions in :class:`DCudaWorkerError` (typed dCUDA
-    errors pass through) so the parent always sees the typed surface and
-    never an unpicklable or anonymous failure.
+    Raises:
+        ValueError: Any other frame.  The caller counts it as losing the
+            worker for *held*, which the coordinator re-dispatches and
+            eventually quarantines, and never credits.
     """
-    from ..errors import DCudaError
+    if not isinstance(frame, dict):
+        raise ValueError(f"{type(frame).__name__} frame from {worker}")
+    if epoch is not None and frame.get("epoch") != epoch:
+        return None
+    job_id = frame.get("job_id")
+    if (frame.get("kind") != "done" or held is None
+            or type(job_id) is not int or job_id != held.job_id):
+        raise ValueError(
+            f"{worker} sent {frame.get('kind')!r} frame for job "
+            f"{job_id!r} while holding "
+            f"{held.job_id if held else None!r}")
+    ok, error = frame.get("ok"), frame.get("error")
+    if ok is True:
+        return Completion(job_id, ok=True, value=frame.get("value"),
+                          worker=worker)
+    if ok is False and isinstance(error, DCudaError):
+        return Completion(job_id, error=error, worker=worker)
+    raise ValueError(f"{worker} sent a done frame with ok={ok!r} and "
+                     f"error={type(error).__name__}")
 
-    fn = resolve_entrypoint(entrypoint_name)
-    try:
-        return fn(dict(params), _SHARED)
-    except DCudaError:
-        raise
-    except Exception:
-        raise DCudaWorkerError(
-            f"task {label!r} ({entrypoint_name}) failed:\n"
-            + traceback.format_exc()) from None
 
+# ----------------------------------------------------- local pipe fleet -----
+def _child_env() -> Dict[str, str]:
+    """The environment a worker starts with: this process's, with the
+    directory ``repro`` was imported from first on ``PYTHONPATH``.
 
-def _ensure_child_import_path():
-    """Make sure spawned interpreters can ``import repro``.
-
-    Returns the previous ``PYTHONPATH`` value (or ``None``) so the
-    caller can restore it after the pool is done.
+    Pure: it reads ``os.environ`` and returns a new dict.
     """
     import repro
 
-    pkg_parent = str(os.path.dirname(os.path.dirname(
-        os.path.abspath(repro.__file__))))
-    prev = os.environ.get("PYTHONPATH")
-    parts = prev.split(os.pathsep) if prev else []
-    if pkg_parent not in parts:
-        os.environ["PYTHONPATH"] = (
-            pkg_parent + ((os.pathsep + prev) if prev else ""))
-    return prev
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    prev = env.get("PYTHONPATH")
+    if src not in (prev.split(os.pathsep) if prev else []):
+        env["PYTHONPATH"] = src + (os.pathsep + prev if prev else "")
+    return env
 
 
-def _restore_pythonpath(prev) -> None:
-    if prev is None:
-        os.environ.pop("PYTHONPATH", None)
-    else:
-        os.environ["PYTHONPATH"] = prev
+def _reap(procs: Sequence[subprocess.Popen]) -> None:
+    """Terminate *procs*, kill any that outlive the grace period, and
+    wait for every one, so none is left running or as a zombie."""
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=_REAP_TIMEOUT)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
 
-class LocalPoolExecutor(Executor):
-    """Spawn process pool — the PR 4 engine's pool behind the protocol.
+class _PipeWorker:
+    """One fleet slot: its current process, the job it holds, its reader.
 
-    Crash isolation is pool-generation based: a worker death breaks the
-    whole :class:`concurrent.futures.ProcessPoolExecutor`, so every
-    in-flight job surfaces as a ``worker_lost`` completion attributed to
-    the current pool generation, and the next :meth:`submit` builds a
-    fresh pool (a new generation = a new worker identity for the
-    coordinator's distinct-worker quarantine rule).
-
-    Args:
-        workers: Pool size (capped at the expected job count on start).
+    Every method that writes to the worker runs under the executor lock.
     """
 
-    name = "local"
-
-    def __init__(self, workers: int = 2):
-        self.workers = max(1, int(workers))
-        self._pool = None
-        self._generation = 0
-        self._completions: "queue.Queue[Completion]" = queue.Queue()
-        self._shared_blob = pickle.dumps({},
-                                         protocol=pickle.HIGHEST_PROTOCOL)
-        self._prev_path = None
-        self._path_saved = False
-        self._max_workers = self.workers
-        self._lock = threading.Lock()
-        self._stopped = False
-
-    def start(self, shared, expected_jobs=None):
-        self._shared_blob = pickle.dumps(dict(shared or {}),
-                                         protocol=pickle.HIGHEST_PROTOCOL)
-        self._max_workers = (min(self.workers, expected_jobs)
-                             if expected_jobs else self.workers)
-        self._max_workers = max(1, self._max_workers)
-        self._prev_path = _ensure_child_import_path()
-        self._path_saved = True
-        self._build_pool()
-
-    def _build_pool(self):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        self._generation += 1
-        self._pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self._max_workers, mp_context=ctx,
-            initializer=_worker_init, initargs=(self._shared_blob,))
-
-    def submit(self, job):
-        from ..errors import DCudaError
-
-        with self._lock:
-            if self._pool is None:
-                self._build_pool()
-            gen = self._generation
-            try:
-                fut = self._pool.submit(_execute_in_worker, job.entrypoint,
-                                        dict(job.params), job.label)
-            except Exception:
-                # Pool already broken/shut down: rebuild once and retry.
-                self._teardown_pool()
-                self._build_pool()
-                gen = self._generation
-                fut = self._pool.submit(_execute_in_worker, job.entrypoint,
-                                        dict(job.params), job.label)
-
-        worker = f"pool-gen{gen}"
-
-        def _harvest(f):
-            if self._stopped:
-                return
-            if f.cancelled():
-                # A queued task cancelled by a pool teardown never ran:
-                # report it as worker loss so the coordinator re-dispatches
-                # instead of waiting forever.
-                self._completions.put(Completion(
-                    job.job_id, worker=worker, worker_lost=True))
-                return
-            try:
-                value = f.result()
-            except concurrent.futures.process.BrokenProcessPool:
-                with self._lock:
-                    if self._generation == gen:
-                        self._teardown_pool()
-                self._completions.put(Completion(
-                    job.job_id, worker=worker, worker_lost=True))
-            except DCudaError as exc:
-                self._completions.put(Completion(
-                    job.job_id, error=exc, worker=worker))
-            except BaseException as exc:  # pickling surprises, cancels
-                self._completions.put(Completion(
-                    job.job_id,
-                    error=DCudaWorkerError(
-                        f"task {job.label!r} failed in the pool: {exc!r}"),
-                    worker=worker))
-            else:
-                self._completions.put(Completion(
-                    job.job_id, ok=True, value=value, worker=worker))
-
-        fut.add_done_callback(_harvest)
-
-    def _teardown_pool(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            procs = getattr(self._pool, "_processes", None) or {}
-            for proc in list(procs.values()):
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-            self._pool = None
-
-    def next_completion(self, timeout=None):
-        try:
-            return self._completions.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-    def alive_workers(self):
-        return self._max_workers if not self._stopped else 0
-
-    def worker_pids(self):
-        with self._lock:
-            if self._pool is None:
-                return []
-            procs = getattr(self._pool, "_processes", None) or {}
-            return [p.pid for p in procs.values()]
-
-    def stop(self, force=False):
-        self._stopped = True
-        with self._lock:
-            self._teardown_pool()
-        # Restore PYTHONPATH only if *this* executor's start() changed
-        # it — keying off os.environ instead would make a second stop()
-        # (or a stop() without start()) delete the caller's own value.
-        if self._path_saved:
-            _restore_pythonpath(self._prev_path)
-            self._prev_path = None
-            self._path_saved = False
-
-
-# ---------------------------------------------------- subprocess workers -----
-class _PipeWorker:
-    """One long-lived stdio worker process + its reader thread."""
-
-    def __init__(self, executor: "SubprocessWorkerExecutor", slot: int):
+    def __init__(self, executor: "LocalPoolExecutor", slot: int):
         self.executor = executor
         self.slot = slot
         self.proc: Optional[subprocess.Popen] = None
@@ -419,81 +310,71 @@ class _PipeWorker:
     def spawn(self):
         from .worker import send_frame
 
-        env = dict(os.environ)
-        prev = _ensure_child_import_path()
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
-        _restore_pythonpath(prev)
-        self.proc = subprocess.Popen(
+        ex = self.executor
+        self.proc = proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.exec", "worker",
              "--stdio"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=env)
-        send_frame(self.proc.stdin, {"kind": "init",
-                                     "shared": self.executor.shared_blob})
+            stderr=subprocess.DEVNULL, env=ex.child_env)
+        ex.procs.append(proc)
+        send_frame(proc.stdin, {"kind": "init", "shared": ex.shared_blob})
         self.alive = True
-        self.thread = threading.Thread(target=self._read_loop, daemon=True)
+        self.thread = threading.Thread(target=self._read_loop,
+                                       args=(proc,), daemon=True)
         self.thread.start()
 
     def send_job(self, job: Job):
         from .worker import send_frame
 
-        self.current = job
         send_frame(self.proc.stdin, {
             "kind": "job", "job_id": job.job_id,
             "entrypoint": job.entrypoint, "params": dict(job.params),
             "label": job.label})
+        self.current = job
 
-    def _read_loop(self):
+    def _read_loop(self, proc: subprocess.Popen):
         from .worker import recv_frame
 
-        proc = self.proc
-        while True:
-            try:
+        try:
+            while True:
                 frame = recv_frame(proc.stdout)
-            except EOFError:
-                frame = None
-            except Exception:
-                frame = None
-            if frame is None:  # worker died (EOF) or stream corrupted
-                self.executor._on_worker_death(self)
-                return
-            if frame.get("kind") == "ready":
-                self.executor._on_worker_ready(self)
-            elif frame.get("kind") == "done":
-                self.executor._on_worker_done(self, frame)
-
-    def terminate(self):
-        self.alive = False
-        if self.proc is not None and self.proc.poll() is None:
-            try:
-                self.proc.terminate()
-            except OSError:
-                pass
+                if frame is None:
+                    break
+                self.executor._on_frame(self, frame)
+        except Exception:
+            pass  # a garbled, truncated or rejected frame: lost, like EOF
+        self.executor._on_worker_lost(self, proc)
 
 
-class SubprocessWorkerExecutor(Executor):
+class LocalPoolExecutor(Executor):
     """A fleet of long-lived ``worker --stdio`` processes over pipes.
 
     Each worker is a fresh interpreter running the frame loop of
     :mod:`repro.exec.worker`; the parent ships the shared payload once
-    per worker, then feeds one job at a time.  A worker that dies (pipe
-    EOF) yields a ``worker_lost`` completion for its in-flight job and
-    is respawned — up to *respawn_limit* times across the fleet — so a
-    sweep survives worker loss without losing its dispatch queue.
+    per worker, then feeds one job at a time.  A worker is lost when its
+    pipe reaches EOF or it sends anything but ``ready`` or a done frame
+    :func:`decode_done` credits.  Its in-flight job then becomes a
+    ``worker_lost`` completion, the process is reaped, and the slot is
+    respawned (up to 16 times per fleet), so a sweep survives worker
+    loss without losing its dispatch queue.
+
+    Lifecycle rule: a respawn happens under the executor lock and is
+    refused once :meth:`stop` has run, and :meth:`stop` terminates every
+    process the fleet started, kills it on timeout, and waits for it.
 
     Args:
-        workers: Fleet size.
-        respawn_limit: Total respawns allowed before dead slots stay
-            dead (a poisoned campaign must not fork-bomb the host).
+        workers: Fleet size (capped at the expected job count on start).
     """
 
-    name = "subprocess"
+    name = "local"
 
-    def __init__(self, workers: int = 2, respawn_limit: int = 16):
+    def __init__(self, workers: int = 2):
         self.workers = max(1, int(workers))
-        self.respawn_limit = respawn_limit
         self.shared_blob = pickle.dumps({},
                                         protocol=pickle.HIGHEST_PROTOCOL)
+        self.child_env: Dict[str, str] = {}
+        #: Every process this fleet started, respawns included.
+        self.procs: List[subprocess.Popen] = []
         self._fleet: List[_PipeWorker] = []
         self._pending: List[Job] = []
         self._completions: "queue.Queue[Completion]" = queue.Queue()
@@ -504,59 +385,59 @@ class SubprocessWorkerExecutor(Executor):
     def start(self, shared, expected_jobs=None):
         self.shared_blob = pickle.dumps(dict(shared or {}),
                                         protocol=pickle.HIGHEST_PROTOCOL)
+        self.child_env = _child_env()
         count = (min(self.workers, expected_jobs)
                  if expected_jobs else self.workers)
-        for slot in range(max(1, count)):
-            worker = _PipeWorker(self, slot)
-            worker.spawn()
-            self._fleet.append(worker)
+        with self._lock:
+            for slot in range(max(1, count)):
+                worker = _PipeWorker(self, slot)
+                self._fleet.append(worker)
+                worker.spawn()
 
     # Reader-thread callbacks ------------------------------------------------
-    def _on_worker_ready(self, worker: _PipeWorker):
+    def _on_frame(self, worker: _PipeWorker, frame: Any):
+        """Credit a done frame and hand the worker its next job.
+
+        Raises:
+            ValueError: The frame is neither ``ready`` nor a done frame
+                for the job *worker* holds (see :func:`decode_done`).
+        """
+        comp = None
         with self._lock:
+            if not (isinstance(frame, dict)
+                    and frame.get("kind") == "ready"):
+                comp = decode_done(frame, worker.current, worker.ident)
+                worker.current = None
             if self._pending and worker.alive and worker.current is None:
                 job = self._pending.pop(0)
                 try:
                     worker.send_job(job)
                 except OSError:
                     self._pending.insert(0, job)
+        if comp is not None:
+            self._completions.put(comp)
 
-    def _on_worker_done(self, worker: _PipeWorker, frame: Dict[str, Any]):
+    def _on_worker_lost(self, worker: _PipeWorker, proc: subprocess.Popen):
+        """Reap *proc*, report the job it held as lost, respawn the slot."""
+        _reap([proc])
+        proc.stdout.close()
         with self._lock:
-            worker.current = None
-            next_job = self._pending.pop(0) if self._pending else None
-            if next_job is not None:
-                try:
-                    worker.send_job(next_job)
-                except OSError:
-                    self._pending.insert(0, next_job)
-        if frame.get("ok"):
-            comp = Completion(frame["job_id"], ok=True,
-                              value=frame.get("value"),
-                              worker=worker.ident)
-        else:
-            comp = Completion(frame["job_id"], error=frame.get("error"),
-                              worker=worker.ident)
-        self._completions.put(comp)
-
-    def _on_worker_death(self, worker: _PipeWorker):
-        if self._stopped:
-            return
-        with self._lock:
+            try:
+                proc.stdin.close()
+            except OSError:
+                pass  # unflushed bytes to a dead pipe
+            if self._stopped:
+                return
             worker.alive = False
             lost, worker.current = worker.current, None
-            ident = worker.ident
-            respawn = self._respawns < self.respawn_limit
-            if respawn:
+            if lost is not None:
+                self._completions.put(Completion(
+                    lost.job_id, worker=worker.ident, worker_lost=True))
+            if self._respawns < _RESPAWN_LIMIT:
                 self._respawns += 1
-        if lost is not None:
-            self._completions.put(Completion(
-                lost.job_id, worker=ident, worker_lost=True))
-        if respawn:
-            try:
-                worker.spawn()
-            except OSError:
-                with self._lock:
+                try:
+                    worker.spawn()
+                except OSError:
                     worker.alive = False
 
     # Protocol ----------------------------------------------------------------
@@ -580,7 +461,7 @@ class SubprocessWorkerExecutor(Executor):
     def alive_workers(self):
         with self._lock:
             live = sum(1 for w in self._fleet if w.alive)
-            if self._respawns < self.respawn_limit:
+            if self._respawns < _RESPAWN_LIMIT:
                 live = max(live, 1)  # a dead slot can still come back
             return live
 
@@ -591,25 +472,20 @@ class SubprocessWorkerExecutor(Executor):
                     and w.proc.poll() is None]
 
     def stop(self, force=False):
-        from .worker import send_frame
+        """Terminate, kill on timeout and wait for every process started.
 
-        self._stopped = True
+        ``force`` changes nothing here: the coordinator stops a fleet
+        only when no result is still wanted from it.
+        """
         with self._lock:
-            fleet, self._fleet = self._fleet, []
+            self._stopped = True
             self._pending.clear()
+            procs = list(self.procs)
+            fleet, self._fleet = self._fleet, []
+        _reap(procs)
         for worker in fleet:
-            if not force and worker.proc is not None and worker.alive:
-                try:
-                    send_frame(worker.proc.stdin, {"kind": "shutdown"})
-                except OSError:
-                    pass
-            worker.terminate()
-        for worker in fleet:
-            if worker.proc is not None:
-                try:
-                    worker.proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    worker.proc.kill()
+            if worker.thread is not None:
+                worker.thread.join(timeout=_REAP_TIMEOUT)
 
 
 # --------------------------------------------------------- HTTP workers -----
@@ -688,25 +564,15 @@ class _HttpWorkerClient(threading.Thread):
                 data = self._request(
                     "GET", f"/poll?wait={self.executor.poll_wait}",
                     timeout=self.executor.poll_wait + 10.0)
-                frames = pickle.loads(data) if data else []
-                for frame in frames:
-                    if frame.get("epoch") != self.executor.epoch:
-                        # A dead session's straggler (the daemon ran a
-                        # job whose client had already given up, then a
-                        # new sweep reused the daemon).  Job ids are
-                        # only unique within a sweep, so crediting it
-                        # here would record a foreign result.  Drop it.
-                        continue
-                    if frame.get("ok"):
-                        comp = Completion(frame["job_id"], ok=True,
-                                          value=frame.get("value"),
-                                          worker=ident)
-                    else:
-                        comp = Completion(frame["job_id"],
-                                          error=frame.get("error"),
-                                          worker=ident)
-                    self.executor._completions.put(comp)
-                    if frame["job_id"] == job.job_id:
+                for frame in pickle.loads(data) if data else []:
+                    # A stale-epoch frame is a dead session's straggler
+                    # (the daemon ran a job whose client had given up,
+                    # then a new sweep reused it): dropped.  Anything
+                    # else but this job's done frame loses the worker.
+                    comp = decode_done(frame, job, ident,
+                                       epoch=self.executor.epoch)
+                    if comp is not None:
+                        self.executor._completions.put(comp)
                         return
         except Exception:
             self.alive = False
@@ -808,7 +674,7 @@ def build_executor(name: str, *, workers: int = 2,
 
     Args:
         name: One of :data:`EXECUTOR_NAMES`.
-        workers: Fleet/pool size for ``local`` and ``subprocess``.
+        workers: Fleet size for ``local``.
         hosts: ``host:port`` list for ``http``.
 
     Raises:
@@ -818,8 +684,6 @@ def build_executor(name: str, *, workers: int = 2,
         return SerialExecutor()
     if name == "local":
         return LocalPoolExecutor(workers=workers)
-    if name == "subprocess":
-        return SubprocessWorkerExecutor(workers=workers)
     if name == "http":
         return HTTPWorkerExecutor(hosts or ())
     raise DCudaUsageError(

@@ -8,9 +8,9 @@ a spawned worker and its result cacheable by content.
 
 The model code stays where it lives (``repro.bench``, ``repro.faults``,
 ``repro.apps``); this module is the thin, import-lazy adapter layer the
-worker processes load during pool initialization.  Two probes at the
-bottom (``sleep_probe``, ``crash_probe``) exist for the engine's own
-timeout/crash-isolation tests and do no simulation work.
+worker processes load when they receive their ``init`` frame.  Two
+probes at the bottom (``sleep_probe``, ``crash_probe``) exist for the
+engine's own timeout/crash-isolation tests and do no simulation work.
 """
 
 from __future__ import annotations
@@ -523,8 +523,12 @@ def selftest_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
     * ``sleep`` — sleep ``seconds`` of host time, then echo.
     * ``raise`` — raise an untyped ``RuntimeError(message)``.
     * ``exit`` — hard-kill the hosting process with ``os._exit(code)``
-      (the poisoned-spec case: the transport sees EOF / a broken pool,
-      never an exception).
+      (the poisoned-spec case: the transport sees EOF, never an
+      exception).
+    * ``forge`` — write the bytes ``blob`` to the process's stdout, then
+      echo.  In a ``worker --stdio`` process that is the frame pipe, so
+      the parent reads a forged frame before the real one (the frame
+      fuzz's worker).
 
     Lives in the registry — rather than in test code — because spawned
     workers resolve entrypoints by importing this module; a test-local
@@ -540,6 +544,11 @@ def selftest_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
         raise RuntimeError(params.get("message", "selftest_point"))
     elif mode == "exit":
         os._exit(int(params.get("code", 17)))
+    elif mode == "forge":
+        import sys
+
+        sys.stdout.buffer.write(params["blob"])
+        sys.stdout.buffer.flush()
     return {"token": params.get("token"),
             "payload": sorted(shared) if shared else [],
             "mode": mode}

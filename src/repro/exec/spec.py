@@ -21,8 +21,8 @@ parameter would silently break cache addressing, so it raises
 Entrypoints are plain functions ``fn(params, shared) -> result``
 registered by name via :func:`entrypoint`; the registry is populated by
 importing :mod:`repro.exec.points` (done lazily by
-:func:`resolve_entrypoint`, and by every worker during pool
-initialization), so a spec resolves identically in the parent and in a
+:func:`resolve_entrypoint`, and by every worker on its ``init``
+frame), so a spec resolves identically in the parent and in a
 spawned worker.
 """
 

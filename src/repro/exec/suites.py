@@ -14,7 +14,7 @@ inside entrypoints (:mod:`repro.exec.points`), all scheduling inside the
 coordinator (:mod:`repro.exec.coordinator`) over whichever executor
 transport (:mod:`repro.exec.executors`) the caller picked — a suite is
 transport-agnostic by construction, which is what makes its digest the
-bit-identity witness across serial, pool, subprocess, and HTTP runs.
+bit-identity witness across serial, local and HTTP runs.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ One process, one job at a time, two transports over the same tiny frame
 protocol:
 
 * ``--stdio`` — serve a parent :class:`~repro.exec.executors.
-  SubprocessWorkerExecutor` over stdin/stdout pipes.  Frames are
+  LocalPoolExecutor` over stdin/stdout pipes.  Frames are
   length-prefixed pickles: a 4-byte big-endian payload length followed
   by the pickled dict.  Parent → worker kinds: ``init`` (shared payload,
   sent once), ``job`` (one task), ``shutdown``.  Worker → parent kinds:
@@ -151,21 +151,25 @@ class _HttpWorkerState:
         self.jobs: List[Dict[str, Any]] = []
         self.finished: List[Dict[str, Any]] = []
         self.served = 0
+        #: Bumped by :meth:`reset`; a job carries it from queue to result.
+        self.session = 0
         self.cond = threading.Condition()
         self.stopping = False
 
     def reset(self, shared: Dict[str, Any]) -> None:
         """Start a new session: install *shared*, drop stale work.
 
-        A daemon outlives the sweeps it serves.  Any queued job or
-        unpolled result at init time belongs to a dead session — a
-        coordinator that gave up on this host, or a finished sweep —
+        A daemon outlives the sweeps it serves.  Any queued job, running
+        job or unpolled result at init time belongs to a dead session —
+        a coordinator that gave up on this host, or a finished sweep —
         and job ids are only unique *within* a sweep, so serving a
-        stale frame to the next sweep would record a foreign result
-        under a colliding id.  Dropping them here (plus the epoch tag
-        echoed on every done frame) makes reuse safe.
+        stale frame to the next session would record a foreign result
+        under a colliding id, or cost the job its client then holds.
+        Dropping them here (the running job's result when it finishes,
+        plus the epoch tag echoed on every done frame) makes reuse safe.
         """
         with self.cond:
+            self.session += 1
             self.shared = shared
             self.jobs.clear()
             self.finished.clear()
@@ -179,12 +183,14 @@ class _HttpWorkerState:
                 if self.stopping:
                     return
                 job = self.jobs.pop(0)
+                session = self.session
             done = run_job_payload(job, self.shared)
             # Echo the submitter's epoch so clients can tell this
             # sweep's frames from a dead session's stragglers.
             done["epoch"] = job.get("epoch")
             with self.cond:
-                self.finished.append(done)
+                if session == self.session:
+                    self.finished.append(done)
                 self.served += 1
                 self.cond.notify_all()
 

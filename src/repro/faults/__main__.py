@@ -158,7 +158,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="sweep engine worker processes (default: "
                           "$REPRO_EXEC_WORKERS or 1; --sweep only)")
     rep.add_argument("--executor", type=str, default=None,
-                     choices=("serial", "local", "subprocess", "http"),
                      help="sweep executor transport (default: "
                           "$REPRO_EXEC_EXECUTOR or by worker count; "
                           "--sweep only)")

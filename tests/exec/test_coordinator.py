@@ -225,9 +225,9 @@ class TestReport:
     def test_summary_mentions_executor_and_retries(self):
         report = SweepReport(results=[1], tasks=1, executed=1,
                              cache_hits=0, workers=2, wall_s=0.5,
-                             retries=3, executor="subprocess")
+                             retries=3, executor="local")
         text = report.summary()
-        assert "[subprocess]" in text and "retried" in text
+        assert "[local]" in text and "retried" in text
 
     def test_empty_sweep(self):
         report = Coordinator(SerialExecutor()).run([])

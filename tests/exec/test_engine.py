@@ -43,7 +43,7 @@ class TestSerial:
 
     def test_serial_exceptions_propagate_raw(self):
         # The in-process path keeps the historical debugging behaviour:
-        # no DCudaWorkerError wrapping (that is the pool's job).
+        # no DCudaWorkerError wrapping (that is the worker's job).
         with pytest.raises(RuntimeError, match="boom"):
             run_specs([RunSpec("crash_probe", {"message": "boom"})])
 
@@ -113,7 +113,7 @@ def _chaos_micro_specs(seeds=(0, 1, 2)):
 
 @pytest.mark.slow
 class TestParallel:
-    """Process-pool behaviour: spawn startup makes these the slow ones."""
+    """Worker-process behaviour: interpreter startup makes these slow."""
 
     def test_bit_identity_across_worker_counts_and_order(self):
         serial = run_specs(FUZZ_SPECS, workers=1)
@@ -149,11 +149,13 @@ class TestParallel:
         assert "crasher" in message and "kaboom" in message
         assert exc_info.value.code == "DCUDA_WORKER"
 
-    def test_stuck_worker_times_out_typed(self):
+    def test_stuck_worker_times_out_typed(self, leaked_children):
         specs = [RunSpec("sleep_probe", {"seconds": 60.0}, label="stuck"),
                  RunSpec("sleep_probe", {"seconds": 60.0})]
         with pytest.raises(DCudaTimeoutError, match="stuck"):
             run_specs(specs, workers=2, timeout=3.0)
+        # Both sleepers were killed and reaped, not left running.
+        assert leaked_children() == set()
 
     def test_parallel_results_feed_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

@@ -1,4 +1,4 @@
-"""Tests for the executor protocol and its four transports.
+"""Tests for the executor protocol and its three transports.
 
 The protocol contract under test: an executor accepts Job submissions,
 yields Completion events in *any* order, names the worker behind each
@@ -8,7 +8,6 @@ identity — is the coordinator's job and tested separately.
 """
 
 import pickle
-import threading
 
 import pytest
 
@@ -20,10 +19,10 @@ from repro.exec.executors import (
     Job,
     LocalPoolExecutor,
     SerialExecutor,
-    SubprocessWorkerExecutor,
+    _child_env,
     build_executor,
 )
-from repro.exec.worker import run_job_payload, serve_http
+from repro.exec.worker import run_job_payload
 
 
 def _drain(executor, count, timeout=60.0):
@@ -45,20 +44,20 @@ class TestBuildExecutor:
     def test_names_round_trip(self):
         assert build_executor("serial").name == "serial"
         assert build_executor("local", workers=2).name == "local"
-        assert build_executor("subprocess", workers=2).name == "subprocess"
         assert build_executor("http", hosts=["127.0.0.1:1"]).name == "http"
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DCudaUsageError, match="unknown executor"):
             build_executor("carrier-pigeon")
+        with pytest.raises(DCudaUsageError, match="unknown executor"):
+            build_executor("subprocess")
 
     def test_http_requires_hosts(self):
         with pytest.raises(DCudaUsageError, match="host:port"):
             build_executor("http")
 
     def test_names_constant_is_complete(self):
-        assert set(EXECUTOR_NAMES) == {"serial", "local", "subprocess",
-                                       "http"}
+        assert EXECUTOR_NAMES == ("serial", "local", "http")
 
 
 class TestSerialExecutor:
@@ -88,28 +87,48 @@ class TestSerialExecutor:
 
 class TestLocalPoolPythonPathHygiene:
     def test_double_stop_preserves_callers_pythonpath(self, monkeypatch):
-        """stop() must only undo its *own* PYTHONPATH edit: a second
-        stop() (the coordinator and a context manager can both call it)
-        or a stop() without start() must not delete the caller's
-        value."""
-        monkeypatch.setenv("PYTHONPATH", "caller-value")
+        """The fleet computes its workers' environment without touching
+        ``os.environ``: start(), stop(), a second stop() and a stop()
+        without start() all leave the caller's value as it was."""
         import os
 
+        monkeypatch.setenv("PYTHONPATH", "caller-value")
         ex = LocalPoolExecutor(workers=1)
         ex.stop()  # never started: environment untouched
         assert os.environ["PYTHONPATH"] == "caller-value"
         ex2 = LocalPoolExecutor(workers=1)
         ex2.start({}, expected_jobs=1)
+        assert os.environ["PYTHONPATH"] == "caller-value"
+        child = ex2.child_env["PYTHONPATH"].split(os.pathsep)
+        assert child[-1] == "caller-value" and len(child) == 2
         ex2.stop()
         assert os.environ["PYTHONPATH"] == "caller-value"
         ex2.stop()  # idempotent
         assert os.environ["PYTHONPATH"] == "caller-value"
 
+    def test_child_env_is_pure(self, monkeypatch):
+        import os
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(
+            os.path.abspath(repro.__file__)))
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        assert _child_env()["PYTHONPATH"] == src
+        assert "PYTHONPATH" not in os.environ
+        # Already importable from there: the caller's value is kept.
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["x", src]))
+        assert _child_env()["PYTHONPATH"] == os.pathsep.join(["x", src])
+
 
 @pytest.mark.slow
 class TestLocalPoolExecutor:
+    """The ``local`` executor as the engine builds it by name: the pipe
+    fleet, one ``worker --stdio`` process per slot."""
+
     def test_completes_all_jobs(self):
-        with LocalPoolExecutor(workers=2) as ex:
+        with build_executor("local", workers=2) as ex:
+            assert isinstance(ex, LocalPoolExecutor)
             ex.start({"payload": "p"}, expected_jobs=4)
             for job in _echo_jobs(4):
                 ex.submit(job)
@@ -117,10 +136,10 @@ class TestLocalPoolExecutor:
         assert sorted(c.job_id for c in comps) == [0, 1, 2, 3]
         for c in comps:
             assert c.ok and c.value["payload"] == ["payload"]
-            assert c.worker.startswith("pool-gen")
+            assert c.worker.startswith("worker-")
 
     def test_task_exception_is_typed_completion(self):
-        with LocalPoolExecutor(workers=1) as ex:
+        with build_executor("local", workers=1) as ex:
             ex.start({}, expected_jobs=1)
             ex.submit(Job(0, "selftest_point",
                           {"mode": "raise", "message": "pow"}, "boomtask"))
@@ -130,23 +149,26 @@ class TestLocalPoolExecutor:
         assert "pow" in str(comp.error)
 
     def test_worker_death_is_worker_lost_and_pool_recovers(self):
-        with LocalPoolExecutor(workers=1) as ex:
+        with build_executor("local", workers=1) as ex:
             ex.start({}, expected_jobs=2)
             ex.submit(Job(0, "selftest_point", {"mode": "exit"}, "killer"))
             (lost,) = _drain(ex, 1)
             assert lost.worker_lost and not lost.ok
-            gen_before = lost.worker
-            # The next submit must rebuild the pool (a fresh generation).
+            # The fleet respawns the slot; the next job runs on it.
             ex.submit(Job(1, "selftest_point", {"token": "after"}))
             (ok,) = _drain(ex, 1)
         assert ok.ok and ok.value["token"] == "after"
-        assert ok.worker != gen_before  # distinct worker identity
+        assert ok.worker != lost.worker  # distinct worker identity
 
 
 @pytest.mark.slow
 class TestSubprocessWorkerExecutor:
+    """The pipe fleet driven through its class (``LocalPoolExecutor``,
+    once named ``SubprocessWorkerExecutor``): slot count, pipe-crossing
+    errors and respawn after a worker dies."""
+
     def test_completes_jobs_across_fleet(self):
-        with SubprocessWorkerExecutor(workers=2) as ex:
+        with LocalPoolExecutor(workers=2) as ex:
             ex.start({"shared": 1}, expected_jobs=6)
             assert len(ex.worker_pids()) == 2
             for job in _echo_jobs(6):
@@ -158,7 +180,7 @@ class TestSubprocessWorkerExecutor:
             assert c.value["payload"] == ["shared"]
 
     def test_worker_death_reported_and_respawned(self):
-        with SubprocessWorkerExecutor(workers=1) as ex:
+        with LocalPoolExecutor(workers=1) as ex:
             ex.start({}, expected_jobs=2)
             ex.submit(Job(0, "selftest_point", {"mode": "exit"}, "poison"))
             (lost,) = _drain(ex, 1)
@@ -169,29 +191,13 @@ class TestSubprocessWorkerExecutor:
         assert ok.worker != lost.worker  # respawn = new pid = new identity
 
     def test_typed_error_crosses_the_pipe(self):
-        with SubprocessWorkerExecutor(workers=1) as ex:
+        with LocalPoolExecutor(workers=1) as ex:
             ex.start({}, expected_jobs=1)
             ex.submit(Job(0, "selftest_point",
                           {"mode": "raise", "message": "wired"}, "t"))
             (comp,) = _drain(ex, 1)
         assert isinstance(comp.error, DCudaWorkerError)
         assert "wired" in str(comp.error)
-
-
-@pytest.fixture
-def http_worker():
-    """An in-process HTTP worker daemon on an ephemeral port."""
-    server = serve_http(0, serve_forever=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host = f"127.0.0.1:{server.server_address[1]}"
-    yield host, server
-    state = server.worker_state
-    with state.cond:
-        state.stopping = True
-        state.cond.notify_all()
-    server.shutdown()
-    server.server_close()
 
 
 class TestHTTPWorkerExecutor:
@@ -260,6 +266,32 @@ class TestHTTPWorkerExecutor:
         with state.cond:
             assert state.finished == [] and state.jobs == []
             assert state.shared == {"fresh": True}
+
+    def test_job_running_at_init_is_never_delivered(self, http_worker):
+        """A client that reconnects (``POST /init``) while the daemon
+        still runs its abandoned job must not receive that job's result:
+        in the new session it would cost the job the client then holds
+        a worker loss."""
+        import time
+
+        host, server = http_worker
+        state = server.worker_state
+        with state.cond:
+            state.jobs.append({"kind": "job", "job_id": 0,
+                               "entrypoint": "selftest_point",
+                               "params": {"mode": "sleep", "seconds": 0.3},
+                               "label": "abandoned", "epoch": "e"})
+            state.cond.notify_all()
+        deadline = time.monotonic() + 10.0
+        while state.jobs:  # until the runner has taken it
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        state.reset({})
+        while state.served < 1:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        with state.cond:
+            assert state.finished == []
 
     def test_daemon_stats_route(self, http_worker):
         host, server = http_worker

@@ -1,0 +1,59 @@
+"""The ``local`` fleet's lifecycle: a poison kills only itself, and no
+worker outlives a sweep, however the sweep ends.
+
+``run_specs(workers=2)`` builds the default same-host executor, the
+pipe fleet.  A worker death costs an attempt only to the job that
+worker held, and :meth:`~repro.exec.executors.LocalPoolExecutor.stop`
+reaps every process the fleet started, respawns included.  The
+per-task timeout ending lives in ``test_engine.py``
+(``test_stuck_worker_times_out_typed``).
+"""
+
+import pytest
+
+from repro.errors import DCudaWorkerError
+from repro.exec import ResultCache, RunSpec, run_specs
+
+HEALTHY = [RunSpec("selftest_point",
+                   {"token": i, "mode": "sleep", "seconds": 0.05},
+                   label=f"healthy-{i}") for i in range(12)]
+POISON = RunSpec("selftest_point", {"mode": "exit"}, label="poison-pill",
+                 cacheable=False)
+
+
+@pytest.mark.slow
+def test_one_poison_is_quarantined_alone(tmp_path, leaked_children):
+    cache = ResultCache(tmp_path / "cache")
+    with pytest.raises(DCudaWorkerError) as exc_info:
+        run_specs(HEALTHY[:6] + [POISON] + HEALTHY[6:], workers=2,
+                  cache=cache)
+    message = str(exc_info.value)
+    assert message.startswith("1 spec(s) quarantined"), message
+    assert "poison-pill" in message and "healthy" not in message
+    for spec in HEALTHY:
+        hit, value = cache.get(cache.key_for(spec))
+        assert hit and value["token"] == spec.params["token"]
+    assert leaked_children() == set()
+
+
+@pytest.mark.slow
+class TestNoWorkerOutlivesASweep:
+    def test_clean_run(self, leaked_children):
+        report = run_specs(HEALTHY[:4], workers=2)
+        assert report.executor == "local"
+        assert [r["token"] for r in report.results] == [0, 1, 2, 3]
+        assert leaked_children() == set()
+
+    def test_quarantine(self, leaked_children):
+        # The last death of the poison races the coordinator's stop():
+        # the respawn it triggers must be refused or reaped.
+        with pytest.raises(DCudaWorkerError, match="quarantined"):
+            run_specs([POISON] + HEALTHY[:3], workers=2)
+        assert leaked_children() == set()
+
+    def test_typed_task_error(self, leaked_children):
+        specs = [RunSpec("crash_probe", {"message": "kaboom"},
+                         label="crasher")] + HEALTHY[:3]
+        with pytest.raises(DCudaWorkerError, match="kaboom"):
+            run_specs(specs, workers=2)
+        assert leaked_children() == set()

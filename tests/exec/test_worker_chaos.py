@@ -1,7 +1,7 @@
 """Worker-loss chaos fuzz: kill real workers mid-campaign, digest holds.
 
 The tentpole's hard invariant, attacked with real process murder: over
-``FUZZ_ROUNDS`` seeded rounds, K random subprocess workers are
+``FUZZ_ROUNDS`` seeded rounds, K random ``local`` workers are
 SIGKILLed while a campaign runs, and the merged digest must equal the
 serial digest *every* time — retry-on-worker-loss is allowed to cost
 wall-clock, never bits.  The quarantine rule gets the complementary
@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import DCudaWorkerError
 from repro.exec import RunSpec, canonical_digest, run_specs
-from repro.exec.executors import SubprocessWorkerExecutor
+from repro.exec.executors import LocalPoolExecutor
 
 #: Seeded fuzz rounds (the satellite demands >= 20).
 FUZZ_ROUNDS = 20
@@ -75,7 +75,7 @@ class TestWorkerLossFuzz:
         want = _serial_digest()
         for seed in range(FUZZ_ROUNDS):
             rng = random.Random(seed)
-            ex = SubprocessWorkerExecutor(workers=3)
+            ex = LocalPoolExecutor(workers=3)
             stop = threading.Event()
             assassin = threading.Thread(
                 target=_kill_workers_mid_campaign,
@@ -90,7 +90,7 @@ class TestWorkerLossFuzz:
                 ex.stop(force=True)
             assert _digest(report.results) == want, \
                 f"digest diverged under worker loss (seed {seed})"
-            assert report.executor == "subprocess"
+            assert report.executor == "local"
 
     def test_retries_are_reported_when_kills_land(self):
         """At least one fuzz round should actually exercise the retry
@@ -100,7 +100,7 @@ class TestWorkerLossFuzz:
         rng = random.Random(1234)
         total_retries = 0
         for _ in range(5):
-            ex = SubprocessWorkerExecutor(workers=3)
+            ex = LocalPoolExecutor(workers=3)
             stop = threading.Event()
             assassin = threading.Thread(
                 target=_kill_workers_mid_campaign,
@@ -127,7 +127,7 @@ class TestPoisonedSpecQuarantine:
                          label=f"healthy-{i}") for i in range(4)]
         specs.insert(2, RunSpec("selftest_point", {"mode": "exit"},
                                 label="poison-pill", cacheable=False))
-        ex = SubprocessWorkerExecutor(workers=2)
+        ex = LocalPoolExecutor(workers=2)
         with pytest.raises(DCudaWorkerError) as exc_info:
             run_specs(specs, workers=2, executor=ex, max_attempts=3)
         message = str(exc_info.value)
@@ -144,6 +144,6 @@ class TestPoisonedSpecQuarantine:
         cleanly — the executor/quarantine state does not leak."""
         healthy = [RunSpec("selftest_point", {"token": i},
                            label=f"h{i}") for i in range(3)]
-        report = run_specs(healthy, workers=2, executor="subprocess")
+        report = run_specs(healthy, workers=2, executor="local")
         assert [r["token"] for r in report.results] == [0, 1, 2]
         assert report.retries == 0

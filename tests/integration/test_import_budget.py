@@ -1,15 +1,18 @@
 """Import budget: a sweep worker and the report modules never load scipy.
 
-Every Fig. 6 point and chaos seed runs in a fresh interpreter (a pool,
-stdio or HTTP worker, or a ``python -m repro.*`` command), so what that
-interpreter imports is paid once per worker and per command.
+Every Fig. 6 point and chaos seed runs in a fresh interpreter (a
+``local`` or HTTP worker, or a ``python -m repro.*`` command), so what
+that interpreter imports is paid once per worker and per command.
 ``repro.bench`` and ``repro.dcuda`` therefore re-export on use, and scipy
-sits only behind the SpMV app.  This test bootstraps a pool worker in a
-fresh interpreter, runs one chaos case and one ping-pong point through
-the worker's task body, imports the fault, overlap and table report
-modules, and checks that scipy never loaded.  It then checks that every
-lazily re-exported name still resolves.  Module counts are not compared:
-they move with numpy versions; scipy is the dependency worth pinning.
+sits only behind the SpMV app.  This test runs in a fresh interpreter
+what ``python -m repro.exec worker --stdio`` runs: it imports the CLI
+module, takes the ``init`` step of :func:`~repro.exec.worker.serve_stdio`
+(``from . import points``), and runs one chaos case and one ping-pong
+point through :func:`~repro.exec.worker.run_job_payload`.  It then
+imports the fault, overlap and table report modules and checks that
+scipy never loaded, and that every lazily re-exported name still
+resolves.  Module counts are not compared: they move with numpy
+versions; scipy is the dependency worth pinning.
 """
 
 import subprocess
@@ -21,19 +24,28 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 _SCRIPT = """
-import pickle
 import sys
 
-from repro.exec.executors import _execute_in_worker, _worker_init
+import repro.exec.__main__  # the worker program: python -m repro.exec
+from repro.exec import points  # serve_stdio's init step
+from repro.exec.worker import run_job_payload
 
-_worker_init(pickle.dumps({}))
-outcome = _execute_in_worker(
-    "chaos_case", {"seed": 7, "num_nodes": 2, "ranks_per_device": 1},
-    "chaos:7")
+
+def run(job_id, entrypoint, params, label):
+    done = run_job_payload({"kind": "job", "job_id": job_id,
+                            "entrypoint": entrypoint, "params": params,
+                            "label": label}, {})
+    assert done["kind"] == "done" and done["job_id"] == job_id, done
+    assert done["ok"], done.get("error")
+    return done["value"]
+
+
+outcome = run(0, "chaos_case",
+              {"seed": 7, "num_nodes": 2, "ranks_per_device": 1}, "chaos:7")
 assert outcome.clean, outcome.status
-point = _execute_in_worker(
-    "pingpong_point",
-    {"shared_mem": False, "packet_bytes": 8, "iterations": 2}, "fig6:8")
+point = run(1, "pingpong_point",
+            {"shared_mem": False, "packet_bytes": 8, "iterations": 2},
+            "fig6:8")
 assert point.latency > 0
 
 import repro.bench.table
