@@ -13,7 +13,6 @@ import importlib
 
 #: Submodule -> the public names it defines.
 _SUBMODULE_EXPORTS = {
-    "profile": ("LaunchProfile", "NodeProfile"),
     "stats": ("Measurement", "median", "median_ci", "summarize"),
     "table": ("Table", "ascii_series", "format_value"),
     "pingpong": ("DEFAULT_PACKET_SIZES", "PingPongResult", "pingpong_sweep",

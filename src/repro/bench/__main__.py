@@ -7,16 +7,16 @@ Usage::
     python -m repro.bench fig9 fig10        # several
     python -m repro.bench all               # everything (minutes)
     python -m repro.bench fig10 --nodes 1 2 4
-    python -m repro.bench fig6 --workers 4  # sweep on a process pool
+    python -m repro.bench fig6 --workers 4  # sweep on 4 local workers
     python -m repro.bench fig6 --cache-dir .repro-cache
     python -m repro.bench fig6 -o results/  # also write tables to files
 
 Every figure is a sweep of independent simulation points, so this CLI is
 a thin client of the suite registry (:mod:`repro.exec.suites`): it builds
 the figure's spec list, hands it to the deterministic sweep engine
-(``--workers`` for a process pool, ``--cache-dir`` for content-addressed
-result caching — the tables are bit-identical either way), and renders
-the assembled table.  ``python -m repro.exec run <figure>`` executes the
+(``--workers`` for the ``local`` worker fleet, ``--cache-dir`` for
+content-addressed result caching — the tables are bit-identical either
+way), and renders the assembled table.  ``python -m repro.exec run <figure>`` executes the
 *same* specs, so cached results are shared between the two CLIs; the
 pytest benchmarks remain the canonical shape-asserting entry point.
 """

@@ -10,8 +10,8 @@ Every node count is an *independent* simulation, so the per-point body
 lives in :func:`scaling_point` and the drivers fan the points out through
 the sweep engine (:mod:`repro.exec`): ``workers=1`` (the default) runs
 them serially in-process with results bit-identical to the historical
-loop, ``workers=N`` spreads them over a process pool, and passing a
-``cache`` makes re-runs near-instant.
+loop, ``workers=N`` spreads them over the ``local`` worker fleet, and
+passing a ``cache`` makes re-runs near-instant.
 """
 
 from __future__ import annotations

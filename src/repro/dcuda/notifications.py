@@ -111,11 +111,8 @@ class NotificationMatcher:
         # Observability: matching-pass cost and wait-latency histograms,
         # shared across ranks (or None when disabled).
         obs = state.node.obs
-        use_hists = bool(obs) and obs.cfg.latency_histograms
-        self._match_hist = obs.latency_histogram("ntf.match_pass") \
-            if use_hists else None
-        self._wait_hist = obs.latency_histogram("ntf.wait") \
-            if use_hists else None
+        self._match_hist = obs.histogram("ntf.match_pass") if obs else None
+        self._wait_hist = obs.histogram("ntf.wait") if obs else None
         #: Arrival counter; keys the insertion-ordered fallback map.
         self._arrival_seq = 0
         #: Arrived-but-unmatched entries in arrival order (dicts preserve

@@ -12,8 +12,7 @@ and executes whole sweeps through three cooperating layers:
   interchangeable.
 * **Store** (:mod:`repro.exec.cache`) — results memoized on disk keyed
   by content hash + source-tree fingerprint, sharded by key prefix so
-  the directory scales to million-point campaigns (with transparent
-  migration of pre-sharding caches).
+  the directory scales to million-point campaigns.
 * **Coordinator** (:mod:`repro.exec.coordinator`) — *what* runs when:
   the spec queue, cache probes, in-flight dedup, retry on worker loss,
   poisoned-spec quarantine, and streamed progress.

@@ -344,7 +344,6 @@ class Coordinator:
                     if enforce_timeout and waited >= timeout:
                         oldest = next(i for i in order if i in pending)
                         label = pending[oldest].spec.describe()
-                        ex.stop(force=True)
                         raise DCudaTimeoutError(
                             f"sweep task {label!r} exceeded the per-task "
                             f"timeout of {timeout}s") from None
@@ -377,7 +376,6 @@ class Coordinator:
                             "retry", label=state.spec.describe()))
                     continue
                 if comp.error is not None:
-                    ex.stop(force=True)
                     raise comp.error
                 del pending[comp.job_id]
                 for idx in state.indices:

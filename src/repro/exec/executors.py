@@ -149,8 +149,13 @@ class Executor(abc.ABC):
         """Block for the next completion; ``None`` when *timeout* expires."""
 
     @abc.abstractmethod
-    def stop(self, force: bool = False) -> None:
-        """Tear down workers (``force`` kills instead of draining)."""
+    def stop(self) -> None:
+        """Tear down every worker and thread the transport started.
+
+        The coordinator calls it only once no result is still wanted, so
+        a transport never drains: queued jobs are dropped and running
+        ones abandoned.  Idempotent.
+        """
 
     def alive_workers(self) -> int:
         """Workers currently able to take jobs (after any respawning)."""
@@ -168,7 +173,7 @@ class Executor(abc.ABC):
         return self
 
     def __exit__(self, *exc) -> None:
-        self.stop(force=True)
+        self.stop()
 
 
 # --------------------------------------------------------------- serial -----
@@ -202,7 +207,7 @@ class SerialExecutor(Executor):
         value = fn(dict(job.params), self._shared)
         return Completion(job.job_id, ok=True, value=value, worker="serial")
 
-    def stop(self, force=False):
+    def stop(self):
         self._pending.clear()
 
 
@@ -471,12 +476,8 @@ class LocalPoolExecutor(Executor):
                     if w.alive and w.proc is not None
                     and w.proc.poll() is None]
 
-    def stop(self, force=False):
-        """Terminate, kill on timeout and wait for every process started.
-
-        ``force`` changes nothing here: the coordinator stops a fleet
-        only when no result is still wanted from it.
-        """
+    def stop(self):
+        """Terminate, kill on timeout and wait for every process started."""
         with self._lock:
             self._stopped = True
             self._pending.clear()
@@ -663,9 +664,13 @@ class HTTPWorkerExecutor(Executor):
             return len(self.hosts)
         return len([c for c in self._clients if not c.stopping])
 
-    def stop(self, force=False):
+    def stop(self):
+        """Flag every client, then join each: a client mid long-poll
+        leaves within ``poll_wait``, so the join is bounded."""
         for client in self._clients:
             client.stop()
+        for client in self._clients:
+            client.join(timeout=self.poll_wait + _REAP_TIMEOUT)
 
 
 def build_executor(name: str, *, workers: int = 2,

@@ -23,10 +23,11 @@ Query hooks come in two flavours:
   *n* losses hits exactly *n* operations.  Call sites query exactly once
   per operation.
 
-Every injection is recorded: an ``injections[(kind, site)]`` counter, a
-bounded in-order log for the fault report, and (when observability is on)
-``faults.<kind>`` counters in the metrics registry so injected faults are
-visible next to the runtime's own counters.
+Every injection is recorded: an ``injections[(kind, site)]`` counter and
+a bounded in-order log for the fault report.  When observability is on,
+the first injection of a kind registers a ``faults.<kind>`` view that
+sums those counters, so injected faults are visible in the metrics
+registry next to the runtime's own counts.
 """
 
 from __future__ import annotations
@@ -190,10 +191,10 @@ class FaultPlane:
         self.injections[key] = self.injections.get(key, 0) + 1
         if len(self.log) < _LOG_CAP:
             self.log.append((self.env.now, kind, site))
-        if self._obs is not None:
-            counter = self._obs.counter(f"faults.{kind}")
-            if counter is not None:
-                counter.inc()
+        obs = self._obs
+        if obs is not None and f"faults.{kind}" not in obs.registry:
+            obs.view(f"faults.{kind}", lambda: sum(
+                n for (k, _), n in self.injections.items() if k == kind))
 
     def total_injections(self) -> int:
         """Total number of injected faults across all kinds and sites."""

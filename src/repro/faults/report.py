@@ -157,8 +157,8 @@ def chaos_specs(seeds: Sequence[int], num_nodes: int = 2,
     """Build the engine specs + shared payload for a chaos sweep.
 
     The fault-free baseline is computed *once* here (per process, cached)
-    and returned as the engine's shared payload — workers receive it via
-    the pool initializer instead of each recomputing it.  Both
+    and returned as the engine's shared payload — the executor ships it
+    to each worker once, at start, instead of each recomputing it.  Both
     :func:`chaos_sweep` and the ``chaos`` suite of ``python -m
     repro.exec`` build specs through this helper, so their cached results
     are interchangeable.
@@ -296,7 +296,7 @@ def fault_report(plane: Optional[FaultPlane], runtime=None,
         runtime: Optional :class:`~repro.runtime.system.DCudaRuntime` for
             the per-rank hardening counters.
         obs: Optional :class:`~repro.obs.Observability`; when given, the
-            ``faults.*`` counters from its metrics registry are appended,
+            ``faults.*`` views from its metrics registry are appended,
             tying the report into the observability layer.
 
     Returns:

@@ -41,11 +41,10 @@ class Cluster:
         self.env = env if env is not None else Environment()
         #: The resolved hardware abstraction (topology, routes, specs).
         self.platform = Platform(self.cfg)
-        self.obs = Observability(self.env, self.cfg.obs)
+        self.obs = Observability(self.cfg.obs)
         # Observability implies interval tracing (the overlap report and
         # the Perfetto export are computed from the intervals).
-        self.tracer = Tracer(enabled=self.cfg.tracing or (
-            self.obs.enabled and self.cfg.obs.trace_intervals))
+        self.tracer = Tracer(enabled=self.cfg.tracing or self.obs.enabled)
         #: Fault plane (or None when ``cfg.faults`` is unset/disabled);
         #: threaded through nodes, devices, links, and queues exactly like
         #: the observability handle.

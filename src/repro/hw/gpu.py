@@ -40,10 +40,6 @@ class SM:
         self.issue = Resource(env, capacity=1, name=f"issue:{self.name}")
         self.resident: List["Block"] = []
 
-    @property
-    def free_slots(self) -> int:
-        return self.cfg.max_blocks_per_sm - len(self.resident)
-
 
 class Block:
     """A resident block — the dCUDA *rank* execution vehicle."""
@@ -236,23 +232,6 @@ class Device:
         value = yield event
         self.tracer.record(block.name, "wait", t0, self.env._now, detail)
         return value
-
-    def activity_rollup(self) -> dict:
-        """Per-block busy-time rollups from the recorded trace intervals.
-
-        Returns ``{block name: {kind: union busy time}}`` for the
-        compute/comm/wait/match interval kinds — the per-rank activity
-        breakdown the observability report aggregates (overlapping
-        intervals of one kind count once).  Empty when tracing is off.
-        """
-        if not self.tracer.enabled:
-            return {}
-        return {
-            block.name: {kind: self.tracer.busy_time(kind=kind,
-                                                     actor=block.name)
-                         for kind in ("compute", "comm", "wait", "match")}
-            for block in self._blocks
-        }
 
     def bulk_compute(self, nblocks: int = 0, flops_per_block: float = 0.0,
                      mem_bytes_per_block: float = 0.0,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Generator, List, Optional
 
 from ..platform.resolve import NodeSpec
@@ -66,6 +67,17 @@ class Node:
         self.device = self.gpus[0]
         self.pcie = self.pcie_ports[0]
         self.worker = Resource(env, capacity=1, name=f"{self.name}.worker")
+        if obs:
+            # The PCIe transaction counts (§III-C: one mapped write per
+            # enqueue, one read per credit reload) and the host worker's
+            # busy time, read from their owners when the registry dumps.
+            for port in self.pcie_ports:
+                for stat in ("mapped_writes", "mapped_reads", "dma_copies",
+                             "dma_bytes"):
+                    obs.view(f"{port.name}.{stat}",
+                             partial(getattr, port, stat))
+            obs.view(f"{self.worker.name}.busy_time",
+                     partial(getattr, self.worker, "busy_time"))
 
     @property
     def gpus_per_node(self) -> int:

@@ -64,14 +64,13 @@ class _Nic:
         # posts work requests instead.
         self.doorbells = 0
         # Observability: messages currently queued or injecting at this
-        # NIC (occupancy series) plus byte/message counters, or None.
+        # NIC (occupancy series, or None) plus views of the two totals.
         self.inflight = 0
-        self.inflight_series = obs.link_series(
+        self.inflight_series = obs.series(
             f"fabric.nic{index}.inflight") if obs else None
-        self.byte_counter = obs.link_counter(
-            f"fabric.nic{index}.bytes") if obs else None
-        self.msg_counter = obs.link_counter(
-            f"fabric.nic{index}.messages") if obs else None
+        if obs:
+            obs.view(f"fabric.nic{index}.bytes", lambda: self.bytes_injected)
+            obs.view(f"fabric.nic{index}.messages", lambda: self.messages)
 
 
 class _HopLink:
@@ -288,8 +287,6 @@ class Fabric:
         if nic.inflight_series is not None:
             nic.inflight -= 1
             nic.inflight_series.sample(self.env._now, nic.inflight)
-            nic.byte_counter.inc(nbytes)
-            nic.msg_counter.inc()
         return extra
 
     def _wire(self, src: int, dst: int, nbytes: float, mode: str, done: Event,

@@ -3,9 +3,9 @@
 The measurement substrate for every performance claim the reproduction
 makes.  Three pieces:
 
-* :mod:`repro.obs.metrics` — passive instruments (monotonic counters,
-  gauges, fixed-bucket latency histograms, time-weighted occupancy series)
-  behind a flat :class:`MetricsRegistry`;
+* :mod:`repro.obs.metrics` — passive instruments (views of the counts
+  components already keep, fixed-bucket latency histograms, time-weighted
+  occupancy series) behind a flat :class:`MetricsRegistry`;
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export of
   the interval trace plus counter tracks;
 * :mod:`repro.obs.report` — the per-rank overlap-efficiency report (the
@@ -16,7 +16,7 @@ Everything hangs off a single switch, :class:`ObsConfig` (embedded in
 *zero perturbation*: instruments record, they never schedule — enabling
 observability cannot move a simulated timestamp.  CLI::
 
-    python -m repro.obs report
+    python -m repro.obs report --metrics
     python -m repro.obs export --chrome trace.json
 
 The report symbols are loaded lazily (PEP 562), like every package
@@ -32,25 +32,18 @@ from .config import (
 )
 from .core import Observability
 from .export import chrome_trace, chrome_trace_events, write_chrome
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    OccupancySeries,
-)
+from .metrics import Histogram, MetricsRegistry, OccupancySeries, View
 
 __all__ = [
     "ObsConfig", "DEFAULT_LATENCY_BUCKETS", "default_obs", "force_enabled",
     "Observability",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "OccupancySeries",
+    "View", "Histogram", "MetricsRegistry", "OccupancySeries",
     "chrome_trace", "chrome_trace_events", "write_chrome",
-    "OverlapRow", "overlap_rows", "overlap_fractions", "overlap_report",
-    "metrics_report",
+    "OverlapRow", "overlap_rows", "overlap_report", "metrics_report",
 ]
 
-_REPORT_SYMBOLS = ("OverlapRow", "overlap_rows", "overlap_fractions",
-                   "overlap_report", "metrics_report")
+_REPORT_SYMBOLS = ("OverlapRow", "overlap_rows", "overlap_report",
+                   "metrics_report")
 
 
 def __getattr__(name):

@@ -8,17 +8,19 @@ without creating an import cycle (obs → sim/hw, never the reverse).
 The contract every instrumented component honours:
 
 * **disabled** (the default): components hold ``None`` instead of an
-  instrument, so the per-event cost is a single ``is not None`` check on a
-  cold attribute — no allocation, no registry, no samples;
-* **enabled**: instruments only *record* (append a sample, bump a counter,
-  bin a latency).  They never create simulation events, acquire resources,
-  or otherwise touch the event queue, so enabling observability cannot move
+  instrument and register no views, so the per-event cost is a single
+  ``is not None`` check on a cold attribute — no allocation, no registry
+  entries, no samples;
+* **enabled**: instruments only *record* (append a sample, bin a latency),
+  and counts are views the registry reads from their owners when it is
+  dumped.  Nothing creates simulation events, acquires resources, or
+  otherwise touches the event queue, so enabling observability cannot move
   a single simulated timestamp (the zero-perturbation regression test
   enforces this against the golden fixture).
 
 :func:`force_enabled` flips the *default* for configs created inside the
-``with`` block — the hook the zero-perturbation test and the ``repro.obs``
-CLI use to switch on observability inside workloads that build their own
+``with`` block — the hook the zero-perturbation test uses to switch on
+observability inside workloads that build their own
 :func:`~repro.hw.config.greina` configs.
 """
 
@@ -41,20 +43,13 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """The observability layer's single switch plus per-subsystem gates."""
+    """The observability layer's single switch.
 
-    #: Master switch; everything below only matters when this is True.
+    On, it records every instrument and forces the cluster's interval
+    tracer on (the overlap report and the trace export read it).
+    """
+
     enabled: bool = False
-    #: Record per-block activity intervals (forces the cluster Tracer on).
-    trace_intervals: bool = True
-    #: Per-link bytes counters and active-flow occupancy series.
-    link_series: bool = True
-    #: Queue depth and credit occupancy series plus enqueue counters.
-    queue_series: bool = True
-    #: Command and notification-match latency histograms.
-    latency_histograms: bool = True
-    #: Upper bucket edges for all latency histograms [s].
-    histogram_buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
 
 
 _FORCED_DEFAULT = False
@@ -70,8 +65,8 @@ def force_enabled() -> Iterator[None]:
     """Make every config built inside the block observability-enabled.
 
     Only affects *defaults*: a config that sets ``obs=`` explicitly keeps
-    its value.  Used by the zero-perturbation test and the CLI to enable
-    the layer inside workload helpers that construct their own configs.
+    its value.  Used by the zero-perturbation test to enable the layer
+    inside workload helpers that construct their own configs.
     """
     global _FORCED_DEFAULT
     previous = _FORCED_DEFAULT

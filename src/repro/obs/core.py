@@ -6,75 +6,46 @@ construction time.  Components ask it for instruments *once*, at wiring
 time::
 
     self._depth = obs.series(f"queue.{name}.depth") if obs else None
+    if obs:
+        obs.view(f"queue.{name}.enqueues", lambda: self.stats.enqueues)
 
-and guard each recording site with ``if self._depth is not None``.  When the
-layer is disabled the factory methods return ``None``, so a disabled run
-carries no instruments, no registry entries, and no per-event work beyond
-the attribute check — instrumentation is free when off.
+and guard each recording site with ``if self._depth is not None``.  A
+count the component already keeps is exposed as a view, read when the
+registry is dumped, so it is never counted twice.  When the layer is
+disabled the factories return ``None`` and register nothing, so a
+disabled run carries no instruments, no registry entries, and no
+per-event work beyond the attribute check — instrumentation is free when
+off.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Callable, Optional
 
-from .config import ObsConfig
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    OccupancySeries,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim import Environment
+from .config import DEFAULT_LATENCY_BUCKETS, ObsConfig
+from .metrics import Histogram, MetricsRegistry, OccupancySeries
 
 __all__ = ["Observability"]
 
 
 class Observability:
-    """Metrics registry + config gates for one simulated cluster."""
+    """Metrics registry behind the config's switch, for one cluster."""
 
-    def __init__(self, env: "Environment", cfg: Optional[ObsConfig] = None):
-        self.env = env
-        self.cfg = cfg or ObsConfig()
-        self.enabled = self.cfg.enabled
+    def __init__(self, cfg: Optional[ObsConfig] = None):
+        self.enabled = bool(cfg and cfg.enabled)
         self.registry = MetricsRegistry()
 
     def __bool__(self) -> bool:
         return self.enabled
 
-    # -- gated instrument factories (None when the gate is closed) -------
-    def counter(self, name: str) -> Optional[Counter]:
-        return self.registry.counter(name) if self.enabled else None
+    # -- gated instrument factories (None / no-op when disabled) ---------
+    def series(self, name: str) -> Optional[OccupancySeries]:
+        return self.registry.series(name) if self.enabled else None
 
-    def gauge(self, name: str) -> Optional[Gauge]:
-        return self.registry.gauge(name) if self.enabled else None
+    def histogram(self, name: str) -> Optional[Histogram]:
+        return self.registry.histogram(name, DEFAULT_LATENCY_BUCKETS) \
+            if self.enabled else None
 
-    def latency_histogram(self, name: str,
-                          bounds: Optional[Sequence[float]] = None
-                          ) -> Optional[Histogram]:
-        if not (self.enabled and self.cfg.latency_histograms):
-            return None
-        return self.registry.histogram(
-            name, bounds or self.cfg.histogram_buckets)
-
-    def link_series(self, name: str) -> Optional[OccupancySeries]:
-        if not (self.enabled and self.cfg.link_series):
-            return None
-        return self.registry.series(name)
-
-    def link_counter(self, name: str) -> Optional[Counter]:
-        if not (self.enabled and self.cfg.link_series):
-            return None
-        return self.registry.counter(name)
-
-    def queue_series(self, name: str) -> Optional[OccupancySeries]:
-        if not (self.enabled and self.cfg.queue_series):
-            return None
-        return self.registry.series(name)
-
-    def queue_counter(self, name: str) -> Optional[Counter]:
-        if not (self.enabled and self.cfg.queue_series):
-            return None
-        return self.registry.counter(name)
+    def view(self, name: str, read: Callable[[], float]) -> None:
+        if self.enabled:
+            self.registry.view(name, read)

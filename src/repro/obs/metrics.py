@@ -1,9 +1,10 @@
 """Metric instruments and the registry that names them.
 
-Four instrument kinds cover everything the simulator needs to expose:
+Three instrument kinds cover everything the simulator needs to expose:
 
-* :class:`Counter` — monotonic event counts (enqueues, messages, matches);
-* :class:`Gauge` — instantaneous values that move both ways;
+* :class:`View` — a count some component already keeps (queue enqueues,
+  link bytes, NIC messages, PCIe transactions, fault injections), read
+  when the registry is dumped; the registry never keeps a second copy;
 * :class:`Histogram` — fixed-bucket latency distributions (command handling,
   notification waits); fixed buckets keep ``observe`` O(log buckets) with no
   allocation, so recording cannot perturb the simulation;
@@ -20,45 +21,28 @@ about creation order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "OccupancySeries",
-           "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing event count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(
-                f"counter {self.name!r} cannot decrease (inc by {amount!r})")
-        self.value += amount
+__all__ = ["View", "Histogram", "OccupancySeries", "MetricsRegistry"]
 
 
-class Gauge:
-    """An instantaneous value that may move both ways."""
+class View:
+    """A named count read from its owner at dump time, never counted here.
 
-    __slots__ = ("name", "value")
+    Registering a second reader under the same name adds it to the view,
+    which then reports the sum: a second launch on one cluster builds
+    its queues anew under the same names, and the view totals both.
+    """
+
+    __slots__ = ("name", "readers")
 
     def __init__(self, name: str):
         self.name = name
-        self.value = 0.0
+        self.readers: List[Callable[[], float]] = []
 
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    @property
+    def value(self) -> float:
+        return sum(read() for read in self.readers)
 
 
 class Histogram:
@@ -196,11 +180,10 @@ class MetricsRegistry:
                 f"{type(instrument).__name__}, not {kind.__name__}")
         return instrument
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
+    def view(self, name: str, read: Callable[[], float]) -> View:
+        view = self._get(name, View, lambda: View(name))
+        view.readers.append(read)
+        return view
 
     def histogram(self, name: str, bounds: Sequence[float]) -> Histogram:
         return self._get(name, Histogram, lambda: Histogram(name, bounds))
@@ -227,9 +210,7 @@ class MetricsRegistry:
         out: Dict[str, object] = {}
         for name in self.names():
             m = self._metrics[name]
-            if isinstance(m, Counter):
-                out[name] = m.value
-            elif isinstance(m, Gauge):
+            if isinstance(m, View):
                 out[name] = m.value
             elif isinstance(m, Histogram):
                 out[name] = {"count": m.count, "total": m.total,

@@ -21,10 +21,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..bench.table import Table
 from ..sim.trace import Tracer, merge_intervals, overlap_time, total_time
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry, View
 
-__all__ = ["OverlapRow", "overlap_rows", "overlap_fractions",
-           "overlap_report", "metrics_report"]
+__all__ = ["OverlapRow", "overlap_rows", "overlap_report", "metrics_report"]
 
 #: Interval kinds that occupy a block's issue unit with useful work.
 COMPUTE_KINDS = ("compute", "match")
@@ -87,19 +86,6 @@ def overlap_rows(tracer: Tracer) -> List[OverlapRow]:
     return rows
 
 
-def overlap_fractions(tracer: Tracer) -> Dict[str, float]:
-    """Per-rank overlap efficiency: hidden / (comm + wait) in [0, 1].
-
-    Ranks with no communication or wait time report 1.0 (nothing to hide).
-    """
-    out: Dict[str, float] = {}
-    for row in overlap_rows(tracer):
-        exposed_base = row.comm + row.wait
-        out[row.actor] = (row.hidden / exposed_base) if exposed_base > 0 \
-            else 1.0
-    return out
-
-
 def overlap_report(tracer: Tracer) -> Table:
     """The Fig.-1 overlap table: per-rank activity + overlap efficiency."""
     table = Table(
@@ -127,11 +113,11 @@ def overlap_report(tracer: Tracer) -> Table:
 
 
 def metrics_report(registry: MetricsRegistry) -> Table:
-    """Flat rendering of every registered scalar, histogram, and series."""
+    """Flat rendering of every registered view, histogram, and series."""
     table = Table("Metrics registry", ["metric", "value"])
     for name, value in registry.snapshot().items():
         metric = registry[name]
-        if isinstance(metric, (Counter, Gauge)):
+        if isinstance(metric, View):
             table.add_row(name, value)
         elif isinstance(metric, Histogram):
             table.add_row(

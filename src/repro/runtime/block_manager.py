@@ -67,16 +67,15 @@ class BlockManager:
         # Observability: per-command-type handling-latency histograms
         # (dequeue to end of the loop iteration), shared across ranks.
         obs = self.node.obs
-        use_hists = bool(obs) and obs.cfg.latency_histograms
-        self._obs = obs if use_hists else None
-        self._cmd_hists: Optional[dict] = {} if use_hists else None
+        self._obs = obs
+        self._cmd_hists: Optional[dict] = {} if obs else None
 
     def _note_command(self, cmd: Any, t0: float) -> None:
         """Bin the handling latency of *cmd* (obs enabled only)."""
         name = type(cmd).__name__
         hist = self._cmd_hists.get(name)
         if hist is None:
-            hist = self._cmd_hists[name] = self._obs.latency_histogram(
+            hist = self._cmd_hists[name] = self._obs.histogram(
                 f"bm.cmd.{name}.latency")
         hist.observe(self.env._now - t0)
 

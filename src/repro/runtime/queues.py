@@ -88,17 +88,19 @@ class CircularQueue:
         self._next_deliver = 1              # next in-order sequence number
         self._parked: Dict[int, Any] = {}   # out-of-order arrivals by seq
         # Observability: depth (receiver view) and sender-credit occupancy
-        # series plus enqueue/stall counters, or None when disabled.  The
-        # samples are recorded at the existing state-change points only —
-        # no extra events, no schedule perturbation.
-        self._depth_series = obs.queue_series(f"queue.{name}.depth") \
+        # series, or None when disabled, plus views of three QueueStats
+        # counts.  The samples are recorded at the existing state-change
+        # points only — no extra events, no schedule perturbation.
+        self._depth_series = obs.series(f"queue.{name}.depth") \
             if obs else None
-        self._credit_series = obs.queue_series(f"queue.{name}.credits") \
+        self._credit_series = obs.series(f"queue.{name}.credits") \
             if obs else None
-        self._enq_counter = obs.queue_counter(f"queue.{name}.enqueues") \
-            if obs else None
-        self._stall_counter = obs.queue_counter(
-            f"queue.{name}.full_stalls") if obs else None
+        if obs:
+            stats = self.stats
+            obs.view(f"queue.{name}.enqueues", lambda: stats.enqueues)
+            obs.view(f"queue.{name}.full_stalls", lambda: stats.full_stalls)
+            obs.view(f"queue.{name}.credit_reloads",
+                     lambda: stats.credit_reloads)
         # Receiver-memory state: the entry buffer and the tail counter.
         self._entries = Store(env, name=f"buf:{name}")
         self._tail = 0          # receiver's dequeue counter
@@ -161,8 +163,6 @@ class CircularQueue:
             yield from self._reload_credits()
             while self._credits == 0:
                 self.stats.full_stalls += 1
-                if self._stall_counter is not None:
-                    self._stall_counter.inc()
                 yield self._space_freed.wait()
                 yield from self._reload_credits()
         self._credits -= 1
@@ -235,8 +235,6 @@ class CircularQueue:
             while self._credits == 0:
                 attempt += 1
                 self.stats.full_stalls += 1
-                if self._stall_counter is not None:
-                    self._stall_counter.inc()
                 if attempt > cfg.max_retries:
                     raise DCudaTimeoutError(
                         f"queue {self.name}: no credits after "
@@ -282,7 +280,6 @@ class CircularQueue:
                 self.stats.enqueues += 1
                 if self._depth_series is not None:
                     self._depth_series.sample(env._now, len(self._entries))
-                    self._enq_counter.inc()
                 self.arrived.fire()
                 # Receiver-side bookkeeping happens at commit time, exactly
                 # when the old blocking dequeue would have performed it.
@@ -299,7 +296,6 @@ class CircularQueue:
             self.stats.enqueues += 1
             if self._depth_series is not None:
                 self._depth_series.sample(env._now, len(self._entries))
-                self._enq_counter.inc()
             env.wake_parked(self._park_delay, proc, None)
             self.arrived.fire()
             return
@@ -307,7 +303,6 @@ class CircularQueue:
         self.stats.enqueues += 1
         if self._depth_series is not None:
             self._depth_series.sample(self.env._now, len(self._entries))
-            self._enq_counter.inc()
         self.arrived.fire()
 
     def _commit_faulty(self, seq: int, entry: Any, attempt: int) -> None:
@@ -357,10 +352,6 @@ class CircularQueue:
                 sim_time=self.env._now)
         delay = cfg.redelivery_delay * (2 ** (attempt - 1))
         self.env.call_at(delay, self._commit_faulty, seq, entry, attempt)
-
-    def try_room(self) -> bool:
-        """Sender-local, zero-cost check whether credits remain."""
-        return self._credits > 0
 
     # -- receiver side --------------------------------------------------------
     def park_consume(self, delay: float) -> Any:

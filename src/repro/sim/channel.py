@@ -1,4 +1,4 @@
-"""Message stores and channels.
+"""Message stores.
 
 :class:`Store` is the FIFO producer/consumer buffer that simulated hardware
 queues and MPI matching are built on.  It supports optional capacity bounds
@@ -10,11 +10,11 @@ notification queue).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .core import PENDING, Environment, Event
 
-__all__ = ["Store", "Channel"]
+__all__ = ["Store"]
 
 
 class Store:
@@ -192,34 +192,3 @@ class Store:
                     del self._items[i_idx]
                     ev.succeed(item)
                     return
-
-
-class Channel:
-    """Unidirectional rendezvous-free message channel (thin Store wrapper).
-
-    Adds a convenience generator API: ``yield from chan.send(msg)`` and
-    ``msg = yield from chan.recv()``.
-    """
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None,
-                 name: str = "channel"):
-        self._store = Store(env, capacity, name)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def send(self, msg: Any) -> Generator[Event, Any, None]:
-        yield self._store.put(msg)
-
-    def recv(self,
-             filt: Optional[Callable[[Any], bool]] = None
-             ) -> Generator[Event, Any, Any]:
-        msg = yield self._store.get(filt)
-        return msg
-
-    def put_event(self, msg: Any) -> Event:
-        return self._store.put(msg)
-
-    def get_event(self,
-                  filt: Optional[Callable[[Any], bool]] = None) -> Event:
-        return self._store.get(filt)

@@ -229,10 +229,6 @@ class Event:
             raise SimulationError(f"value of {self!r} is not yet available")
         return self._value
 
-    @property
-    def exception(self) -> Optional[BaseException]:
-        return self._exception
-
     # -- transitions --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event with *value* and schedule its callbacks."""
@@ -410,10 +406,6 @@ class Process(Event):
         # Kick off the process as soon as the loop runs: a deferred call in
         # place of the old sentinel start event (same queue slot, no Event).
         env.call_at(0.0, self._step_cb, _START)
-
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.

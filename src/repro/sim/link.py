@@ -66,12 +66,13 @@ class FairShareLink:
         self.name = name
         self.bandwidth = float(bandwidth)
         # Observability (duck-typed to keep sim free of upward imports):
-        # an active-flow occupancy series plus a bytes counter, or None.
-        # Instruments only record — they never touch the event queue.
-        self._flow_series = obs.link_series(f"link.{name}.active_flows") \
+        # an active-flow occupancy series, or None, plus a view of
+        # ``bytes_transferred``.  Instruments only record — they never
+        # touch the event queue.
+        self._flow_series = obs.series(f"link.{name}.active_flows") \
             if obs else None
-        self._byte_counter = obs.link_counter(f"link.{name}.bytes") \
-            if obs else None
+        if obs:
+            obs.view(f"link.{name}.bytes", lambda: self.bytes_transferred)
         # Fault plane (same duck-typed contract): transient bandwidth
         # degradation scales a flow's *service demand* at entry, or None.
         self._faults = faults
@@ -106,7 +107,7 @@ class FairShareLink:
         demand = nbytes
         if self._faults is not None:
             # A degradation window multiplies the flow's service demand —
-            # the bytes counter below still records the *actual* payload.
+            # ``bytes_transferred`` still records the *actual* payload.
             demand = nbytes * self._faults.degrade_factor(
                 self.name, self.env._now)
         target = self._service + demand / weight
@@ -116,7 +117,6 @@ class FairShareLink:
         self.bytes_transferred += nbytes
         if self._flow_series is not None:
             self._flow_series.sample(self.env._now, len(self._heap))
-            self._byte_counter.inc(nbytes)
         self._reschedule()
         return ev
 
@@ -124,10 +124,6 @@ class FairShareLink:
                weight: float = 1.0) -> Generator[Event, Any, None]:
         """``yield from link.stream(n)`` — blocking transfer helper."""
         yield self.transfer(nbytes, weight)
-
-    def time_to_transfer(self, nbytes: float) -> float:
-        """Uncontended transfer time (convenience for cost estimates)."""
-        return nbytes / self.bandwidth
 
     # -- fluid-model internals ------------------------------------------
     def _advance(self) -> None:
@@ -220,7 +216,3 @@ class SerialLink:
             yield cost
         finally:
             self._lock.release()
-
-    @property
-    def queued(self) -> int:
-        return self._lock.queued

@@ -17,7 +17,7 @@ from typing import Any, Generator, List, Sequence
 
 from .core import PENDING, Environment, Event
 
-__all__ = ["Signal", "Gate", "Semaphore", "AllOf", "AnyOf", "wait_all"]
+__all__ = ["Signal", "Gate", "Semaphore", "AllOf", "AnyOf"]
 
 
 class Signal:
@@ -122,10 +122,6 @@ class Semaphore:
     @property
     def available(self) -> int:
         return self._available
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
 
     def request(self) -> Event:
         """Return an event that fires once a token is held."""
@@ -233,10 +229,3 @@ class AnyOf(Event):
             # index() finds the first occurrence, which is exactly the
             # constituent whose callback fires first for duplicates.
             self.succeed((self._events.index(ev), ev._value))
-
-
-def wait_all(env: Environment,
-             events: Sequence[Event]) -> Generator[Event, Any, list]:
-    """``yield from wait_all(env, events)`` — join helper returning values."""
-    results = yield AllOf(env, events)
-    return results

@@ -35,14 +35,6 @@ class Resource:
     def capacity(self) -> int:
         return self._sem.capacity
 
-    @property
-    def available(self) -> int:
-        return self._sem.available
-
-    @property
-    def queued(self) -> int:
-        return self._sem.queued
-
     def acquire(self) -> Generator[Event, Any, None]:
         yield from self._sem.acquire()
 

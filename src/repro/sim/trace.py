@@ -75,28 +75,6 @@ class Tracer:
                  and (actor is None or iv.actor == actor)]
         return total_time(spans)
 
-    def to_chrome_trace(self) -> list:
-        """Export as Chrome trace-event JSON objects (``chrome://tracing``
-        / Perfetto 'X' complete events, microsecond timestamps).
-
-        Write with ``json.dump({"traceEvents": tracer.to_chrome_trace()},
-        fh)`` and load the file in any trace viewer.
-        """
-        events = []
-        pids = {actor: i for i, actor in enumerate(self.actors())}
-        for iv in self.intervals:
-            events.append({
-                "name": iv.detail or iv.kind,
-                "cat": iv.kind,
-                "ph": "X",
-                "ts": iv.start * 1e6,
-                "dur": iv.duration * 1e6,
-                "pid": 0,
-                "tid": pids[iv.actor],
-                "args": {"actor": iv.actor},
-            })
-        return events
-
     def render_ascii(self, width: int = 72,
                      kinds: Optional[Dict[str, str]] = None) -> str:
         """Render a Fig.-1-style timeline, one row per actor.

@@ -37,7 +37,12 @@ def leaked_children():
 
 @pytest.fixture
 def http_worker():
-    """An in-process HTTP worker daemon on an ephemeral port."""
+    """An in-process HTTP worker daemon on an ephemeral port.
+
+    Teardown stops the daemon and joins every thread the test started
+    (server, runner, request handlers), so none outlives the test.
+    """
+    before = set(threading.enumerate())
     server = serve_http(0, serve_forever=False)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -49,3 +54,5 @@ def http_worker():
         state.cond.notify_all()
     server.shutdown()
     server.server_close()
+    for started in set(threading.enumerate()) - before:
+        started.join(timeout=5.0)

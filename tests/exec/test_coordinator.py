@@ -62,7 +62,7 @@ class ScriptedExecutor(Executor):
         value = fn(dict(job.params), self._shared)
         return Completion(job.job_id, ok=True, value=value, worker=worker)
 
-    def stop(self, force=False):
+    def stop(self):
         self._pending.clear()
 
     def alive_workers(self):

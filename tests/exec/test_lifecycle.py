@@ -1,18 +1,23 @@
-"""The ``local`` fleet's lifecycle: a poison kills only itself, and no
-worker outlives a sweep, however the sweep ends.
+"""The process transports' lifecycle: a poison kills only itself, and
+no worker or client thread outlives a sweep, however the sweep ends.
 
 ``run_specs(workers=2)`` builds the default same-host executor, the
 pipe fleet.  A worker death costs an attempt only to the job that
 worker held, and :meth:`~repro.exec.executors.LocalPoolExecutor.stop`
 reaps every process the fleet started, respawns included.  The
-per-task timeout ending lives in ``test_engine.py``
-(``test_stuck_worker_times_out_typed``).
+per-task timeout ending of the fleet lives in ``test_engine.py``
+(``test_stuck_worker_times_out_typed``).  The HTTP transport's
+:meth:`~repro.exec.executors.HTTPWorkerExecutor.stop` joins every
+client thread, including one that is mid long-poll.
 """
+
+import threading
 
 import pytest
 
-from repro.errors import DCudaWorkerError
+from repro.errors import DCudaTimeoutError, DCudaWorkerError
 from repro.exec import ResultCache, RunSpec, run_specs
+from repro.exec.executors import _HttpWorkerClient
 
 HEALTHY = [RunSpec("selftest_point",
                    {"token": i, "mode": "sleep", "seconds": 0.05},
@@ -57,3 +62,26 @@ class TestNoWorkerOutlivesASweep:
         with pytest.raises(DCudaWorkerError, match="kaboom"):
             run_specs(specs, workers=2)
         assert leaked_children() == set()
+
+
+def _live_http_clients():
+    return [t for t in threading.enumerate()
+            if isinstance(t, _HttpWorkerClient) and t.is_alive()]
+
+
+class TestNoHttpClientOutlivesASweep:
+    def test_clean_run(self, http_worker):
+        host, _ = http_worker
+        report = run_specs(HEALTHY[:3], executor="http", hosts=[host])
+        assert report.executor == "http"
+        assert [r["token"] for r in report.results] == [0, 1, 2]
+        assert _live_http_clients() == []
+
+    def test_typed_timeout(self, http_worker):
+        # The client is mid long-poll when the coordinator gives up.
+        host, _ = http_worker
+        stuck = RunSpec("selftest_point", {"mode": "sleep", "seconds": 1.0},
+                        label="stuck", cacheable=False)
+        with pytest.raises(DCudaTimeoutError, match="stuck"):
+            run_specs([stuck], executor="http", hosts=[host], timeout=0.3)
+        assert _live_http_clients() == []

@@ -87,7 +87,7 @@ class TestWorkerLossFuzz:
             finally:
                 stop.set()
                 assassin.join(timeout=5.0)
-                ex.stop(force=True)
+                ex.stop()
             assert _digest(report.results) == want, \
                 f"digest diverged under worker loss (seed {seed})"
             assert report.executor == "local"
@@ -112,7 +112,7 @@ class TestWorkerLossFuzz:
             finally:
                 stop.set()
                 assassin.join(timeout=5.0)
-                ex.stop(force=True)
+                ex.stop()
             total_retries += report.retries
             if total_retries:
                 break

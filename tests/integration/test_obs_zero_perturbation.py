@@ -93,17 +93,21 @@ def test_obs_run_actually_recorded():
 
 
 def test_activity_rollup_and_overlap_rows_agree():
-    """The per-block rollup, the tracer, and the report see one trace."""
+    """Per-block busy-time rollups of the tracer and the report's rows
+    see one trace."""
     cluster = Cluster(greina(2, obs=ObsConfig(enabled=True)))
     wl = DiffusionWorkload(ni=8, nj_per_device=4, nk=2, steps=2)
     run_dcuda_diffusion(cluster, wl, ranks_per_device=2)
     from repro.obs import overlap_rows
-    rows = {row.actor: row for row in overlap_rows(cluster.tracer)}
+    tracer = cluster.tracer
+    rows = {row.actor: row for row in overlap_rows(tracer)}
     assert len(rows) == 4  # 2 nodes x 2 ranks
     for node in cluster.nodes:
-        rollup = node.device.activity_rollup()
-        assert set(rollup) == {b.name for b in node.device.blocks}
-        for actor, kinds in rollup.items():
+        blocks = [b.name for b in node.device.blocks]
+        assert set(blocks) <= set(rows)
+        for actor in blocks:
+            kinds = {kind: tracer.busy_time(kind=kind, actor=actor)
+                     for kind in ("compute", "comm", "wait", "match")}
             row = rows[actor]
             assert kinds["comm"] == row.comm
             assert kinds["wait"] == row.wait

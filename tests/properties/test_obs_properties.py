@@ -7,51 +7,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs.export import chrome_trace, chrome_trace_events
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    OccupancySeries,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, OccupancySeries
 from repro.sim import Tracer
 
 import pytest
 
-finite = st.floats(allow_nan=False, allow_infinity=False,
-                   min_value=-1e9, max_value=1e9)
 nonneg = st.floats(allow_nan=False, allow_infinity=False,
                    min_value=0.0, max_value=1e9)
 
 
-# ------------------------------------------------------------------ counter --
-@given(st.lists(nonneg, max_size=50))
-def test_counter_monotonic_and_sums(amounts):
-    c = Counter("c")
-    seen = 0.0
-    for a in amounts:
-        before = c.value
-        c.inc(a)
-        assert c.value >= before
-        seen += a
-    assert c.value == seen
-
-
-@given(st.floats(max_value=-1e-12, allow_nan=False))
-def test_counter_rejects_negative(amount):
-    c = Counter("c")
-    with pytest.raises(ValueError):
-        c.inc(amount)
-    assert c.value == 0.0
-
-
-@given(st.lists(finite, max_size=30))
-def test_gauge_tracks_running_sum(deltas):
-    g = Gauge("g")
-    for d in deltas:
-        g.inc(d)
-    # Naive accumulation vs fsum: allow float rounding at large magnitudes.
-    assert g.value == pytest.approx(math.fsum(deltas), rel=1e-9, abs=1e-6)
+# --------------------------------------------------------------------- view --
+@given(st.lists(st.lists(nonneg, max_size=20), min_size=1, max_size=4))
+def test_view_reads_its_owners_at_dump_time(per_owner):
+    """A view keeps no count of its own: every dump reads its owners, and
+    readers registered under one name report their sum."""
+    reg = MetricsRegistry()
+    owners = [{"n": 0.0} for _ in per_owner]
+    for owner in owners:
+        reg.view("v", lambda owner=owner: owner["n"])
+    assert reg.snapshot() == {"v": 0.0}
+    for owner, amounts in zip(owners, per_owner):
+        for amount in amounts:
+            owner["n"] += amount
+    assert reg.snapshot()["v"] == sum(owner["n"] for owner in owners)
 
 
 # ---------------------------------------------------------------- histogram --
@@ -224,27 +202,36 @@ def test_chrome_trace_round_trips_and_is_valid(raw_intervals, samples):
 def test_chrome_trace_metadata_names_every_actor():
     tracer = Tracer()
     tracer.record("node0.gpu.b0", "compute", 0.0, 1.0)
+    tracer.record("node0.gpu.b1", "wait", 0.5, 1.0)
     tracer.record("node1.gpu.b0", "comm", 0.0, 1.0)
+    tracer.record("node0.gpu.b0", "comm", 1.0, 2.0)
     events = chrome_trace_events(tracer, MetricsRegistry())
     meta = [ev for ev in events if ev["ph"] == "M"]
     thread_names = {ev["args"]["name"] for ev in meta
                     if ev["name"] == "thread_name"}
-    assert {"node0.gpu.b0", "node1.gpu.b0"} <= thread_names
+    assert {"node0.gpu.b0", "node0.gpu.b1", "node1.gpu.b0"} <= thread_names
     process_names = {ev["args"]["name"] for ev in meta
                      if ev["name"] == "process_name"}
     assert {"node0.gpu", "node1.gpu"} <= process_names
+    # Each actor keeps one tid, and no two actors share one.
+    tids = {}
+    for ev in events:
+        if ev["ph"] == "X":
+            assert tids.setdefault(ev["args"]["actor"], ev["tid"]) == ev["tid"]
+    assert len(tids) == 3 and len(set(tids.values())) == 3
 
 
 # ----------------------------------------------------------------- registry --
 def test_registry_get_or_create_and_kind_clash():
     reg = MetricsRegistry()
-    c = reg.counter("x")
-    assert reg.counter("x") is c
+    v = reg.view("x", lambda: 3)
+    assert reg.view("x", lambda: 4) is v
     with pytest.raises(TypeError):
-        reg.gauge("x")
-    assert "x" in reg and reg["x"] is c
+        reg.series("x")
+    assert "x" in reg and reg["x"] is v
     reg.histogram("h", [1.0, 2.0])
     reg.series("s")
     snap = reg.snapshot()
     assert json.loads(json.dumps(snap)) == snap
     assert set(snap) == {"x", "h", "s"}
+    assert snap["x"] == 7

@@ -1,8 +1,8 @@
-"""Unit tests for Store and Channel."""
+"""Unit tests for Store."""
 
 import pytest
 
-from repro.sim import Channel, Environment, Store
+from repro.sim import Environment, Store
 
 
 def test_store_fifo_order():
@@ -160,40 +160,3 @@ def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Store(env, capacity=0)
-
-
-def test_channel_send_recv():
-    env = Environment()
-    chan = Channel(env)
-
-    def sender(env):
-        yield env.timeout(1.0)
-        yield from chan.send("ping")
-
-    def receiver(env):
-        msg = yield from chan.recv()
-        return (env.now, msg)
-
-    env.process(sender(env))
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == (1.0, "ping")
-
-
-def test_channel_filtered_recv():
-    env = Environment()
-    chan = Channel(env)
-
-    def sender(env):
-        yield from chan.send(("a", 1))
-        yield from chan.send(("b", 2))
-
-    def receiver(env):
-        msg = yield from chan.recv(lambda m: m[0] == "b")
-        return msg
-
-    env.process(sender(env))
-    p = env.process(receiver(env))
-    env.run()
-    assert p.value == ("b", 2)
-    assert len(chan) == 1
