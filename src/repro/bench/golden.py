@@ -1,8 +1,9 @@
 """Golden simulated-timestamp capture (determinism guard rail).
 
 The simulator's contract is that performance work on the DES kernel (the
-virtual-time fair-share links, the pooled timeout path, the notification
-matching index) must never move a single *simulated* timestamp.  This
+virtual-time fair-share links, the pooled timeout path, the scheduler's
+containers, the notification matcher) must never move a single
+*simulated* timestamp.  This
 module defines one miniature instance of every figure workload and digests
 each into a flat ``{label: simulated time}`` mapping.  The captured values
 are stored in ``tests/fixtures/golden_timestamps.json`` and the regression
@@ -24,6 +25,15 @@ its device/stream entries pin those backends' cost models.  Regenerate
 with::
 
     PYTHONPATH=src python -m repro.bench.golden --backends tests/fixtures/comm_backend_timestamps.json
+
+A third fixture pins the *routed* interconnects, which the two above never
+reach (both run on the flat fabric): the 1 KiB ping-pong between the far
+pair and one 4096-double allreduce per family, on a 2:1 oversubscribed
+``fat_tree`` and on a ``ring``, for every backend
+(``tests/fixtures/routed_timestamps.json``, replayed by
+``tests/integration/test_routed_timestamps.py``).  Regenerate with::
+
+    PYTHONPATH=src python -m repro.bench.golden --routed tests/fixtures/routed_timestamps.json
 """
 
 from __future__ import annotations
@@ -37,15 +47,15 @@ from ..apps.particles import ParticleWorkload
 from ..apps.spmv import SpmvWorkload
 from ..hw.config import COMM_BACKENDS, greina
 from .overlap import run_overlap
-from .pingpong import run_pingpong
+from .pingpong import run_pingpong, run_pingpong_pair
 from .weak_scaling import (
     particles_weak_scaling,
     spmv_weak_scaling,
     stencil_weak_scaling,
 )
 
-__all__ = ["GOLDEN_WORKLOADS", "capture", "write_fixture",
-           "capture_backends", "write_backend_fixture"]
+__all__ = ["GOLDEN_WORKLOADS", "capture", "capture_backends",
+           "ROUTED_KINDS", "capture_routed"]
 
 
 def _rows(table, label: str) -> Dict[str, float]:
@@ -152,45 +162,106 @@ def capture_backends() -> Dict[str, float]:
     return out
 
 
-def write_backend_fixture(path: str) -> Dict[str, float]:
-    """Capture and persist the per-backend golden timestamps as JSON."""
-    values = capture_backends()
-    with open(path, "w") as fh:
-        json.dump(values, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return values
+#: Routed interconnect kinds of the routed fixture.
+ROUTED_KINDS = ("fat_tree", "ring")
+#: Routed-fixture machine: 4 nodes x 2 GPUs.  The far pair is node 0 and
+#: node 2: the ring's diameter, and on the radix-2 fat tree two nodes
+#: under different leaves, so the route crosses the 2:1 spine.
+_ROUTED_NODES = 4
+_ROUTED_GPUS = 2
+_ROUTED_ELEMS = 4096
 
 
-def write_fixture(path: str) -> Dict[str, float]:
-    """Capture and persist the golden timestamps as JSON.
+def _routed_cfg(kind: str, backend: str):
+    from ..platform import fat_tree, ring
 
-    ``json`` serializes floats with ``repr``, which round-trips IEEE-754
-    doubles exactly — the fixture preserves every bit of each timestamp.
-    """
-    values = capture()
-    with open(path, "w") as fh:
-        json.dump(values, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return values
+    if kind == "fat_tree":
+        topo = fat_tree(num_nodes=_ROUTED_NODES, gpus_per_node=_ROUTED_GPUS,
+                        oversubscription=2.0, radix=2)
+    else:
+        topo = ring(_ROUTED_NODES, gpus_per_node=_ROUTED_GPUS)
+    return greina(topology=topo, comm_backend=backend)
+
+
+def _allreduce_elapsed(cfg, algorithm: str) -> float:
+    """One allreduce of ``_ROUTED_ELEMS`` doubles over every device (one
+    rank each); returns the slowest rank's time inside the call."""
+    import numpy as np
+
+    from ..dcuda import launch
+    from ..dcuda.collectives import allreduce, scratch_elems
+    from ..hw import Cluster
+
+    times: Dict[int, float] = {}
+
+    def kernel(rank):
+        p = rank.comm_size()
+        buf = np.arange(_ROUTED_ELEMS, dtype=float) + rank.world_rank
+        win = yield from rank.win_create(buf)
+        swin = yield from rank.win_create(
+            np.zeros(scratch_elems(p, _ROUTED_ELEMS)))
+        yield from rank.barrier()
+        t0 = rank.now
+        yield from allreduce(rank, win, swin, list(range(p)), buf,
+                             algorithm=algorithm)
+        times[rank.world_rank] = rank.now - t0
+        yield from rank.flush()
+        yield from rank.barrier()
+        yield from rank.finish()
+
+    launch(Cluster(cfg), kernel, ranks_per_device=1)
+    return max(times.values())
+
+
+def _routed_probe(backend: str, kind: str) -> Dict[str, float]:
+    """The routed miniatures on one (backend, interconnect) cell."""
+    cfg = _routed_cfg(kind, backend)
+    far = run_pingpong_pair(cfg, a=(0, 0), b=(_ROUTED_NODES // 2, 0),
+                            packet_bytes=1024, iterations=4)
+    out = {f"{backend}.{kind}.pingpong.far.latency": far.latency}
+    for family in ("ring", "tree", "hierarchical"):
+        out[f"{backend}.{kind}.allreduce.{family}.elapsed"] = \
+            _allreduce_elapsed(cfg, family)
+    return out
+
+
+def capture_routed() -> Dict[str, float]:
+    """Run the routed miniatures on every backend and routed kind."""
+    out: Dict[str, float] = {}
+    for backend in COMM_BACKENDS:
+        for kind in ROUTED_KINDS:
+            out.update(_routed_probe(backend, kind))
+    return out
+
+
+#: CLI mode flag -> (capture function, default output file).
+_MODES = {
+    None: (capture, "golden_timestamps.json"),
+    "--backends": (capture_backends, "comm_backend_timestamps.json"),
+    "--routed": (capture_routed, "routed_timestamps.json"),
+}
 
 
 if __name__ == "__main__":  # pragma: no cover - capture utility
     argv = sys.argv[1:]
-    backends = "--backends" in argv
-    argv = [a for a in argv if a != "--backends"]
-    default = ("comm_backend_timestamps.json" if backends
-               else "golden_timestamps.json")
-    target = argv[0] if argv else default
-    if target.startswith("-"):
-        print("usage: python -m repro.bench.golden [--backends] "
+    flags = [a for a in argv if a in _MODES]
+    args = [a for a in argv if a not in _MODES]
+    if len(flags) > 1 or len(args) > 1 or any(a.startswith("-")
+                                              for a in args):
+        print("usage: python -m repro.bench.golden [--backends | --routed] "
               "[output.json]\n"
               "(captures a fixture; the exactness *checks* are "
-              "tests/integration/test_golden_timestamps.py and "
-              "tests/comm/test_golden_backends.py)",
+              "tests/integration/test_golden_timestamps.py, "
+              "tests/comm/test_golden_backends.py and "
+              "tests/integration/test_routed_timestamps.py)",
               file=sys.stderr)
         sys.exit(2)
-    if backends:
-        vals = write_backend_fixture(target)
-    else:
-        vals = write_fixture(target)
+    fn, default = _MODES[flags[0] if flags else None]
+    target = args[0] if args else default
+    vals = fn()
+    # ``json`` serializes floats with ``repr``, which round-trips IEEE-754
+    # doubles exactly: the fixture keeps every bit of each timestamp.
+    with open(target, "w") as fh:
+        json.dump(vals, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"captured {len(vals)} golden timestamps -> {target}")

@@ -42,6 +42,11 @@ class Cluster:
         #: The resolved hardware abstraction (topology, routes, specs).
         self.platform = Platform(self.cfg)
         self.obs = Observability(self.cfg.obs)
+        # The event loop's totals, read off the schedule at snapshot time.
+        stats = self.env.stats
+        self.obs.view("sim.scheduled", lambda: stats.scheduled)
+        self.obs.view("sim.pending", lambda: stats.pending)
+        self.obs.view("sim.entries", lambda: stats.entries)
         # Observability implies interval tracing (the overlap report and
         # the Perfetto export are computed from the intervals).
         self.tracer = Tracer(enabled=self.cfg.tracing or self.obs.enabled)

@@ -51,37 +51,91 @@ def _block_device(actor: str) -> Optional[str]:
     return None
 
 
-def _spans(tracer: Tracer, actor: str,
-           kinds: Tuple[str, ...]) -> List[Tuple[float, float]]:
-    return [(iv.start, iv.end) for iv in tracer.intervals
-            if iv.actor == actor and iv.kind in kinds]
+Span = Tuple[float, float]
+
+
+def _compute_cover(compute: List[List[Span]]
+                   ) -> Tuple[List[Span], List[List[Span]]]:
+    """One sorted sweep over the blocks' compute edges.
+
+    *compute* holds each block's merged compute spans.  Returns the union
+    of all of them and, per block, its *sole* compute: the time in which
+    that block and no other computes.  Between two consecutive edge times
+    the number of computing blocks is constant, and when it is one, the
+    running sum of their indices names the block.
+    """
+    edges = []
+    for idx, spans in enumerate(compute):
+        for s, e in spans:
+            edges.append((s, 1, idx))
+            edges.append((e, -1, idx))
+    edges.sort()
+    union: List[Span] = []
+    sole: List[List[Span]] = [[] for _ in compute]
+    count = idsum = 0
+    i, n = 0, len(edges)
+    while i < n:
+        t = edges[i][0]
+        while i < n and edges[i][0] == t:
+            _, step, idx = edges[i]
+            count += step
+            idsum += step * idx
+            i += 1
+        if count:
+            t_next = edges[i][0]
+            _extend(union, t, t_next)
+            if count == 1:
+                _extend(sole[idsum], t, t_next)
+    return union, sole
+
+
+def _extend(out: List[Span], s: float, e: float) -> None:
+    """Append ``(s, e)`` to sorted *out*, joining a span that ends at s."""
+    if out and out[-1][1] == s:
+        out[-1] = (out[-1][0], e)
+    else:
+        out.append((s, e))
 
 
 def overlap_rows(tracer: Tracer) -> List[OverlapRow]:
-    """One row per traced block, grouped by device, in actor order."""
+    """One row per traced block, grouped by device, in actor order.
+
+    One pass groups the intervals by block; per device,
+    :func:`_compute_cover` yields the union of all compute and each
+    block's sole compute.  The union less a block's sole compute is its
+    peers' compute, so ``hidden = |own comm∪wait ∩ union| − |own
+    comm∪wait ∩ own sole compute|``, and the report costs a sort plus
+    merge walks instead of a scan of the whole trace per block.
+    """
+    by_actor: Dict[str, Dict[str, List[Span]]] = {}
+    for iv in tracer.intervals:
+        by_actor.setdefault(iv.actor, {}).setdefault(iv.kind, []).append(
+            (iv.start, iv.end))
     devices: Dict[str, List[str]] = {}
-    for actor in tracer.actors():
+    for actor in by_actor:
         device = _block_device(actor)
         if device is not None:
             devices.setdefault(device, []).append(actor)
     rows: List[OverlapRow] = []
     for device in sorted(devices):
         blocks = devices[device]
-        compute_spans = {a: _spans(tracer, a, COMPUTE_KINDS) for a in blocks}
-        for actor in blocks:
-            own_hidden_spans = merge_intervals(
-                _spans(tracer, actor, HIDDEN_KINDS))
-            peer_compute: List[Tuple[float, float]] = []
-            for peer in blocks:
-                if peer != actor:
-                    peer_compute.extend(compute_spans[peer])
+        kinds_of = [by_actor[a] for a in blocks]
+        compute = [merge_intervals(span for kind in COMPUTE_KINDS
+                                   for span in kinds.get(kind, ()))
+                   for kinds in kinds_of]
+        union, sole = _compute_cover(compute)
+        for idx, actor in enumerate(blocks):
+            kinds = kinds_of[idx]
+            own = merge_intervals(span for kind in HIDDEN_KINDS
+                                  for span in kinds.get(kind, ()))
             rows.append(OverlapRow(
                 actor=actor,
                 device=device,
-                compute=total_time(compute_spans[actor]),
-                comm=tracer.busy_time(kind="comm", actor=actor),
-                wait=tracer.busy_time(kind="wait", actor=actor),
-                hidden=overlap_time(own_hidden_spans, peer_compute),
+                compute=total_time(compute[idx]),
+                comm=total_time(kinds.get("comm", ())),
+                wait=total_time(kinds.get("wait", ())),
+                hidden=(overlap_time(own, union)
+                        - overlap_time(own, sole[idx])),
             ))
     return rows
 

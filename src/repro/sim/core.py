@@ -15,11 +15,10 @@ fully deterministic and has no external dependencies:
   is itself an event that succeeds with the generator's return value, so
   processes can be joined (``yield child``) and composed (``yield from``).
 
-Scheduler structure (the batched calendar-queue core)
------------------------------------------------------
-The schedule is *logically* one priority queue keyed by ``(time, priority,
-sequence)``; it is *physically* three tiers, chosen so the overwhelmingly
-common scheduling patterns never touch a heap:
+Scheduler structure
+-------------------
+The schedule is one priority queue keyed by ``(time, priority, sequence)``,
+held in two containers:
 
 1. **The due lane** — a plain FIFO of entries scheduled at *exactly* the
    current simulated time with the default priority.  Sequence numbers are
@@ -28,19 +27,11 @@ common scheduling patterns never touch a heap:
    timeout, and a zero-delay deferred call are all O(1) appends, and the
    run loop drains the lane in a tight batch without re-checking the clock
    — the clock advances once per distinct timestamp, not once per entry.
-2. **The near-future ring** — a calendar queue of ``_RING_SIZE`` time
-   buckets, each ``bucket_width`` of simulated time wide.  An entry with
-   ``when`` within the ring horizon lands in bucket ``int(when / width)
-   mod _RING_SIZE``; each bucket is a small binary heap ordered by the full
-   ``(time, priority, sequence)`` key, so intra-bucket order is exactly the
-   global order restricted to that bucket.  Because ``int(when / width)``
-   is monotone in ``when`` and the horizon spans exactly one lap of the
-   ring, draining buckets in slot order and each bucket in key order
-   reproduces the global key order bit-for-bit.
-3. **The far-future overflow heap** — entries beyond the ring horizon
-   (long fault windows, watchdogs, anything ``>= _RING_SIZE`` buckets
-   ahead).  As the clock advances, due overflow entries migrate into the
-   ring; each entry migrates at most once.
+2. **The timed heap** — one ``heapq`` of ``(when, priority, sequence,
+   obj)`` tuples for every other entry.  The model's heaps stay small (a
+   few hundred entries at most on the benchmark workloads), and at that
+   size one C-level push and pop cost less than any interpreted bucketing
+   put in front of them.
 
 Hot-path notes: the event loop processes hundreds of thousands of entries
 per simulated run, so the kernel offers a second, lighter scheduling lane
@@ -81,26 +72,10 @@ __all__ = [
     "PARK",
 ]
 
-#: Number of calendar buckets in the near-future ring (power of two).
-_RING_SIZE = 256
-_RING_MASK = _RING_SIZE - 1
-#: Default bucket width [simulated seconds].  The hardware model's event
-#: spacing is nanoseconds-to-microseconds (memory latencies, PCIe
-#: transactions, NIC serialization), so 100 ns buckets put typical delays a
-#: handful of slots ahead and the ring horizon (_RING_SIZE * width ≈ 25.6 µs)
-#: comfortably beyond the common case; millisecond-scale fault windows and
-#: watchdogs overflow to the far heap.
-_DEFAULT_BUCKET_WIDTH = 1e-7
-#: Slot numbers stay below 2**52 so ``float(slot + _RING_SIZE)`` is exact
-#: and the ring-eligibility boundary is bit-stable; beyond it (≈ 14 sim
-#: years at the default width) the core degrades to the far heap alone,
-#: which is simply the classic single-heap scheduler.
-_SLOT_LIMIT = float(2 ** 52)
 _INF = float("inf")
-#: Sentinel for "no timed entry pending": compares greater than every real
-#: schedule entry (real priorities are 0–2, the sentinel's is 3), so the
-#: hot loops test ``entry < _NO_ENTRY`` / ``ne[0] > now`` without a
-#: ``None`` branch.  Identity (``is _NO_ENTRY``) is the emptiness test.
+#: Stand-in head of an empty timed heap: its time is ``inf``, so the
+#: dispatch loop's due-lane test needs no emptiness branch.  Identity
+#: (``is _NO_ENTRY``) is the emptiness test.
 _NO_ENTRY = (_INF, 3, 0, None)
 
 
@@ -109,9 +84,9 @@ class EnvStats:
 
     The read-only view behind :attr:`Environment.stats`.  Nothing is
     counted on the dispatch path: every push takes one sequence number and
-    every entry sits in one of the three tiers until the loop consumes it,
-    so the totals follow from ``_seq`` and the tier sizes.  The loop is
-    the same one with observability on or off.
+    every entry sits in the due lane or the timed heap until the loop
+    consumes it, so the totals follow from ``_seq`` and the two sizes.
+    The loop is the same one with observability on or off.
     """
 
     __slots__ = ("_env",)
@@ -128,7 +103,7 @@ class EnvStats:
     def pending(self) -> int:
         """Entries still queued, abandoned timers not yet dropped included."""
         env = self._env
-        return len(env._due) + env._ring_count + len(env._far)
+        return len(env._due) + len(env._heap)
 
     @property
     def entries(self) -> int:
@@ -548,21 +523,8 @@ class Process(Event):
             self._pending_wake = d
             if target == 0.0:
                 env._due.append((env._seq, d))
-                return
-            # Inlined timed push (see Environment._push_timed).
-            when = env._now + target
-            entry = (when, 1, env._seq, d)
-            t = when * env._inv
-            if t < env._ring_limit:
-                b = env._ring[int(t) & _RING_MASK]
-                heappush(b, entry)
-                env._ring_count += 1
             else:
-                b = env._far
-                heappush(b, entry)
-            if entry < env._next_entry:
-                env._next_entry = entry
-                env._next_src = b
+                heappush(env._heap, (env._now + target, 1, env._seq, d))
             return
 
 
@@ -572,44 +534,17 @@ class Environment:
     Events are executed in order of ``(time, priority, sequence)``.  Lower
     priority values run first at equal times; the default priority is 1 and
     "urgent" kernel-internal events use 0.
-
-    *bucket_width* is the calendar-queue bucket granularity in simulated
-    seconds (see the module docstring); it is a pure performance knob — the
-    dispatch order is identical for any positive width.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 bucket_width: float = _DEFAULT_BUCKET_WIDTH):
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, "
-                             f"got {bucket_width!r}")
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._seq = 0
         self._active_process: Optional[Process] = None
-        # -- the three schedule tiers (see module docstring) -------------
         #: Due lane: ``(seq, obj)`` entries at exactly the current time
         #: with default priority, FIFO == seq order by construction.
         self._due: deque = deque()
-        #: Near-future calendar ring: per-bucket heaps of full
-        #: ``(when, priority, seq, obj)`` entries.
-        self._ring: List[List[Any]] = [[] for _ in range(_RING_SIZE)]
-        self._ring_count = 0
-        #: Far-future overflow heap (beyond the ring horizon).
-        self._far: List[Any] = []
-        self._inv = 1.0 / bucket_width
-        t = self._now * self._inv
-        self._slot = int(t) if -_SLOT_LIMIT < t < _SLOT_LIMIT else 0
-        #: Ring-eligibility boundary in slot units: an entry is ring-bound
-        #: iff ``when * _inv < _ring_limit``.  Kept as an exact float
-        #: (slots stay below 2**52) so pushes and far→ring migration agree
-        #: bit-for-bit on the boundary.
-        self._ring_limit = float(self._slot + _RING_SIZE)
-        #: Cached minimum pending *timed* entry (ring or far) and the list
-        #: that holds it at index 0; ``_NO_ENTRY`` when both tiers are
-        #: empty.  Maintained on every push, recomputed after every timed
-        #: pop.
-        self._next_entry: tuple = _NO_ENTRY
-        self._next_src: Optional[List[Any]] = None
+        #: Timed heap: every other ``(when, priority, seq, obj)`` entry.
+        self._heap: List[Any] = []
         #: Freelist of retired _Deferred carriers (slot reuse).
         self._dfree: List[_Deferred] = []
 
@@ -651,21 +586,8 @@ class Environment:
         self._seq += 1
         if delay == 0.0:
             self._due.append((self._seq, ev))
-            return ev
-        # Inlined timed push (see _push_timed).
-        when = self._now + delay
-        entry = (when, 1, self._seq, ev)
-        t = when * self._inv
-        if t < self._ring_limit:
-            b = self._ring[int(t) & _RING_MASK]
-            heappush(b, entry)
-            self._ring_count += 1
         else:
-            b = self._far
-            heappush(b, entry)
-        if entry < self._next_entry:
-            self._next_entry = entry
-            self._next_src = b
+            heappush(self._heap, (self._now + delay, 1, self._seq, ev))
         return ev
 
     def call_at(self, delay: float, fn: Callable[..., None],
@@ -691,21 +613,8 @@ class Environment:
             d = _Deferred(fn, args)
         if delay == 0.0:
             self._due.append((self._seq, d))
-            return
-        # Inlined timed push (see _push_timed).
-        when = self._now + delay
-        entry = (when, 1, self._seq, d)
-        t = when * self._inv
-        if t < self._ring_limit:
-            b = self._ring[int(t) & _RING_MASK]
-            heappush(b, entry)
-            self._ring_count += 1
         else:
-            b = self._far
-            heappush(b, entry)
-        if entry < self._next_entry:
-            self._next_entry = entry
-            self._next_src = b
+            heappush(self._heap, (self._now + delay, 1, self._seq, d))
 
     def wake_parked(self, delay: float, proc: Process,
                     value: Any = None) -> None:
@@ -731,28 +640,6 @@ class Environment:
         return [p.value for p in procs]
 
     # -- scheduling --------------------------------------------------------
-    def _push_timed(self, when: float, priority: int, seq: int,
-                    obj: Any) -> None:
-        """Insert a timed entry into the ring or the far heap.
-
-        This is the canonical form of the push that the hot call sites
-        (:meth:`timeout`, :meth:`call_at`, ``Process._step``) inline:
-        bucket selection is ``int(when / width) mod _RING_SIZE``, and the
-        cached minimum is min-updated so peeks never rescan.
-        """
-        entry = (when, priority, seq, obj)
-        t = when * self._inv
-        if t < self._ring_limit:
-            b = self._ring[int(t) & _RING_MASK]
-            heappush(b, entry)
-            self._ring_count += 1
-        else:
-            b = self._far
-            heappush(b, entry)
-        if entry < self._next_entry:
-            self._next_entry = entry
-            self._next_src = b
-
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = 1) -> None:
         if event._scheduled:
@@ -762,11 +649,14 @@ class Environment:
         if delay == 0.0 and priority == 1:
             self._due.append((self._seq, event))
         else:
-            self._push_timed(self._now + delay, priority, self._seq, event)
+            heappush(self._heap,
+                     (self._now + delay, priority, self._seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._now if self._due else self._next_entry[0]
+        if self._due:
+            return self._now
+        return self._heap[0][0] if self._heap else _INF
 
     def step(self) -> None:
         """Process exactly one live schedule entry.
@@ -827,27 +717,22 @@ class Environment:
         the bound test, and never advance the clock.  A failed process
         nobody waits on re-raises its exception.
 
-        Hot loop: the pop, clock advance and minimum rescan are inlined (a
-        Python-level call per entry would cost more than the heap work it
-        wraps), stable containers and module globals are local aliases,
-        the clock is mirrored in a local (write-through to ``_now`` so
-        pushes from callbacks see it), and the due lane drains in a tight
-        batch — the clock only moves on timed pops, i.e. once per distinct
-        timestamp.
+        Hot loop: the pop and clock advance are inlined (a Python-level
+        call per entry would cost more than the heap work it wraps),
+        stable containers and module globals are local aliases, the clock
+        is mirrored in a local (write-through to ``_now`` so pushes from
+        callbacks see it), and the due lane drains in a tight batch — the
+        clock only moves on timed pops, i.e. once per distinct timestamp.
         """
         due = self._due
+        heap = self._heap
         dfree = self._dfree
-        ring = self._ring
-        far = self._far
-        inv = self._inv
         now = self._now
         no_entry = _NO_ENTRY
         deferred = _Deferred
         pop = heappop
-        push = heappush
-        slot_limit = _SLOT_LIMIT
         while True:
-            ne = self._next_entry
+            ne = heap[0] if heap else no_entry
             # Timed entries at the current timestamp carry smaller sequence
             # numbers than anything appended since the clock reached it, so
             # they interleave ahead of the due lane; the common case (next
@@ -866,59 +751,18 @@ class Environment:
             else:
                 if ne is no_entry:
                     return True
-                when = ne[0]
                 event = ne[3]
                 is_def = event.__class__ is deferred
                 if not is_def and event.abandoned:
-                    event = None  # dropped below; no clock advance
-                elif when > bound:
+                    pop(heap)  # dropped: no dispatch, no clock advance
+                    continue
+                when = ne[0]
+                if when > bound:
                     return False
-                src = self._next_src
-                pop(src)
-                if src is not far:
-                    self._ring_count -= 1
-                if event is not None and when > now:
-                    # Advance the clock: slide the ring window and migrate
-                    # newly eligible far-heap entries into their buckets.
+                pop(heap)
+                if when > now:
                     now = when
                     self._now = when
-                    t = when * inv
-                    if t < slot_limit:
-                        ns = int(t)
-                        if ns > self._slot:
-                            self._slot = ns
-                            limit = float(ns + _RING_SIZE)
-                            self._ring_limit = limit
-                            while far and far[0][0] * inv < limit:
-                                e = pop(far)
-                                push(ring[int(e[0] * inv) & _RING_MASK], e)
-                                self._ring_count += 1
-                # Recompute the cached timed minimum.  A non-empty
-                # just-popped ring bucket still holds it: every other ring
-                # entry lives in a strictly later slot (slot selection is
-                # monotone in time), and the far-heap top is beyond the
-                # ring horizon.  Otherwise scan the ring upward from the
-                # clock's slot (all ring entries lie within one lap of
-                # it), then fall back to the far heap.
-                if src and src is not far:
-                    self._next_entry = src[0]
-                elif self._ring_count:
-                    s = self._slot
-                    while True:
-                        b = ring[s & _RING_MASK]
-                        if b:
-                            self._next_entry = b[0]
-                            self._next_src = b
-                            break
-                        s += 1
-                elif far:
-                    self._next_entry = far[0]
-                    self._next_src = far
-                else:
-                    self._next_entry = no_entry
-                    self._next_src = None
-                if event is None:
-                    continue
                 if is_def:
                     event.fn(*event.args)
                     dfree.append(event)

@@ -76,6 +76,9 @@ def _owner_counts(cluster, runtime):
     if cluster.faults is not None:
         for (kind, _site), n in cluster.faults.injections.items():
             counts[f"faults.{kind}"] = counts.get(f"faults.{kind}", 0) + n
+    stats = cluster.env.stats
+    for stat in ("scheduled", "pending", "entries"):
+        counts[f"sim.{stat}"] = getattr(stats, stat)
     return counts
 
 
@@ -102,7 +105,25 @@ def test_every_kind_of_view_is_exercised(runs):
                           else name.rsplit(".", 1)[1])
     assert moved == {"enqueues", "full_stalls", "credit_reloads", "bytes",
                      "messages", "mapped_writes", "mapped_reads",
-                     "dma_copies", "dma_bytes", "busy_time", "faults"}
+                     "dma_copies", "dma_bytes", "busy_time", "faults",
+                     "scheduled", "entries"}
+
+
+def test_sim_views_read_env_stats_mid_run():
+    """A finished run leaves nothing pending, so stop one part-way: the
+    three ``sim.*`` views equal ``env.stats`` with entries still queued."""
+    cluster = Cluster(greina(1, obs=ObsConfig(enabled=True)))
+    env = cluster.env
+    for delay in (1e-6, 2e-6, 3e-6):
+        env.timeout(delay)
+    env.call_at(0.0, lambda: None)
+    env.run(until=1.5e-6)
+    snapshot = cluster.obs.registry.snapshot()
+    stats = env.stats
+    assert (stats.scheduled, stats.pending, stats.entries) == (4, 2, 2)
+    assert {stat: snapshot[f"sim.{stat}"]
+            for stat in ("scheduled", "pending", "entries")} == \
+        {"scheduled": 4, "pending": 2, "entries": 2}
 
 
 def _metrics_rows(out):

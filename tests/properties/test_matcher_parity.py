@@ -1,12 +1,13 @@
-"""Indexed fast path vs wildcard scan parity for notification matching.
+"""The one notification matcher against its arrival-order spec.
 
-The matcher keeps indexed buckets for the common fully-specified and
-any-source patterns and an insertion-ordered map for everything else.  The
-two implementations must be observationally identical: same matches in the
-same order, same remaining pending set, same *charged* simulated cost
-(``match_base + match_per_entry x |pending|`` regardless of path).  The
-``_force_scan`` hook routes every pass through the wildcard fallback so
-the property can compare them on identical workloads.
+The matcher keeps one arrival-ordered pending list: a pass drains the
+queue onto it, consumes the first ``count`` matches, compacts the rest
+and charges ``match_base + match_per_entry x |pending before the pass|``.
+These properties run Hypothesis batches and multi-query sequences (window,
+source and tag each possibly a wildcard, counts 0-8) through the real
+matcher and check every query against the arrival-order reference of
+``test_runtime_properties.py``: the consumed count, the kept list,
+``matched_total`` and the simulated time at which the pass completes.
 """
 
 from hypothesis import given, settings
@@ -15,16 +16,8 @@ from hypothesis import strategies as st
 from repro.dcuda.notifications import NotificationMatcher
 from repro.hw import Cluster, greina
 from repro.runtime import DCudaRuntime
-from repro.runtime.commands import Notification
 
-
-@st.composite
-def notification_batches(draw):
-    n = draw(st.integers(min_value=0, max_value=25))
-    return [Notification(win_id=draw(st.integers(0, 2)),
-                         source=draw(st.integers(0, 3)),
-                         tag=draw(st.integers(0, 2)))
-            for _ in range(n)]
+from .test_runtime_properties import arrival_order_spec, notification_batches
 
 
 @st.composite
@@ -37,51 +30,52 @@ def query_sequences(draw):
             for _ in range(n)]
 
 
-def _run_queries(batch, queries, force_scan):
-    """Run *queries* against a fresh matcher; returns every observable."""
+def _check_against_spec(batch, queries):
+    """Run *queries* on a fresh matcher holding *batch*; assert every
+    observable of every query against the spec."""
     cluster = Cluster(greina(1))
     rt = DCudaRuntime(cluster, ranks_per_device=1)
     state = rt.state_of(0)
+    cfg = cluster.cfg.devicelib
     matcher = NotificationMatcher(state, cluster.node(0).device,
-                                  state.block, cluster.cfg.devicelib)
-    matcher._force_scan = force_scan
+                                  state.block, cfg)
     matcher._pending = list(batch)
-    out = {"consumed": [], "times": []}
+    log = []
 
     def proc(env):
         for win, source, tag, count in queries:
             got = yield from matcher.test(win, source, tag, count=count)
-            out["consumed"].append(got)
-            out["times"].append(env.now)
+            log.append((got, list(matcher._pending), matcher.matched_total,
+                        env.now))
 
     cluster.env.process(proc(cluster.env))
     cluster.run()
-    out["pending"] = matcher._pending
-    out["matched_total"] = matcher.matched_total
-    return out
+    assert len(log) == len(queries)
+    pending, total, now = list(batch), 0, 0.0
+    for (win, source, tag, count), (got, kept, matched, t) in zip(queries,
+                                                                  log):
+        want_kept, want = arrival_order_spec(pending, win, source, tag, count)
+        total += want
+        assert got == want
+        assert kept == want_kept
+        assert matched == total
+        if count:
+            # One pass, charged for every entry pending before it.
+            now += cfg.match_base + cfg.match_per_entry * len(pending)
+        assert t == now
+        pending = want_kept
 
 
 @given(notification_batches(), query_sequences())
 @settings(max_examples=100, deadline=None)
-def test_indexed_and_scan_paths_are_identical(batch, queries):
-    fast = _run_queries(batch, queries, force_scan=False)
-    scan = _run_queries(batch, queries, force_scan=True)
-    assert fast["consumed"] == scan["consumed"]
-    assert fast["pending"] == scan["pending"]
-    assert fast["matched_total"] == scan["matched_total"]
-    # Charged cost parity: every pass completes at the exact same
-    # simulated time whichever implementation found the matches.
-    assert fast["times"] == scan["times"]
+def test_matcher_follows_arrival_order_spec(batch, queries):
+    _check_against_spec(batch, queries)
 
 
 @given(notification_batches())
 @settings(max_examples=50, deadline=None)
-def test_any_source_bucket_matches_scan(batch):
-    """The (win, tag) any-source index — the ubiquitous wait pattern —
-    agrees with the scan for every concrete (win, tag) pair."""
-    queries = [(w, -1, t, 4) for w in range(3) for t in range(3)]
-    fast = _run_queries(batch, queries, force_scan=False)
-    scan = _run_queries(batch, queries, force_scan=True)
-    assert fast["consumed"] == scan["consumed"]
-    assert fast["pending"] == scan["pending"]
-    assert fast["times"] == scan["times"]
+def test_any_source_waits_follow_spec(batch):
+    """The ubiquitous wait pattern — one window and tag, any source — for
+    every concrete (window, tag) pair in turn."""
+    _check_against_spec(batch, [(w, -1, t, 4) for w in range(3)
+                                for t in range(3)])

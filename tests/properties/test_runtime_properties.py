@@ -91,6 +91,22 @@ def notification_batches(draw):
             for _ in range(n)]
 
 
+def arrival_order_spec(pending, win, source, tag, want):
+    """The matching spec: consume the first *want* notifications that
+    match in arrival order, keep the rest in order; returns
+    ``(kept, consumed)``.  ``-1`` is the wildcard for each filter."""
+    kept, consumed = [], 0
+    for n in pending:
+        if consumed < want and \
+                (win == -1 or n.win_id == win) and \
+                (source == -1 or n.source == source) and \
+                (tag == -1 or n.tag == tag):
+            consumed += 1
+        else:
+            kept.append(n)
+    return kept, consumed
+
+
 @given(notification_batches(),
        st.integers(-1, 2), st.integers(-1, 3), st.integers(-1, 2),
        st.integers(0, 30))
@@ -109,19 +125,8 @@ def test_matcher_consumes_in_arrival_order(batch, win, source, tag, want):
     # Inject arrivals directly into the pending list (pure matching test).
     matcher._pending = list(batch)
 
-    def spec(pending, win, source, tag, want):
-        kept, consumed = [], 0
-        for n in pending:
-            if consumed < want and \
-                    (win == -1 or n.win_id == win) and \
-                    (source == -1 or n.source == source) and \
-                    (tag == -1 or n.tag == tag):
-                consumed += 1
-            else:
-                kept.append(n)
-        return kept, consumed
-
-    expected_kept, expected_consumed = spec(batch, win, source, tag, want)
+    expected_kept, expected_consumed = arrival_order_spec(
+        batch, win, source, tag, want)
 
     result = {}
 

@@ -1,7 +1,7 @@
-"""Randomized scheduler-parity fuzz: bucketed core vs. the heap contract.
+"""Randomized scheduler-parity fuzz: the kernel vs. the heap contract.
 
-The calendar-queue core (near-future ring + far-future heap + due lane)
-must dispatch in exactly the order of the original single binary heap:
+The kernel (a due lane of current-time entries beside one timed heap)
+must dispatch in exactly the order of a single binary heap:
 ``(when, priority, seq)`` ascending, with abandoned timers dropped
 without dispatch.  This harness generates seeded random workloads —
 mixed deferred calls, timeout events, explicit priorities, same-timestamp
@@ -13,9 +13,9 @@ every stop rule of the one dispatch loop: ``run()``, repeated ``step()``,
 ``run(until=c)`` and ``run_watchdog(c)`` sliced over ascending cut points.
 
 The reference kernel is deliberately the naive model: one ``heapq`` of
-``(when, priority, seq)`` keys.  Any divergence in bucket selection,
-ring/far migration, due-lane batching, or the cached-minimum rescan shows
-up as a mismatched dispatch log.
+``(when, priority, seq)`` keys.  Any divergence in due-lane batching, in
+the interleaving of the due lane with timed entries at the same
+timestamp, or in the stop rules shows up as a mismatched dispatch log.
 """
 
 import heapq
@@ -26,8 +26,9 @@ import pytest
 from repro.sim import Environment, Event, SimulationError
 
 #: Delay palette: heavy same-timestamp collisions (0.0 and repeated
-#: sub-bucket values), values straddling bucket boundaries of the 1e-7
-#: default width, and far-horizon delays beyond the 256-bucket ring.
+#: sub-microsecond values), nanosecond-to-millisecond model spacings, and
+#: delays of seconds to minutes beside them, so the heap holds entries
+#: many orders of magnitude apart.
 _DELAYS = [0.0, 0.0, 0.0, 1e-7, 1e-7, 2.5e-7, 9.9e-7, 1e-6, 3.7e-5,
            1.3e-4, 0.5, 1.0, 257.0, 1000.0]
 
@@ -112,7 +113,7 @@ def _cut_points(log) -> list:
 
 
 def _run_real(roots, mode: str = "run") -> list:
-    """The same workload through the real bucketed Environment, driven by
+    """The same workload through the real Environment, driven by
     one stop rule: ``run``, ``step``, ``until`` or ``watchdog``."""
     env = Environment()
     log = []
@@ -204,7 +205,9 @@ def test_fuzz_sliced_dispatch_matches_heap_contract(mode, seed):
 
 
 def test_fuzz_far_horizon_only():
-    """All-far-future workload: the ring is empty, migration feeds it."""
+    """Every root delay shifted 300 s out: the whole workload starts on
+    the heap, and its children mix due-lane and heap entries hundreds of
+    seconds into the run, under every stop rule."""
     roots = _gen_workload(99)
     for r in roots:
         r["delay"] = r["delay"] + 300.0  # everything beyond the ring
