@@ -29,7 +29,7 @@ from ..hw.config import DeviceLibConfig
 from ..hw.gpu import Block, Device
 from ..runtime.commands import Notification
 from ..runtime.state import RankState
-from ..sim import PENDING, AnyOf, Event
+from ..sim import AnyOf, Event
 
 __all__ = ["NotificationMatcher", "deliver", "deliver_bulk",
            "DCUDA_ANY_SOURCE", "DCUDA_ANY_TAG", "DCUDA_ANY_WINDOW"]
@@ -182,34 +182,20 @@ class NotificationMatcher:
         while matched < count:
             consumed, cost = self._match_sync(win_id, source, tag,
                                               count - matched)
+            # Inlined issue.use(cost) — the per-pass match charge is the
+            # hot wait path's only resource hold, and the resumes land on
+            # this frame directly instead of two frames down.
+            start = self.env._now
+            yield sem.request()
+            try:
+                issue.busy_time += cost
+                issue.uses += 1
+                yield cost
+            finally:
+                sem.release()
             if tracer.enabled:
-                yield from self.device.issue_use(self.block, cost,
-                                                 kind="match")
-            else:
-                # Inlined issue.use(cost) — the per-pass match charge is
-                # the hot wait path's only resource hold, and the resumes
-                # land on this frame directly instead of two frames down.
-                if sem._available > 0 and not sem._queue:
-                    sem._available -= 1
-                    yield 0.0
-                else:
-                    free = sem._efree
-                    if free:
-                        ev = free.pop()
-                        ev.callbacks = []
-                        ev._value = PENDING
-                        ev._scheduled = False
-                    else:
-                        ev = Event(sem.env, sem._req_name)
-                    sem._queue.append(ev)
-                    yield ev
-                    free.append(ev)
-                try:
-                    issue.busy_time += cost
-                    issue.uses += 1
-                    yield cost
-                finally:
-                    sem.release()
+                tracer.record(self.block.name, "match", start,
+                              self.env._now)
             self.matched_total += consumed
             matched += consumed
             if matched >= count:

@@ -179,10 +179,12 @@ def _ml_cluster(params: Mapping[str, Any]):
     ``kind`` picks the shape: ``"flat"`` is ``num_nodes * gpus_per_node``
     single-GPU nodes on the shared fabric (no intra-node tier, the ring
     algorithm's home turf); ``"fat_tree"`` is ``num_nodes`` dense nodes
-    with ``gpus_per_node`` GPUs behind NVLink-class intra links and a
-    2:1-oversubscribed spine (the hierarchical algorithm's home turf).
-    Both shapes expose the same total rank count so results compare
-    like-for-like across topologies.
+    with ``gpus_per_node`` GPUs behind NVLink-class intra links (the
+    hierarchical algorithm's home turf) on ``fat_tree``'s defaults:
+    radix 4, no oversubscription.  At the default 4 nodes every node
+    sits under one leaf, so each inter-node route is node-leaf-node and
+    none crosses the spine.  Both shapes expose the same total rank
+    count so results compare like-for-like across topologies.
     """
     from ..hw import Cluster, greina
     from ..platform import fat_tree, flat

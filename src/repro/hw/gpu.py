@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from ..sim import PENDING, Environment, Event, Resource, Tracer
+from ..sim import Environment, Event, Resource, Tracer
 from .config import GPUConfig
 from .memory import DeviceMemory
 
@@ -138,25 +138,8 @@ class Device:
         if flops < 0 or mem_bytes < 0:
             raise ValueError("flops and mem_bytes must be non-negative")
         t0 = self.env._now
-        # Inlined issue-unit acquire (Resource -> Semaphore, two delegated
-        # frames): compute phases are the hottest device-side generator,
-        # and every resume of this frame pays the full delegation depth.
         sem = block.sm.issue._sem
-        if sem._available > 0 and not sem._queue:
-            sem._available -= 1
-            yield 0.0
-        else:
-            free = sem._efree
-            if free:
-                ev = free.pop()
-                ev.callbacks = []
-                ev._value = PENDING
-                ev._scheduled = False
-            else:
-                ev = Event(sem.env, sem._req_name)
-            sem._queue.append(ev)
-            yield ev
-            free.append(ev)
+        yield sem.request()
         try:
             mem_ev = None
             if mem_bytes > 0:

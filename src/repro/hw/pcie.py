@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from ..sim import PENDING, Environment, Event, Semaphore
+from ..sim import Environment, Event, Semaphore
 from .config import PCIeConfig
 
 __all__ = ["PCIeLink"]
@@ -41,24 +41,7 @@ class PCIeLink:
 
     def _transact(self, lock: Semaphore,
                   cost: float) -> Generator[Event, Any, None]:
-        # Inlined uncontended-semaphore fast path (see Semaphore.acquire);
-        # every queue operation crosses this generator, so one frame and
-        # one Event fewer per transaction add up.
-        if lock._available > 0 and not lock._queue:
-            lock._available -= 1
-            yield 0.0
-        else:
-            free = lock._efree
-            if free:
-                ev = free.pop()
-                ev.callbacks = []
-                ev._value = PENDING
-                ev._scheduled = False
-            else:
-                ev = Event(lock.env, lock._req_name)
-            lock._queue.append(ev)
-            yield ev
-            free.append(ev)
+        yield lock.request()
         try:
             yield cost
         finally:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 import numpy as np
 
-from ..sim import PENDING, AllOf, Event
+from ..sim import AllOf, Event
 from .commands import (
     COLLECTIVE_WIN,
     Ack,
@@ -106,21 +106,7 @@ class BlockManager:
             # charge resumes this frame twice, so the delegated generator
             # is pure overhead; acquire/hold/release and the busy-time
             # accounting are identical to Resource.use.
-            if sem._available > 0 and not sem._queue:
-                sem._available -= 1
-                yield 0.0
-            else:
-                free = sem._efree
-                if free:
-                    ev = free.pop()
-                    ev.callbacks = []
-                    ev._value = PENDING
-                    ev._scheduled = False
-                else:
-                    ev = Event(sem.env, sem._req_name)
-                sem._queue.append(ev)
-                yield ev
-                free.append(ev)
+            yield sem.request()
             try:
                 worker.busy_time += command_cost
                 worker.uses += 1
@@ -312,21 +298,7 @@ class BlockManager:
         pcie = state.pcie
         pcie.mapped_writes += 1
         lock = pcie._mapped_lock
-        if lock._available > 0 and not lock._queue:
-            lock._available -= 1
-            yield 0.0
-        else:
-            free = lock._efree
-            if free:
-                ev = free.pop()
-                ev.callbacks = []
-                ev._value = PENDING
-                ev._scheduled = False
-            else:
-                ev = Event(lock.env, lock._req_name)
-            lock._queue.append(ev)
-            yield ev
-            free.append(ev)
+        yield lock.request()
         try:
             yield pcie.cfg.mapped_post_occupancy
         finally:

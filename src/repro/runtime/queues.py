@@ -43,7 +43,7 @@ from typing import Any, Dict, Generator, Optional
 
 from ..errors import DCudaFaultError, DCudaTimeoutError
 from ..hw.pcie import PCIeLink
-from ..sim import PARK, PENDING, AnyOf, Environment, Event, Signal, Store
+from ..sim import PARK, AnyOf, Environment, Event, Signal, Store
 
 __all__ = ["CircularQueue", "QueueStats"]
 
@@ -178,21 +178,7 @@ class CircularQueue:
             # generator frame per enqueue is measurable.
             link.mapped_writes += 1
             lock = link._mapped_lock
-            if lock._available > 0 and not lock._queue:
-                lock._available -= 1
-                yield 0.0
-            else:
-                free = lock._efree
-                if free:
-                    ev = free.pop()
-                    ev.callbacks = []
-                    ev._value = PENDING
-                    ev._scheduled = False
-                else:
-                    ev = Event(lock.env, lock._req_name)
-                lock._queue.append(ev)
-                yield ev
-                free.append(ev)
+            yield lock.request()
             try:
                 yield link.cfg.mapped_post_occupancy
             finally:
@@ -367,9 +353,7 @@ class CircularQueue:
         resumed — and hands it the entry plus the commit timestamp.  Only
         one consumer may park at a time (single-consumer queues).
         """
-        proc = self.env._active_process
-        proc._park_queue = self
-        self._park_proc = proc
+        self._park_proc = self.env._active_process
         self._park_delay = delay
         self._park_take = True
         return PARK
@@ -388,9 +372,7 @@ class CircularQueue:
         have re-polled.  Later same-wake commits stay buffered and are
         drained together (wake coalescing).
         """
-        proc = self.env._active_process
-        proc._park_queue = self
-        self._park_proc = proc
+        self._park_proc = self.env._active_process
         self._park_delay = delay
         self._park_take = False
         return PARK

@@ -2,7 +2,8 @@
 
 Public surface:
 
-* :class:`Environment`, :class:`Event`, :class:`Process`, :class:`Interrupt`
+* :class:`Environment`, :class:`Event`, :class:`Process`, the :data:`PARK`
+  sentinel
 * primitives: :class:`Signal`, :class:`Gate`, :class:`Semaphore`,
   :class:`AllOf`, :class:`AnyOf`
 * :class:`Store` message buffer
@@ -13,11 +14,9 @@ Public surface:
 
 from .core import (
     PARK,
-    PENDING,
     Environment,
     EnvStats,
     Event,
-    Interrupt,
     Process,
     SimulationError,
 )
@@ -28,8 +27,8 @@ from .resources import Resource
 from .trace import Interval, Tracer, merge_intervals, overlap_time, total_time
 
 __all__ = [
-    "Environment", "EnvStats", "Event", "Interrupt", "Process",
-    "SimulationError", "PARK", "PENDING",
+    "Environment", "EnvStats", "Event", "Process",
+    "SimulationError", "PARK",
     "AllOf", "AnyOf", "Gate", "Semaphore", "Signal",
     "Store",
     "FairShareLink", "SerialLink",

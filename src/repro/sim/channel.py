@@ -139,8 +139,9 @@ class Store:
 
     # -- internals ------------------------------------------------------------
     def _prune_abandoned(self) -> None:
-        """Drop waiters whose process was interrupted away (see
-        :attr:`repro.sim.core.Event.abandoned`); handing them items would
+        """Drop waiters abandoned by a bounded wait that timed out (see
+        :attr:`repro.sim.core.Event.abandoned`, e.g. the getter of a
+        ``CircularQueue.dequeue_timeout``); handing them items would
         silently lose data."""
         getters = self._getters
         if getters and any(ev.abandoned for ev, _ in getters):

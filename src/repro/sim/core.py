@@ -66,7 +66,6 @@ __all__ = [
     "EnvStats",
     "Event",
     "Process",
-    "Interrupt",
     "SimulationError",
     "PENDING",
     "PARK",
@@ -113,17 +112,6 @@ class EnvStats:
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. double-trigger)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _Pending:
@@ -174,9 +162,10 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._scheduled = False
         self.name = name
-        #: Set when the process waiting on this event was interrupted away
-        #: from it; queue-like primitives drop abandoned waiters instead of
-        #: handing them items/tokens nobody will receive.
+        #: Set on the losing arm of a bounded wait (an ``AnyOf`` of the
+        #: awaited event and a timer): the dispatch loop drops an abandoned
+        #: timer, and a :class:`~repro.sim.channel.Store` drops an abandoned
+        #: getter or putter instead of handing it an item nobody receives.
         self.abandoned = False
 
     # -- state ------------------------------------------------------------
@@ -262,18 +251,6 @@ class _StartValue:
 
 
 _START = _StartValue()
-
-
-class _Sleeping:
-    """Sentinel for ``Process._waiting_on`` while in a bare-delay sleep."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<SLEEPING>"
-
-
-_SLEEPING = _Sleeping()
 #: Shared argument tuple for sleep wakeups: every bare-delay wakeup resumes
 #: its process with the start sentinel, so one module-level tuple serves
 #: all of them (no per-sleep allocation).
@@ -301,18 +278,6 @@ class _Park:
 PARK = _Park()
 
 
-class _Parked:
-    """Sentinel for ``Process._waiting_on`` while parked (see ``PARK``)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "<PARKED>"
-
-
-_PARKED = _Parked()
-
-
 class _WakeBox:
     """Duck-typed value carrier for parked-process wakes.
 
@@ -329,15 +294,6 @@ class _WakeBox:
         self._value = None
 
 
-def _drop_wake(_event: Any) -> None:
-    """Replacement target for an invalidated sleep wakeup.
-
-    Interrupting a sleeping process cannot remove its pending wakeup from
-    the schedule, so the wakeup's deferred carrier is retargeted here and
-    fires as a no-op at its original queue position.
-    """
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 
@@ -347,9 +303,7 @@ class Process(Event):
         result = yield env.process(worker(env))
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_pending_wake",
-                 "_wake_box", "_park_gen", "_park_queue", "_step_cb",
-                 "_parked_cb")
+    __slots__ = ("_generator", "_wake_box", "_step_cb", "_parked_cb")
 
     def __init__(self, env: "Environment",
                  generator: Generator[Event, Any, Any], name: str = ""):
@@ -357,21 +311,9 @@ class Process(Event):
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        #: The deferred carrier of the pending bare-delay wakeup while
-        #: ``_waiting_on is _SLEEPING``; interrupting the sleep retargets
-        #: it at :func:`_drop_wake` so the stale wakeup fires as a no-op.
-        self._pending_wake: Optional[_Deferred] = None
         #: Reusable value carrier for PARK wakes (lazily created on the
         #: first park; ``None`` for processes that never park).
         self._wake_box: Optional[_WakeBox] = None
-        #: Park generation counter: bumped when a park is invalidated
-        #: (interrupt while parked), so an already-scheduled wake for the
-        #: stale park fires as a no-op.
-        self._park_gen = 0
-        #: The queue that registered this parked process, if any; cleared
-        #: on wake or interrupt so future commits take the normal path.
-        self._park_queue: Optional[Any] = None
         #: Cached bound methods: every sleep wakeup and event callback
         #: stores a reference to ``_step`` (and every park wake to
         #: ``_parked_step``) — binding them once removes a bound-method
@@ -382,56 +324,9 @@ class Process(Event):
         # place of the old sentinel start event (same queue slot, no Event).
         env.call_at(0.0, self._step_cb, _START)
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting detaches it from the awaited event first.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        interrupter = Event(self.env, name=f"interrupt:{self.name}")
-        interrupter.add_callback(self._on_interrupt_event)
-        interrupter.fail(Interrupt(cause))
-
     # -- internals ----------------------------------------------------------
-    def _on_interrupt_event(self, event: Event) -> None:
-        if self.triggered:
-            return  # finished in the meantime; drop the interrupt
-        target = self._waiting_on
-        if target is _SLEEPING:
-            # Invalidate the pending deferred wakeup for the sleep: it
-            # stays in the schedule but now fires as a no-op.
-            self._pending_wake.fn = _drop_wake
-            self._pending_wake = None
-        elif target is _PARKED:
-            # Deregister from the parking queue (future commits must take
-            # the normal path) and invalidate any in-flight wake via the
-            # generation counter.
-            q = self._park_queue
-            if q is not None and q._park_proc is self:
-                q._park_proc = None
-            self._park_queue = None
-            self._park_gen += 1
-        elif target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._step_cb)
-            except ValueError:
-                pass
-            if not target.triggered:
-                target.abandoned = True
-        self._waiting_on = None
-        self._step(event)
-
-    def _parked_step(self, gen: int, value: Any) -> None:
-        """Resume a parked process with *value* (wake_parked's target).
-
-        The generation guard drops wakes scheduled for a park that was
-        since invalidated (interrupt) or already served.
-        """
-        if gen != self._park_gen or self._waiting_on is not _PARKED:
-            return
-        self._park_queue = None
+    def _parked_step(self, value: Any) -> None:
+        """Resume a parked process with *value* (wake_parked's target)."""
         box = self._wake_box
         box._value = value
         self._step(box)
@@ -445,7 +340,6 @@ class Process(Event):
         uncaught, it fails the process; caught, the generator's next yield
         goes through the same handling as any other.
         """
-        self._waiting_on = None
         env = self.env
         gen = self._generator
         exception = event._exception
@@ -485,7 +379,6 @@ class Process(Event):
                         event = target
                         exception = target._exception
                         continue
-                    self._waiting_on = target
                     callbacks.append(self._step_cb)
                     return
                 if target is PARK:
@@ -496,7 +389,6 @@ class Process(Event):
                     # loop would have observed new work.
                     if self._wake_box is None:
                         self._wake_box = _WakeBox()
-                    self._waiting_on = _PARKED
                     return
                 if not isinstance(target, float):
                     exception = TypeError(
@@ -511,7 +403,6 @@ class Process(Event):
             if target < 0:
                 exception = ValueError(f"negative delay {target!r}")
                 continue
-            self._waiting_on = _SLEEPING
             env._seq += 1
             free = env._dfree
             if free:
@@ -520,7 +411,6 @@ class Process(Event):
                 d.args = _START_ARGS
             else:
                 d = _Deferred(self._step_cb, _START_ARGS)
-            self._pending_wake = d
             if target == 0.0:
                 env._due.append((env._seq, d))
             else:
@@ -622,11 +512,11 @@ class Environment:
 
         The wake rides the lightweight deferred lane (same queue position a
         ``timeout(delay)`` the process could have yielded would occupy) and
-        resumes the generator with *value*.  Stale wakes — the process was
-        interrupted away from the park, or already woken — fire as no-ops
-        via the park generation guard.
+        resumes the generator with *value*.  The component that handed out
+        ``PARK`` calls this exactly once per park: a queue clears its
+        registration on the commit that schedules the wake.
         """
-        self.call_at(delay, proc._parked_cb, proc._park_gen, value)
+        self.call_at(delay, proc._parked_cb, value)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: str = "") -> Process:

@@ -13,9 +13,9 @@ These are the building blocks the hardware and runtime models use:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, List, Sequence
+from typing import Any, Generator, List, Sequence, Union
 
-from .core import PENDING, Environment, Event
+from .core import Environment, Event
 
 __all__ = ["Signal", "Gate", "Semaphore", "AllOf", "AnyOf"]
 
@@ -99,9 +99,16 @@ class Gate:
 class Semaphore:
     """Counting semaphore with FCFS handout order.
 
-    ``acquire`` is a generator intended for ``yield from``; ``release``
-    returns the token.  The semaphore tracks the number of waiters so models
-    can inspect contention.
+    A holder waits for a token with ``yield sem.request()`` and returns it
+    with ``release()``, usually in a ``try``/``finally``::
+
+        yield sem.request()
+        try:
+            yield hold_time
+        finally:
+            sem.release()
+
+    ``acquire`` is the same wait as a generator, for ``yield from``.
     """
 
     def __init__(self, env: Environment, capacity: int, name: str = "sem"):
@@ -113,52 +120,34 @@ class Semaphore:
         self.capacity = capacity
         self._available = capacity
         self._queue: deque = deque()
-        # Recycled request events (flyweight pool): an event whose waiter
-        # resumed normally is reset and reused by the next contended
-        # acquire.  Abandoned events (interrupted waiters) never resume,
-        # so they never re-enter the pool.
-        self._efree: List[Event] = []
 
     @property
     def available(self) -> int:
         return self._available
 
-    def request(self) -> Event:
-        """Return an event that fires once a token is held."""
-        ev = Event(self.env, self._req_name)
+    def request(self) -> Union[float, Event]:
+        """Take a token; yield the result to wait until it is held.
+
+        Uncontended (a token free and nobody queued), the token is taken
+        at once and the result is ``0.0``: a bare zero-delay sleep, the
+        exact queue slot an immediately-succeeded request event would
+        occupy, without building the event.  Otherwise the result is a
+        fresh event queued FCFS; :meth:`release` triggers it once the
+        token passes to this waiter.
+        """
         if self._available > 0 and not self._queue:
             self._available -= 1
-            ev.succeed()
-        else:
-            self._queue.append(ev)
+            return 0.0
+        ev = Event(self.env, self._req_name)
+        self._queue.append(ev)
         return ev
 
-    def acquire(self) -> Generator[Event, Any, None]:
+    def acquire(self) -> Generator[Any, Any, None]:
         """``yield from sem.acquire()`` blocks until a token is held."""
-        if self._available > 0 and not self._queue:
-            # Uncontended: take the token and yield a bare zero-delay sleep
-            # — the exact queue slot the immediately-succeeded request event
-            # would occupy, without building the Event.
-            self._available -= 1
-            yield 0.0
-        else:
-            free = self._efree
-            if free:
-                ev = free.pop()
-                ev.callbacks = []
-                ev._value = PENDING
-                ev._scheduled = False
-            else:
-                ev = Event(self.env, self._req_name)
-            self._queue.append(ev)
-            yield ev
-            free.append(ev)
+        yield self.request()
 
     def release(self) -> None:
-        # Skip waiters whose process was interrupted away from the request
-        # — granting them a token would leak it forever.
-        while self._queue and self._queue[0].abandoned:
-            self._queue.popleft()
+        """Return a token: hand it to the oldest waiter, if any."""
         if self._queue:
             self._queue.popleft().succeed()
         else:

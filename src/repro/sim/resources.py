@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .core import PENDING, Environment, Event
+from .core import Environment, Event
 from .primitives import Semaphore
 
 __all__ = ["Resource"]
@@ -36,7 +36,7 @@ class Resource:
         return self._sem.capacity
 
     def acquire(self) -> Generator[Event, Any, None]:
-        yield from self._sem.acquire()
+        yield self._sem.request()
 
     def release(self) -> None:
         self._sem.release()
@@ -45,25 +45,8 @@ class Resource:
         """Hold one slot for *duration* time units."""
         if duration < 0:
             raise ValueError(f"negative duration {duration!r}")
-        # Inlined uncontended Semaphore.acquire — use() is the hottest
-        # generator in the simulator (every issue-unit and host-worker
-        # charge), so it pays to skip the delegated frame.
         sem = self._sem
-        if sem._available > 0 and not sem._queue:
-            sem._available -= 1
-            yield 0.0
-        else:
-            free = sem._efree
-            if free:
-                ev = free.pop()
-                ev.callbacks = []
-                ev._value = PENDING
-                ev._scheduled = False
-            else:
-                ev = Event(sem.env, sem._req_name)
-            sem._queue.append(ev)
-            yield ev
-            free.append(ev)
+        yield sem.request()
         try:
             self.busy_time += duration
             self.uses += 1

@@ -87,17 +87,21 @@ class Tracer:
         t0 = min(iv.start for iv in self.intervals)
         t1 = max(iv.end for iv in self.intervals)
         span = max(t1 - t0, 1e-30)
-        lines = []
-        for actor in self.actors():
-            row = ["."] * width
-            for iv in self.by_actor(actor):
-                c0 = int((iv.start - t0) / span * (width - 1))
-                c1 = int((iv.end - t0) / span * (width - 1))
-                char = (kinds or {}).get(iv.kind, iv.kind[:1] or "?")
-                for c in range(c0, max(c0, c1) + 1):
-                    row[c] = char
-            lines.append(f"{actor:>16s} |{''.join(row)}|")
-        return "\n".join(lines)
+        chars = kinds or {}
+        # One walk over the trace: rows appear in first-seen actor order
+        # and each row is painted in recording order, later over earlier.
+        rows: Dict[str, List[str]] = {}
+        for iv in self.intervals:
+            row = rows.get(iv.actor)
+            if row is None:
+                row = rows[iv.actor] = ["."] * width
+            c0 = int((iv.start - t0) / span * (width - 1))
+            c1 = int((iv.end - t0) / span * (width - 1))
+            char = chars.get(iv.kind, iv.kind[:1] or "?")
+            for c in range(c0, max(c0, c1) + 1):
+                row[c] = char
+        return "\n".join(f"{actor:>16s} |{''.join(row)}|"
+                         for actor, row in rows.items())
 
 
 def merge_intervals(spans: Iterable[Tuple[float, float]]

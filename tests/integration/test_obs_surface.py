@@ -17,7 +17,7 @@ from repro.apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
 from repro.faults import FaultsConfig
 from repro.hw import Cluster, greina
 from repro.mpicuda import run_mpicuda
-from repro.obs import ObsConfig, View
+from repro.obs import ObsConfig, View, chrome_trace, write_chrome
 from repro.obs.__main__ import main
 
 WORKLOAD = DiffusionWorkload(ni=8, nj_per_device=4, nk=2, steps=2)
@@ -144,6 +144,18 @@ def test_cli_report_metrics_prints_views_and_histograms(capsys):
     histograms = fnmatch.filter(rows, "bm.cmd.*")
     assert histograms
     assert all(rows[name].startswith("n=") for name in histograms)
+
+
+def test_write_chrome_writes_the_json_dumps_bytes(runs, tmp_path):
+    """The file is ``json.dumps`` of the trace plus a newline, byte for
+    byte, and the returned count is its number of events."""
+    cluster, _ = runs["chaos"]
+    registry = cluster.obs.registry
+    path = tmp_path / "trace.json"
+    count = write_chrome(str(path), cluster.tracer, registry)
+    want = json.dumps(chrome_trace(cluster.tracer, registry)) + "\n"
+    assert path.read_bytes() == want.encode()
+    assert count == len(json.loads(want)["traceEvents"]) > 100
 
 
 def test_cli_export_writes_a_loadable_chrome_trace(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import DCudaTimeoutError
 from repro.hw import PCIeConfig, PCIeLink
 from repro.runtime import CircularQueue
 from repro.sim import Environment
@@ -234,3 +235,29 @@ def test_enqueue_bulk_matches_sequential_enqueues(with_link):
         return got, stats, links, q.occupancy, env.now, env._seq
 
     assert drive(bulk=True) == drive(bulk=False)
+
+
+def test_timed_out_dequeue_leaves_the_next_entry_to_a_later_dequeue():
+    """A ``dequeue_timeout`` that times out abandons its getter; the store
+    drops it, so the next enqueue reaches a later ``dequeue()`` instead of
+    vanishing into the waiter nobody reads."""
+    env, _, q = make_queue(with_link=False)
+    got = []
+
+    def consumer(env):
+        try:
+            yield from q.dequeue_timeout(1.0, rank=0)
+        except DCudaTimeoutError:
+            got.append(("timed out", env.now))
+        entry = yield from q.dequeue()
+        got.append((entry, env.now))
+
+    def producer(env):
+        yield 2.0
+        yield from q.enqueue("x")
+
+    env.process(consumer(env))
+    env.process(producer(env))
+    env.run()
+    assert got == [("timed out", 1.0), ("x", 2.0)]
+    assert q.stats.dequeues == 1 and q.occupancy == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, Process, SimulationError
+from repro.sim import Environment, Event, Process, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -189,38 +189,6 @@ def test_join_already_finished_process():
     p = env.process(parent(env))
     env.run()
     assert p.value == (5.0, 7)
-
-
-def test_interrupt_waiting_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as i:
-            log.append((env.now, i.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_run_until_stops_clock():
@@ -545,34 +513,6 @@ def test_negative_float_subclass_delay_raises():
         env.process(proc(env, delay))
         with pytest.raises(ValueError, match="negative delay"):
             env.run()
-
-
-@pytest.mark.parametrize("bare", [False, True])
-def test_interrupted_bare_sleep_matches_interrupted_timeout(bare):
-    """Interrupting ``yield d`` drops its stale wakeup as a no-op at the
-    wakeup's queue slot, exactly where the abandoned ``timeout(d)`` of the
-    event form still fires: same log, same final clock."""
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield 5.0 if bare else env.timeout(5.0)
-        except Interrupt as i:
-            log.append(("interrupted", env.now, i.cause))
-        yield 1.0
-        log.append(("woke", env.now))
-
-    def interrupter(env, victim):
-        yield env.timeout(2.0)
-        victim.interrupt("stop")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [("interrupted", 2.0, "stop"), ("woke", 3.0)]
-    assert env.now == 5.0
-    assert env.stats.pending == 0
 
 
 # -- stop rules and derived stats --------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Gate, Semaphore, Signal
+from repro.sim import AllOf, AnyOf, Environment, Event, Gate, Semaphore, Signal
 
 
 # ---------------------------------------------------------------- Signal ----
@@ -173,12 +173,51 @@ def test_semaphore_invalid_capacity():
 
 
 def test_semaphore_counts():
+    """An uncontended request takes the token at once and returns the
+    bare zero-delay sleep ``0.0`` for the holder to yield."""
     env = Environment()
     sem = Semaphore(env, 3)
     assert sem.available == 3
     req = sem.request()
-    assert req.triggered
+    assert req == 0.0 and type(req) is float
     assert sem.available == 2
+
+
+def test_semaphore_contended_request_queues_fcfs():
+    """At capacity 1 a request while the token is held returns a pending
+    event, queued FCFS.  ``release()`` triggers the oldest one and passes
+    the token on (``available`` stays 0); its waiter resumes at the
+    release instant."""
+    env = Environment()
+    sem = Semaphore(env, 1)
+    assert sem.request() == 0.0
+    first = sem.request()
+    second = sem.request()
+    for req in (first, second):
+        assert isinstance(req, Event) and not req.triggered
+    assert sem.available == 0
+    resumed = []
+
+    def waiter(tag, req):
+        yield req
+        resumed.append((tag, env.now))
+        yield 1.0
+        sem.release()
+
+    def holder():
+        yield 2.0
+        sem.release()
+        assert first.triggered and not second.triggered
+        assert sem.available == 0
+
+    # Spawned in reverse request order: the queue, not the spawn order,
+    # decides who is served first.
+    env.process(waiter("second", second))
+    env.process(waiter("first", first))
+    env.process(holder())
+    env.run()
+    assert resumed == [("first", 2.0), ("second", 3.0)]
+    assert sem.available == 1
 
 
 # ------------------------------------------------------------ AllOf/AnyOf ----

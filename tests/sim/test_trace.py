@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
+from repro.hw import Cluster, greina
+from repro.obs import ObsConfig
 from repro.sim import Interval, Tracer, merge_intervals, overlap_time, total_time
 
 
@@ -147,6 +150,75 @@ def test_render_ascii_contains_actors():
 
 def test_render_ascii_empty():
     assert Tracer().render_ascii() == "(empty trace)"
+
+
+def reference_ascii(tracer, width=72, kinds=None):
+    """The per-actor form of ``render_ascii``: one ``by_actor`` scan of
+    the whole trace per actor."""
+    if not tracer.intervals:
+        return "(empty trace)"
+    t0 = min(iv.start for iv in tracer.intervals)
+    t1 = max(iv.end for iv in tracer.intervals)
+    span = max(t1 - t0, 1e-30)
+    lines = []
+    for actor in tracer.actors():
+        row = ["."] * width
+        for iv in tracer.by_actor(actor):
+            c0 = int((iv.start - t0) / span * (width - 1))
+            c1 = int((iv.end - t0) / span * (width - 1))
+            char = (kinds or {}).get(iv.kind, iv.kind[:1] or "?")
+            for c in range(c0, max(c0, c1) + 1):
+                row[c] = char
+        lines.append(f"{actor:>16s} |{''.join(row)}|")
+    return "\n".join(lines)
+
+
+_RENDERINGS = [(72, None), (20, None),
+               (100, {"compute": "#", "comm": "=", "wait": "-"})]
+
+
+def _synthetic_trace():
+    """Interleaved actors, overlapping and touching spans painted in
+    recording order, a zero-length span, an actor that reappears after
+    others, and a non-block actor spanning the whole trace."""
+    tr = Tracer()
+    rec = tr.record
+    rec("node0.gpu.b0", "wait", 0.0, 10.0)
+    rec("node0.gpu.b0", "match", 2.0, 3.0)
+    rec("node0.gpu.b1", "compute", 1.0, 4.0)
+    rec("node0.gpu.b1", "compute", 4.0, 6.0)
+    rec("node0.gpu.b1", "comm", 6.0, 7.0)
+    rec("node0.gpu.b2", "compute", 6.0, 7.0)
+    rec("node0.gpu.b2", "wait", 7.0, 12.0)
+    rec("node0.gpu.b2", "match", 7.0, 7.0)
+    rec("node0.gpu.b3", "comm", 0.5, 1.5)
+    rec("node0.gpu.b3", "wait", 1.5, 9.0)
+    rec("node1.gpu.b0", "comm", 0.0, 2.0)
+    rec("node1.gpu.b0", "compute", 3.0, 5.0)
+    rec("node1.host", "compute", 0.0, 20.0)
+    rec("node0.gpu.b0", "compute", 9.5, 11.0)
+    return tr
+
+
+@pytest.mark.parametrize("width,kinds", _RENDERINGS)
+def test_render_ascii_matches_per_actor_reference(width, kinds):
+    two = Tracer()
+    two.record("rank0", "compute", 0.0, 1.0)
+    two.record("rank1", "comm", 1.0, 2.0)
+    for tr in (two, _synthetic_trace()):
+        assert tr.render_ascii(width, kinds) == \
+            reference_ascii(tr, width, kinds)
+
+
+def test_render_ascii_matches_reference_on_traced_diffusion():
+    cluster = Cluster(greina(2, obs=ObsConfig(enabled=True)))
+    wl = DiffusionWorkload(ni=8, nj_per_device=16, nk=2, steps=2)
+    run_dcuda_diffusion(cluster, wl, ranks_per_device=8)
+    tr = cluster.tracer
+    assert len(tr.actors()) >= 16
+    for width, kinds in _RENDERINGS:
+        assert tr.render_ascii(width, kinds) == \
+            reference_ascii(tr, width, kinds)
 
 
 def test_tracer_clear():
