@@ -18,7 +18,7 @@ _SUBMODULE_EXPORTS = {
     "pingpong": ("DEFAULT_PACKET_SIZES", "PingPongResult", "pingpong_sweep",
                  "run_pingpong"),
     "overlap": ("COPY_BYTES_PER_ITER", "NEWTON_FLOPS_PER_ITER",
-                "OverlapPoint", "overlap_sweep", "run_overlap"),
+                "OverlapPoint", "run_overlap"),
     "weak_scaling": ("ScalingRow", "particles_weak_scaling",
                      "spmv_weak_scaling", "stencil_weak_scaling"),
 }

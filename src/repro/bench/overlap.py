@@ -16,7 +16,7 @@ Newton (notification matching is itself compute heavy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..hw import Cluster, greina
 from ..hw.config import MachineConfig
 from .stats import median
 
-__all__ = ["OverlapPoint", "run_overlap", "overlap_sweep",
+__all__ = ["OverlapPoint", "run_overlap",
            "NEWTON_FLOPS_PER_ITER", "COPY_BYTES_PER_ITER"]
 
 #: One Newton-Raphson square-root iteration: 128 divisions per rank
@@ -109,20 +109,3 @@ def run_overlap(mode: str, compute_iters: int, do_compute: bool = True,
     return OverlapPoint(mode=mode, compute_iters=compute_iters,
                         do_compute=do_compute, do_exchange=do_exchange,
                         steps=steps, elapsed=median(list(loop_time.values())))
-
-
-def overlap_sweep(mode: str, compute_iter_values: Sequence[int],
-                  steps: int = 20, num_nodes: int = 8,
-                  ranks_per_device: int = 52
-                  ) -> Dict[str, List[OverlapPoint]]:
-    """The full figure: compute&exchange and compute-only curves plus the
-    exchange-only horizontal line."""
-    both = [run_overlap(mode, n, True, True, steps, num_nodes,
-                        ranks_per_device) for n in compute_iter_values]
-    compute_only = [run_overlap(mode, n, True, False, steps, num_nodes,
-                                ranks_per_device)
-                    for n in compute_iter_values]
-    exchange_only = [run_overlap(mode, 0, False, True, steps, num_nodes,
-                                 ranks_per_device)]
-    return {"both": both, "compute_only": compute_only,
-            "exchange_only": exchange_only}

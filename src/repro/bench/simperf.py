@@ -55,7 +55,6 @@ __all__ = [
     "diffusion_throughput",
     "simperf_specs",
     "simperf_table",
-    "run_simperf",
     "write_bench_json",
 ]
 
@@ -226,15 +225,6 @@ def simperf_table(results: List[SimPerfResult]) -> Table:
     table.add_note("events = scheduler heap entries; identical across "
                    "runs of the same workload")
     return table
-
-
-def run_simperf(quick: bool = True,
-                workers: Optional[int] = None) -> Table:
-    """Run both probes through the engine; returns the results table."""
-    from ..exec import run_specs
-
-    report = run_specs(simperf_specs(quick=quick), workers=workers)
-    return simperf_table(report.results)
 
 
 def write_bench_json(results: List[SimPerfResult], workers: int,

@@ -41,7 +41,7 @@ from ..runtime.commands import (
     WinFreeCommand,
 )
 from ..runtime.system import DCudaRuntime
-from ..sim import AnyOf, Event
+from ..sim import Event, bounded
 from .errors import DCudaProtocolError, DCudaTimeoutError, DCudaUsageError
 from .notifications import (
     DCUDA_ANY_SOURCE,
@@ -400,18 +400,8 @@ class DRank:
         while self.state.flush_counter < target:
             remaining = deadline - self.env._now
             advanced = self.state.flush_signal.wait()
-            if remaining <= 0:
-                raise DCudaTimeoutError(
-                    f"flush: counter stuck at {self.state.flush_counter} "
-                    f"of {target}", rank=self.world_rank,
-                    sim_time=self.env._now)
-            timer = self.env.timeout(remaining)
-            which = yield AnyOf(self.env, [advanced, timer])
-            if which[0] == 0 or advanced.triggered:
-                timer.abandoned = True
-            if which[0] == 1 and not advanced.triggered \
-                    and self.state.flush_counter < target:
-                advanced.abandoned = True
+            if remaining <= 0 or not (yield from bounded(advanced,
+                                                         remaining)):
                 raise DCudaTimeoutError(
                     f"flush: counter stuck at {self.state.flush_counter} "
                     f"of {target}", rank=self.world_rank,
@@ -528,7 +518,7 @@ class DRank:
                 what=f"{kind} ack")
         else:
             queue = self.state.ack_queue
-            if queue._entries._items:   # occupancy fast path
+            if queue.entries:   # occupancy fast path
                 ack = queue.try_dequeue()
             else:
                 # Poll elision: the device reads the ack slot the moment

@@ -29,7 +29,7 @@ from ..hw.config import DeviceLibConfig
 from ..hw.gpu import Block, Device
 from ..runtime.commands import Notification
 from ..runtime.state import RankState
-from ..sim import AnyOf, Event
+from ..sim import Event, bounded
 
 __all__ = ["NotificationMatcher", "deliver", "deliver_bulk",
            "DCUDA_ANY_SOURCE", "DCUDA_ANY_TAG", "DCUDA_ANY_WINDOW"]
@@ -177,22 +177,19 @@ class NotificationMatcher:
                     if faults is not None else None)
         tracer = self.device.tracer
         issue = self.block.sm.issue
-        sem = issue._sem
         matched = 0
         while matched < count:
             consumed, cost = self._match_sync(win_id, source, tag,
                                               count - matched)
-            # Inlined issue.use(cost) — the per-pass match charge is the
-            # hot wait path's only resource hold, and the resumes land on
-            # this frame directly instead of two frames down.
+            # Inlined device.issue_use(cost) — the per-pass match charge
+            # is the hot wait path's only issue-unit hold, and the resumes
+            # land on this frame directly instead of one frame down.
             start = self.env._now
-            yield sem.request()
+            yield issue.request()
             try:
-                issue.busy_time += cost
-                issue.uses += 1
                 yield cost
             finally:
-                sem.release()
+                issue.release()
             if tracer.enabled:
                 tracer.record(self.block.name, "match", start,
                               self.env._now)
@@ -210,7 +207,7 @@ class NotificationMatcher:
             # blocks overlap their communication.
             if deadline is None:
                 queue = self.state.notif_queue
-                if queue._park_proc is None:
+                if not queue.parked:
                     # Poll elision: one wake at commit + poll_interval —
                     # the exact tick the arrival-signal + poll-boundary
                     # sequence below would have rescanned at.
@@ -221,19 +218,8 @@ class NotificationMatcher:
                 yield queue.arrived.wait()
             else:
                 remaining = deadline - self.env._now
-                if remaining <= 0:
-                    raise DCudaTimeoutError(
-                        f"wait_notifications(win={win_id}, source={source}, "
-                        f"tag={tag}): {matched}/{count} matched within "
-                        f"{faults.cfg.handshake_timeout:.3e}s simulated",
-                        rank=self.state.world_rank, sim_time=self.env._now)
-                arrival = self.state.notif_queue.arrived.wait()
-                timer = self.env.timeout(remaining)
-                which = yield AnyOf(self.env, [arrival, timer])
-                if which[0] == 0 or arrival.triggered:
-                    timer.abandoned = True
-                if which[0] == 1 and not arrival.triggered:
-                    arrival.abandoned = True
+                if remaining <= 0 or not (yield from bounded(
+                        self.state.notif_queue.arrived.wait(), remaining)):
                     raise DCudaTimeoutError(
                         f"wait_notifications(win={win_id}, source={source}, "
                         f"tag={tag}): {matched}/{count} matched within "

@@ -3,7 +3,8 @@
 The latency-hiding mechanism the whole paper rests on is reproduced
 structurally rather than numerically:
 
-* Each SM owns a single *issue unit* (an FCFS :class:`~repro.sim.Resource`).
+* Each SM owns a single *issue unit* (an FCFS one-token
+  :class:`~repro.sim.Semaphore`).
   A block's compute phase occupies the issue unit only for its ALU time;
   its memory traffic streams in the background through the device-wide
   fair-share memory link.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional
 
-from ..sim import Environment, Event, Resource, Tracer
+from ..sim import AllOf, Environment, Event, Semaphore, Tracer
 from .config import GPUConfig
 from .memory import DeviceMemory
 
@@ -37,7 +38,7 @@ class SM:
         self.cfg = cfg
         self.index = index
         self.name = f"{device_name}.sm{index}"
-        self.issue = Resource(env, capacity=1, name=f"issue:{self.name}")
+        self.issue = Semaphore(env, 1, name=f"issue:{self.name}")
         self.resident: List["Block"] = []
 
 
@@ -138,7 +139,7 @@ class Device:
         if flops < 0 or mem_bytes < 0:
             raise ValueError("flops and mem_bytes must be non-negative")
         t0 = self.env._now
-        sem = block.sm.issue._sem
+        sem = block.sm.issue
         yield sem.request()
         try:
             mem_ev = None
@@ -184,17 +185,16 @@ class Device:
                   kind: str = "match",
                   detail: str = "") -> Generator[Event, Any, None]:
         """Occupy *block*'s SM issue unit for *duration* (e.g. matching)."""
-        if not self.tracer.enabled:
-            # Nothing to record: delegate the resource hold directly.
-            return block.sm.issue.use(duration)
-        return self._issue_use_traced(block, duration, kind, detail)
-
-    def _issue_use_traced(self, block: Block, duration: float,
-                          kind: str, detail: str
-                          ) -> Generator[Event, Any, None]:
         t0 = self.env._now
-        yield from block.sm.issue.use(duration)
-        self.tracer.record(block.name, kind, t0, self.env._now, detail)
+        sem = block.sm.issue
+        yield sem.request()
+        try:
+            yield duration
+        finally:
+            sem.release()
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(block.name, kind, t0, self.env._now, detail)
 
     def initiate_rma(self, block: Block, duration: float,
                      detail: str = "rma") -> Generator[Event, Any, None]:
@@ -255,7 +255,7 @@ class Device:
         def _sm_share(sm: SM, blocks: List[tuple]):
             sum_flops = sum(f for f, _ in blocks)
             sum_mem = sum(m for _, m in blocks)
-            yield from sm.issue.acquire()
+            yield sm.issue.request()
             try:
                 mem_ev = None
                 if sum_mem > 0:
@@ -272,7 +272,6 @@ class Device:
         procs = [self.env.process(_sm_share(sm, blocks),
                                   name=f"kern:{sm.name}")
                  for sm, blocks in zip(self.sms, shares) if blocks]
-        from ..sim import AllOf
         yield AllOf(self.env, procs)
         self.tracer.record(f"{self.name}.kernel", "compute", t0,
                            self.env._now, detail)

@@ -6,7 +6,7 @@ from functools import partial
 from typing import Any, Generator, List, Optional
 
 from ..platform.resolve import NodeSpec
-from ..sim import Environment, Event, Resource, Tracer
+from ..sim import Environment, Event, Semaphore, Tracer
 from .config import MachineConfig
 from .gpu import Device
 from .pcie import PCIeLink
@@ -17,7 +17,7 @@ __all__ = ["Node"]
 class Node:
     """One node: a host, ``gpus_per_node`` GPUs, and a PCIe port each.
 
-    The host *runtime worker* is a single FCFS resource — the paper's
+    The host *runtime worker* is a one-token FCFS semaphore — the paper's
     runtime system "guarantees progress using a single worker thread"
     (§III-A), so all block-manager and event-handler actions on a node
     serialize on it, regardless of how many GPUs the node carries.
@@ -66,7 +66,9 @@ class Node:
         #: First GPU / PCIe port (the whole machine on single-GPU nodes).
         self.device = self.gpus[0]
         self.pcie = self.pcie_ports[0]
-        self.worker = Resource(env, capacity=1, name=f"{self.name}.worker")
+        self.worker = Semaphore(env, 1, name=f"{self.name}.worker")
+        #: Host time charged to the worker, counted when each hold starts.
+        self.worker_busy_time = 0.0
         if obs:
             # The PCIe transaction counts (§III-C: one mapped write per
             # enqueue, one read per credit reload) and the host worker's
@@ -77,7 +79,7 @@ class Node:
                     obs.view(f"{port.name}.{stat}",
                              partial(getattr, port, stat))
             obs.view(f"{self.worker.name}.busy_time",
-                     partial(getattr, self.worker, "busy_time"))
+                     partial(getattr, self, "worker_busy_time"))
 
     @property
     def gpus_per_node(self) -> int:
@@ -93,7 +95,13 @@ class Node:
 
     def host_work(self, duration: float) -> Generator[Event, Any, None]:
         """Charge *duration* of host runtime-worker time (FCFS)."""
-        return self.worker.use(duration)
+        worker = self.worker
+        yield worker.request()
+        try:
+            self.worker_busy_time += duration
+            yield duration
+        finally:
+            worker.release()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<Node {self.name} ({len(self.gpus)} GPU(s))>"

@@ -1,4 +1,4 @@
-"""Simulated-host MPI substrate: two-sided p2p, collectives, and RMA."""
+"""Simulated-host MPI substrate: two-sided p2p and collectives."""
 
 from .comm import ANY_SOURCE, ANY_TAG, MPIWorld
 from .message import Envelope, copy_payload, payload_nbytes
@@ -14,7 +14,6 @@ from .collectives import (
     scatter,
     sendrecv,
 )
-from .rma import HostWindow
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "MPIWorld",
@@ -22,5 +21,4 @@ __all__ = [
     "Request", "wait_all_requests",
     "COLL_TAG_BASE", "allgather", "allreduce", "barrier", "bcast",
     "gather", "reduce", "scatter", "sendrecv",
-    "HostWindow",
 ]

@@ -86,9 +86,9 @@ class BlockManager:
         host = self.cfg.host
         poll_latency = host.poll_latency
         command_cost = host.command_cost
-        worker = self.node.worker
-        sem = worker._sem
-        buffered = queue._entries._items   # occupancy fast path
+        node = self.node
+        worker = node.worker
+        buffered = queue.entries   # occupancy fast path
         while True:
             if buffered:
                 # A busy manager drains its queue without re-polling, so
@@ -102,17 +102,16 @@ class BlockManager:
                 # wake carries the commit time so the handling-latency
                 # histograms keep their old dequeue-time anchor.
                 cmd, t0 = yield queue.park_consume(poll_latency)
-            # Inlined worker.use(command_cost) — the per-command host
+            # Inlined node.host_work(command_cost) — the per-command host
             # charge resumes this frame twice, so the delegated generator
-            # is pure overhead; acquire/hold/release and the busy-time
-            # accounting are identical to Resource.use.
-            yield sem.request()
+            # is pure overhead; the hold and the busy-time accounting are
+            # identical.
+            yield worker.request()
             try:
-                worker.busy_time += command_cost
-                worker.uses += 1
+                node.worker_busy_time += command_cost
                 yield command_cost
             finally:
-                sem.release()
+                worker.release()
             # Exact-class dispatch ordered by frequency (notifications of
             # same-node puts dominate); no command class is subclassed.
             cls = cmd.__class__

@@ -14,7 +14,7 @@ from typing import Any, Tuple
 
 __all__ = [
     "RT_TAG_META", "RT_TAG_DATA_BASE", "META_BYTES", "CTRL_BYTES",
-    "data_tag", "PutMeta", "GetMeta", "GetReply", "CtrlArrive", "CtrlRelease",
+    "data_tag", "PutMeta", "GetMeta", "CtrlArrive", "CtrlRelease",
 ]
 
 # Reserved tag space, below COLL_TAG_BASE (1 << 24).
@@ -75,8 +75,3 @@ class CtrlRelease:
     """Coordinator's release of a global synchronization point."""
 
     key: Any
-
-
-@dataclass(frozen=True, slots=True)
-class GetReply:
-    """Marker payload class (the actual array rides in the envelope)."""

@@ -29,21 +29,30 @@ the way the paper's design allows it to:
 * **duplicated posted writes** carry a stale sequence number by the time
   they land, so the receiver's validity check discards them;
 * **credit starvation** turns the sender's wait into a bounded
-  retry-with-exponential-backoff loop (re-reading the tail pointer each
-  round) that raises :class:`~repro.errors.DCudaTimeoutError` instead of
+  retry-with-exponential-backoff loop (each round a
+  :func:`~repro.sim.bounded` wait, then a re-read of the tail pointer)
+  that raises :class:`~repro.errors.DCudaTimeoutError` instead of
   hanging.
 
-With ``faults=None`` (the default) every hot path is byte-for-byte the
-unhardened one — the golden-fixture replay test holds.
+Both modes share one :meth:`CircularQueue.enqueue`; they differ only in
+the credit wait and in where a landed write goes (``_commit``, or
+``_commit_faulty`` first under a plane).  With ``faults=None`` (the
+default) the schedule is the unhardened one — the golden-fixture replay
+test holds.
+
+The queue owns its receiver buffer: :attr:`CircularQueue.entries` is a
+deque other modules only read (occupancy checks), and a consumer that
+blocks on an empty buffer waits in the queue's own getter list.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Generator, List, Optional
 
 from ..errors import DCudaFaultError, DCudaTimeoutError
 from ..hw.pcie import PCIeLink
-from ..sim import PARK, AnyOf, Environment, Event, Signal, Store
+from ..sim import PARK, Environment, Event, Signal, bounded
 
 __all__ = ["CircularQueue", "QueueStats"]
 
@@ -81,10 +90,13 @@ class CircularQueue:
         self.link = link
         self.name = name
         self.stats = QueueStats()
-        # Fault plane (or None).  The hardened commit/enqueue paths are
-        # only taken when a plane is attached; the default path is the
-        # unperturbed one.
+        # Fault plane (or None).  The bounded credit wait and the
+        # fault-aware commit are only taken when a plane is attached; the
+        # default path is the unperturbed one.
         self._faults = faults
+        #: Where a landed posted write goes: straight into the buffer, or
+        #: through the validity check and drop recovery under a plane.
+        self._land = self._commit if faults is None else self._commit_faulty
         self._next_deliver = 1              # next in-order sequence number
         self._parked: Dict[int, Any] = {}   # out-of-order arrivals by seq
         # Observability: depth (receiver view) and sender-credit occupancy
@@ -102,7 +114,13 @@ class CircularQueue:
             obs.view(f"queue.{name}.credit_reloads",
                      lambda: stats.credit_reloads)
         # Receiver-memory state: the entry buffer and the tail counter.
-        self._entries = Store(env, name=f"buf:{name}")
+        #: Buffered entries, oldest first.  Read-only outside this class.
+        self.entries: Deque[Any] = deque()
+        # Blocked getters, oldest first; non-empty only while the buffer
+        # is empty (a landing entry goes to the oldest getter first).  At
+        # most one waits in practice, so a list: 56 bytes to a deque's 760.
+        self._getters: List[Event] = []
+        self._get_name = f"get:buf:{name}"
         self._tail = 0          # receiver's dequeue counter
         self._head = 0          # sender's enqueue counter
         # Sender-local credit state.
@@ -125,7 +143,13 @@ class CircularQueue:
     @property
     def occupancy(self) -> int:
         """Entries currently buffered (receiver view)."""
-        return len(self._entries)
+        return len(self.entries)
+
+    @property
+    def parked(self) -> bool:
+        """True while a consumer is parked on this queue (see
+        :meth:`park_consume` and :meth:`park_poll`)."""
+        return self._park_proc is not None
 
     @property
     def credits(self) -> int:
@@ -149,22 +173,52 @@ class CircularQueue:
         if self._credit_series is not None:
             self._credit_series.sample(self.env._now, self._credits)
 
+    def _await_credits(self) -> Generator[Event, Any, None]:
+        """Reload the credits until one is free (the sender found none).
+
+        Each round that still sees no space waits, then re-reads the tail
+        pointer.  Without a fault plane the wait is for the receiver to
+        free space.  Under a plane it is bounded: round *k* waits for freed
+        space or ``backoff_base * 2**(k-1)``, whichever comes first, and
+        the handshake gives up once the retry budget is spent.
+
+        Raises:
+            DCudaTimeoutError: no credit after ``max_retries`` backed-off
+                handshake retries (fault plane attached only).
+        """
+        yield from self._reload_credits()
+        faults = self._faults
+        attempt = 0
+        while self._credits == 0:
+            self.stats.full_stalls += 1
+            if faults is None:
+                yield self._space_freed.wait()
+            else:
+                cfg = faults.cfg
+                attempt += 1
+                if attempt > cfg.max_retries:
+                    raise DCudaTimeoutError(
+                        f"queue {self.name}: no credits after "
+                        f"{cfg.max_retries} backed-off handshake retries",
+                        sim_time=self.env._now)
+                yield from bounded(self._space_freed.wait(),
+                                   cfg.backoff_base * (2 ** (attempt - 1)))
+                self.stats.retries += 1
+            yield from self._reload_credits()
+
     def enqueue(self, entry: Any) -> Generator[Event, Any, None]:
         """Append *entry*; amortized one posted PCIe write per call.
 
         The sender pays only the posted-write occupancy; the entry becomes
         visible to the receiver after the write-visibility latency.  A
         constant delay preserves FIFO order.
+
+        Raises:
+            DCudaTimeoutError: a fault plane is attached and the credit
+                handshake exhausted ``max_retries``.
         """
-        if self._faults is not None:
-            yield from self._enqueue_hardened(entry)
-            return
         if self._credits == 0:
-            yield from self._reload_credits()
-            while self._credits == 0:
-                self.stats.full_stalls += 1
-                yield self._space_freed.wait()
-                yield from self._reload_credits()
+            yield from self._await_credits()
         self._credits -= 1
         self._head += 1
         if self._credit_series is not None:
@@ -183,16 +237,18 @@ class CircularQueue:
                 yield link.cfg.mapped_post_occupancy
             finally:
                 lock.release()
+            # Numbered after the write: under a plane, the in-order
+            # delivery of _commit_faulty follows the order writes finish.
             self._seq += 1
             delay = link.cfg.mapped_write_latency
             if delay > 0:
                 # Fire-and-forget: the commit needs no waitable event, so
                 # use the kernel's lightweight deferred-call lane.
-                self.env.call_at(delay, self._commit, self._seq, entry)
+                self.env.call_at(delay, self._land, self._seq, entry)
                 return
         else:
             self._seq += 1
-        self._commit(self._seq, entry)
+        self._land(self._seq, entry)
 
     def enqueue_bulk(self, entries: Any) -> Generator[Event, Any, None]:
         """Append several entries back-to-back: exactly ``for e in
@@ -201,97 +257,44 @@ class CircularQueue:
         for entry in entries:
             yield from self.enqueue(entry)
 
-    def _enqueue_hardened(self, entry: Any) -> Generator[Event, Any, None]:
-        """Enqueue under an attached fault plane: bounded, never hangs.
-
-        The credit handshake becomes retry-with-exponential-backoff: each
-        round waits for a space-freed signal *or* the backoff timer
-        (whichever first), re-reads the tail pointer, and gives up with a
-        :class:`DCudaTimeoutError` once the retry budget is spent.  The
-        posted write then goes through :meth:`_commit_faulty`, which
-        implements drop/duplicate recovery.
-
-        Raises:
-            DCudaTimeoutError: the handshake exhausted ``max_retries``.
-        """
-        cfg = self._faults.cfg
-        if self._credits == 0:
-            yield from self._reload_credits()
-            attempt = 0
-            while self._credits == 0:
-                attempt += 1
-                self.stats.full_stalls += 1
-                if attempt > cfg.max_retries:
-                    raise DCudaTimeoutError(
-                        f"queue {self.name}: no credits after "
-                        f"{cfg.max_retries} backed-off handshake retries",
-                        sim_time=self.env._now)
-                backoff = cfg.backoff_base * (2 ** (attempt - 1))
-                freed = self._space_freed.wait()
-                timer = self.env.timeout(backoff)
-                which = yield AnyOf(self.env, [freed, timer])
-                # Abandon the losing arm so the orphaned event neither
-                # stretches the run nor leaks a signal waiter.
-                (timer if which[0] == 0 else freed).abandoned = True
-                self.stats.retries += 1
-                yield from self._reload_credits()
-        self._credits -= 1
-        self._head += 1
-        if self._credit_series is not None:
-            self._credit_series.sample(self.env._now, self._credits)
-        delay = 0.0
-        if self.link is not None:
-            yield from self.link.mapped_post()
-            delay = self.link.write_visibility_delay
-        self._seq += 1
-        if delay > 0:
-            self.env.call_at(delay, self._commit_faulty, self._seq, entry, 0)
-        else:
-            self._commit_faulty(self._seq, entry, 0)
-
     def _commit(self, seq: int, entry: Any) -> None:
         """The posted write landed in receiver memory."""
+        env = self.env
         proc = self._park_proc
-        if proc is not None:
-            # A parked consumer (poll elision): wake it at the exact tick
-            # its poll loop would have observed this entry.  One-shot —
-            # the registration clears here so batch arrivals coalesce into
-            # the single wake (the consumer drains everything it finds).
+        if proc is not None and self._park_take:
+            # A consumer parked on the empty buffer (poll elision): wake it
+            # at the exact tick its poll loop would have observed this
+            # entry.  The entry bypasses the buffer and rides the wake
+            # payload together with its commit time (the consumer's old
+            # resume point, for observation bookkeeping).
             self._park_proc = None
-            env = self.env
-            if self._park_take:
-                # Consume variant: the entry bypasses the buffer and rides
-                # the wake payload together with its commit time (the
-                # consumer's old resume point, for observation bookkeeping).
-                self.stats.enqueues += 1
-                if self._depth_series is not None:
-                    self._depth_series.sample(env._now, len(self._entries))
-                self.arrived.fire()
-                # Receiver-side bookkeeping happens at commit time, exactly
-                # when the old blocking dequeue would have performed it.
-                self._tail += 1
-                self.stats.dequeues += 1
-                if self._depth_series is not None:
-                    self._depth_series.sample(env._now, len(self._entries))
-                self._space_freed.fire()
-                env.wake_parked(self._park_delay, proc, (entry, env._now))
-                return
-            # Poll variant: the entry stays buffered; the consumer re-polls
-            # (and drains) when the wake fires.
-            self._entries.try_put(entry)
             self.stats.enqueues += 1
             if self._depth_series is not None:
-                self._depth_series.sample(env._now, len(self._entries))
-            env.wake_parked(self._park_delay, proc, None)
+                self._depth_series.sample(env._now, len(self.entries))
             self.arrived.fire()
+            # Receiver-side bookkeeping happens at commit time, exactly
+            # when the old blocking dequeue would have performed it.
+            self._took(1)
+            env.wake_parked(self._park_delay, proc, (entry, env._now))
             return
-        self._entries.try_put(entry)
+        getters = self._getters
+        if getters:
+            getters.pop(0).succeed(entry)
+        else:
+            self.entries.append(entry)
         self.stats.enqueues += 1
         if self._depth_series is not None:
-            self._depth_series.sample(self.env._now, len(self._entries))
+            self._depth_series.sample(env._now, len(self.entries))
+        if proc is not None:
+            # A consumer parked to poll: the entry stays buffered and the
+            # consumer re-polls (and drains) when the wake fires.  One-shot
+            # — the registration clears here so batch arrivals coalesce
+            # into the single wake.
+            self._park_proc = None
+            env.wake_parked(self._park_delay, proc, None)
         self.arrived.fire()
 
-    def _commit_faulty(self, seq: int, entry: Any, attempt: int) -> None:
+    def _commit_faulty(self, seq: int, entry: Any, attempt: int = 0) -> None:
         """Fault-aware commit: validity check, drop recovery, in-order drain.
 
         ``attempt`` is 0 for the original posted write, ``> 0`` for a
@@ -377,22 +380,44 @@ class CircularQueue:
         self._park_take = False
         return PARK
 
-    def dequeue(self) -> Generator[Event, Any, Any]:
-        """Remove the oldest entry (blocking, local to the receiver)."""
-        entry = yield self._entries.get()
-        self._tail += 1
-        self.stats.dequeues += 1
-        if self._depth_series is not None:
-            self._depth_series.sample(self.env._now, len(self._entries))
+    def _get(self) -> Event:
+        """An event that fires with the oldest entry: already succeeded
+        when one is buffered, else queued behind earlier getters."""
+        ev = Event(self.env, self._get_name)
+        if self.entries:
+            ev.succeed(self.entries.popleft())
+        else:
+            self._getters.append(ev)
+        return ev
+
+    def _took(self, n: int) -> None:
+        """Receiver-side step after *n* entries left the buffer: advance
+        the tail pointer, sample the depth once per entry, and wake a
+        starved sender."""
+        self._tail += n
+        self.stats.dequeues += n
+        series = self._depth_series
+        if series is not None:
+            now = self.env._now
+            depth = len(self.entries)
+            for d in range(depth + n - 1, depth - 1, -1):
+                series.sample(now, d)
         # Waking a starved sender models the sender's polling loop
         # observing the advanced tail pointer; the sender still pays the
         # PCIe read in _reload_credits.
         self._space_freed.fire()
+
+    def dequeue(self) -> Generator[Event, Any, Any]:
+        """Remove the oldest entry (blocking, local to the receiver)."""
+        entry = yield self._get()
+        self._took(1)
         return entry
 
     def dequeue_timeout(self, timeout: float, rank: Optional[int] = None,
                         what: str = "entry") -> Generator[Event, Any, Any]:
         """Blocking dequeue with a simulated-time bound.
+
+        An entry that lands at exactly the deadline is still delivered.
 
         Args:
             timeout: Simulated seconds to wait before giving up.
@@ -406,72 +431,41 @@ class CircularQueue:
             DCudaTimeoutError: nothing arrived within ``timeout``; carries
                 ``rank`` and the simulated time.
         """
-        get_ev = self._entries.get()
-        if not get_ev.triggered:
-            timer = self.env.timeout(timeout)
-            result = yield AnyOf(self.env, [get_ev, timer])
-            if result[0] == 0 or get_ev.triggered:
-                timer.abandoned = True
-            if result[0] == 1 and not get_ev.triggered:
-                # The timer won and the get never fired: abandon the
-                # waiter so the store prunes it instead of handing it a
-                # future entry nobody will read.
-                get_ev.abandoned = True
-                raise DCudaTimeoutError(
-                    f"queue {self.name}: timed out after {timeout:.3e}s "
-                    f"simulated waiting for {what}",
-                    rank=rank, sim_time=self.env._now)
-            # Either the get won, or both fired in the same step — the
-            # entry was removed from the buffer either way, so consume it.
-        entry = get_ev.value
-        self._tail += 1
-        self.stats.dequeues += 1
-        if self._depth_series is not None:
-            self._depth_series.sample(self.env._now, len(self._entries))
-        self._space_freed.fire()
-        return entry
+        get_ev = self._get()
+        if not get_ev.triggered and not (yield from bounded(get_ev,
+                                                            timeout)):
+            # Withdraw the getter, so the next entry stays buffered for
+            # a later dequeue instead of going to a wait nobody resumes.
+            self._getters.remove(get_ev)
+            raise DCudaTimeoutError(
+                f"queue {self.name}: timed out after {timeout:.3e}s "
+                f"simulated waiting for {what}",
+                rank=rank, sim_time=self.env._now)
+        self._took(1)
+        return get_ev.value
 
     def try_dequeue(self) -> Any:
         """Non-blocking dequeue; returns ``None`` when empty."""
-        item = self._entries.try_get()
-        if item is None:
+        if not self.entries:
             return None
-        self._tail += 1
-        self.stats.dequeues += 1
-        if self._depth_series is not None:
-            self._depth_series.sample(self.env._now, len(self._entries))
-        self._space_freed.fire()
-        return item
+        entry = self.entries.popleft()
+        self._took(1)
+        return entry
 
     def drain_all(self) -> list:
         """Remove and return every buffered entry in one pass.
 
         Equivalent to calling :meth:`try_dequeue` until it returns ``None``
         — same entries, same order, same receiver-side bookkeeping at the
-        same instant — but without the per-entry store scan and sender
-        wakeups (``_space_freed`` fires once; the extra fires of the loop
-        form woke nobody, since no process runs between synchronous
-        removals).  Returns ``[]`` when the buffer is empty.
+        same instant — but with one sender wakeup (``_space_freed`` fires
+        once; the extra fires of the loop form woke nobody, since no
+        process runs between synchronous removals).  Returns ``[]`` when
+        the buffer is empty.
         """
-        store = self._entries
-        if store._getters:
-            raise RuntimeError(
-                f"drain_all on {self.name!r} with queued getters")
-        items = store._items
-        if not items:
+        entries = self.entries
+        if not entries:
             return []
-        out = list(items)
-        del items[:]
-        n = len(out)
-        self._tail += n
-        self.stats.dequeues += n
-        if self._depth_series is not None:
-            # The loop form sampled the depth after each removal.
-            now = self.env._now
-            sample = self._depth_series.sample
-            for depth in range(n - 1, -1, -1):
-                sample(now, depth)
-        if store._putters:
-            store._admit_putters()
-        self._space_freed.fire()
+        out = list(entries)
+        entries.clear()
+        self._took(len(out))
         return out

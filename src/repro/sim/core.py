@@ -162,10 +162,10 @@ class Event:
         self._exception: Optional[BaseException] = None
         self._scheduled = False
         self.name = name
-        #: Set on the losing arm of a bounded wait (an ``AnyOf`` of the
-        #: awaited event and a timer): the dispatch loop drops an abandoned
-        #: timer, and a :class:`~repro.sim.channel.Store` drops an abandoned
-        #: getter or putter instead of handing it an item nobody receives.
+        #: Set on the losing arm of a bounded wait
+        #: (:func:`~repro.sim.primitives.bounded`): the dispatch loop drops
+        #: an abandoned entry without running its callbacks, so a lost
+        #: timer neither stretches the run nor fires into a finished wait.
         self.abandoned = False
 
     # -- state ------------------------------------------------------------

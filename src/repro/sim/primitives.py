@@ -8,6 +8,7 @@ These are the building blocks the hardware and runtime models use:
   open gate completes immediately.
 * :class:`Semaphore` — counting semaphore with FCFS wakeup order.
 * :class:`AllOf` / :class:`AnyOf` — event combinators.
+* :func:`bounded` — wait for an event, but at most a timeout.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Any, Generator, List, Sequence, Union
 
 from .core import Environment, Event
 
-__all__ = ["Signal", "Gate", "Semaphore", "AllOf", "AnyOf"]
+__all__ = ["Signal", "Gate", "Semaphore", "AllOf", "AnyOf", "bounded"]
 
 
 class Signal:
@@ -218,3 +219,24 @@ class AnyOf(Event):
             # index() finds the first occurrence, which is exactly the
             # constituent whose callback fires first for duplicates.
             self.succeed((self._events.index(ev), ev._value))
+
+
+def bounded(event: Event, timeout: float) -> Generator[Event, Any, bool]:
+    """Wait for *event*, but at most *timeout*::
+
+        fired = yield from bounded(ev, t)
+
+    Races *event* against a timer built after it and marks the losing arm
+    ``abandoned``, so a dropped timer neither stretches the run nor fires
+    into a finished wait, and a dropped event runs no callbacks when it
+    fires later.  Returns ``True`` when *event* fired; a tie, where both
+    fired in the same step, counts as fired.
+    """
+    env = event.env
+    timer = env.timeout(timeout)
+    yield AnyOf(env, (event, timer))
+    if event.triggered:
+        timer.abandoned = True
+        return True
+    event.abandoned = True
+    return False

@@ -63,3 +63,54 @@ def test_interleaved_tags_with_partial_waits():
     assert obs["pending_after"][0] == [9, 9, 8, 9]
     assert obs["pending_after"][1] == [8, 9]
     assert obs["pending_after"][2] == []
+
+
+def test_second_waiter_falls_back_to_the_arrival_signal():
+    """Two concurrent waits on one rank: the first parks on the
+    notification queue, the second finds it parked and sleeps on the
+    arrival signal instead.  Both complete, and both rescan at the
+    notification's commit time plus ``poll_interval``."""
+    cluster = Cluster(greina(1, tracing=True))
+    poll = cluster.cfg.devicelib.poll_interval
+    out = {"commits": []}
+
+    def kernel(rank):
+        win = yield from rank.win_create(np.zeros(4))
+        env = rank.env
+        if rank.world_rank == 0:
+            queue = rank.state.notif_queue
+
+            def helper():
+                yield from rank.wait_notifications(win, tag=1)
+                out["tag1"] = env.now
+
+            def probe():
+                yield 10e-6 - env.now
+                # One waiter parked, the other on the arrival signal.
+                out["state"] = (queue.parked, queue.arrived.waiting)
+                for _ in range(2):
+                    yield queue.arrived.wait()
+                    out["commits"].append(env.now)
+
+            done = env.process(helper())
+            env.process(probe())
+            yield from rank.wait_notifications(win, tag=2)
+            out["tag2"] = env.now
+            yield done
+        else:
+            yield 20e-6 - env.now
+            yield from rank.put_notify(win, 0, 0, np.ones(1), tag=1)
+            yield 40e-6 - env.now
+            yield from rank.put_notify(win, 0, 1, np.ones(1), tag=2)
+        yield from rank.finish()
+
+    launch(cluster, kernel, ranks_per_device=2)
+    assert out["state"] == (True, 1)
+    c1, c2 = out["commits"]
+    assert c1 < out["tag1"] < c2 < out["tag2"]
+    block = cluster.node(0).device.blocks[0].name
+    rescans = [iv.start for iv in cluster.tracer.by_actor(block)
+               if iv.kind == "match" and iv.start > 10e-6]
+    # Tag 1: the parked waiter and the fallback waiter rescan on the
+    # same tick; tag 2: the remaining waiter alone.
+    assert rescans == [c1 + poll, c1 + poll, c2 + poll]

@@ -140,6 +140,31 @@ def test_dequeue_timeout_raises_with_rank_context():
     assert "cmd ack" in str(info.value)
 
 
+@pytest.mark.parametrize("consumer_first", [True, False])
+def test_entry_landing_at_the_deadline_is_delivered(consumer_first):
+    """An entry committed at exactly the ``dequeue_timeout`` instant goes
+    to that call, for either process start order: not lost, not raised."""
+    env = Environment()
+    plane = FaultPlane(env, FaultsConfig(enabled=True), num_nodes=1)
+    q = CircularQueue(env, 4, None, name="ack:r0", faults=plane)
+    got = []
+
+    def consumer(env):
+        got.append((yield from q.dequeue_timeout(1.0, rank=0)))
+        got.append(env.now)
+
+    def producer(env):
+        yield 1.0
+        yield from q.enqueue("x")
+
+    procs = [consumer, producer] if consumer_first else [producer, consumer]
+    for proc in procs:
+        env.process(proc(env))
+    env.run()
+    assert got == ["x", 1.0]
+    assert q.stats.dequeues == 1 and q.occupancy == 0
+
+
 def test_untargeted_queue_is_untouched():
     """Faults aimed at another queue leave this one on the clean path."""
     env, plane, q = make_queue(

@@ -72,7 +72,7 @@ def _owner_counts(cluster, runtime):
         for stat in ("mapped_writes", "mapped_reads", "dma_copies",
                      "dma_bytes"):
             counts[f"{node.pcie.name}.{stat}"] = getattr(node.pcie, stat)
-        counts[f"{node.worker.name}.busy_time"] = node.worker.busy_time
+        counts[f"{node.worker.name}.busy_time"] = node.worker_busy_time
     if cluster.faults is not None:
         for (kind, _site), n in cluster.faults.injections.items():
             counts[f"faults.{kind}"] = counts.get(f"faults.{kind}", 0) + n

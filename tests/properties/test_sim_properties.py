@@ -97,7 +97,7 @@ def test_store_preserves_fifo_per_filter_class(items):
     evens = [x for x in items if x % 2 == 0]
     got = []
     for _ in evens:
-        got.append(store.try_get(lambda v: v % 2 == 0))
+        got.append(store.get(lambda v: v % 2 == 0).value)
     assert got == evens
     assert list(store.items) == [x for x in items if x % 2 == 1]
 

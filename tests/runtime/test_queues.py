@@ -238,9 +238,9 @@ def test_enqueue_bulk_matches_sequential_enqueues(with_link):
 
 
 def test_timed_out_dequeue_leaves_the_next_entry_to_a_later_dequeue():
-    """A ``dequeue_timeout`` that times out abandons its getter; the store
-    drops it, so the next enqueue reaches a later ``dequeue()`` instead of
-    vanishing into the waiter nobody reads."""
+    """A ``dequeue_timeout`` that times out withdraws its getter, so the
+    next enqueue reaches a later ``dequeue()`` instead of vanishing into
+    the waiter nobody reads."""
     env, _, q = make_queue(with_link=False)
     got = []
 

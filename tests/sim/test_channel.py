@@ -1,7 +1,5 @@
 """Unit tests for Store."""
 
-import pytest
-
 from repro.sim import Environment, Store
 
 
@@ -42,27 +40,6 @@ def test_store_get_blocks_until_put():
     env.process(producer(env))
     env.run()
     assert p.value == (7.0, "late")
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put("a")
-        times.append(("a", env.now))
-        yield store.put("b")  # blocks until "a" consumed
-        times.append(("b", env.now))
-
-    def consumer(env):
-        yield env.timeout(5.0)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [("a", 0.0), ("b", 5.0)]
 
 
 def test_store_filtered_get():
@@ -124,12 +101,19 @@ def test_store_multiple_getters_fcfs():
     assert got == [("first", "x"), ("second", "y")]
 
 
-def test_try_put_respects_capacity():
+def test_new_item_goes_to_the_oldest_getter_it_matches():
     env = Environment()
-    store = Store(env, capacity=1)
-    assert store.try_put("a") is True
-    assert store.try_put("b") is False
-    assert store.items == ("a",)
+    store = Store(env)
+    evens = store.get(lambda x: x % 2 == 0)
+    odd_first = store.get(lambda x: x % 2 == 1)
+    odd_second = store.get(lambda x: x % 2 == 1)
+    store.try_put(3)
+    assert odd_first.value == 3
+    assert not evens.triggered and not odd_second.triggered
+    store.try_put(4)
+    store.try_put(6)
+    assert evens.value == 4 and store.items == (6,)
+    assert not odd_second.triggered
 
 
 def test_try_get_and_peek():
@@ -138,25 +122,7 @@ def test_try_get_and_peek():
     store.try_put(1)
     store.try_put(2)
     assert store.peek(lambda x: x > 1) == 2
-    assert store.try_get(lambda x: x > 1) == 2
-    assert store.try_get(lambda x: x > 1) is None
-    assert store.try_get() == 1
-
-
-def test_try_get_with_queued_getters_is_error():
-    env = Environment()
-    store = Store(env)
-
-    def consumer(env):
-        yield store.get()
-
-    env.process(consumer(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        store.try_get()
-
-
-def test_store_invalid_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
+    assert store.get(lambda x: x > 1).value == 2
+    assert store.peek(lambda x: x > 1) is None
+    assert store.get().value == 1
+    assert len(store) == 0

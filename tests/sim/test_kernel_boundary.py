@@ -1,12 +1,22 @@
-"""Structural guard: the model waits for a token through the kernel's API.
+"""Structural guard: the model uses the kernel and the queues through
+their APIs.
 
 A hold site outside ``repro.sim`` waits with ``yield sem.request()`` and
 returns the token with ``sem.release()``.  It never copies the acquire:
 no module under ``src/repro/`` outside ``sim/`` may import ``PENDING``,
 name a semaphore's private ``_req_name`` or ``_available`` (or an
 ``_efree`` request pool), or assign an event's ``_value``,
-``_scheduled`` or ``callbacks``.  The check reads each module's syntax
-tree, so comments and docstrings may still mention the names.
+``_scheduled`` or ``callbacks``.
+
+A bounded wait is ``yield from bounded(ev, t)``: no module outside
+``sim/`` may name ``AnyOf`` or assign an event's ``abandoned`` flag.
+Nor may one reach into a buffer's privates (``_entries``, ``_items``,
+``_putters``): a circular queue's buffer is its read-only ``entries``,
+and only ``runtime/queues.py`` names a queue's parked consumer
+(``_park_proc``); the matcher asks ``queue.parked``.
+
+The check reads each module's syntax tree, so comments and docstrings may
+still mention the names.
 """
 
 import ast
@@ -15,37 +25,46 @@ from pathlib import Path
 _PKG = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Kernel-private names a model module must not use.
-_PRIVATE_NAMES = {"PENDING", "_efree", "_req_name", "_available"}
+_PRIVATE_NAMES = {"PENDING", "_efree", "_req_name", "_available", "AnyOf",
+                  "_entries", "_items", "_putters"}
 #: Event fields only the kernel may write.
-_EVENT_FIELDS = {"_value", "_scheduled", "callbacks"}
+_EVENT_FIELDS = {"_value", "_scheduled", "callbacks", "abandoned"}
 
 
-def _violations(tree: ast.AST):
+def _violations(tree: ast.AST, private=_PRIVATE_NAMES, fields=_EVENT_FIELDS):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in _PRIVATE_NAMES:
+                if alias.name in private:
                     yield node.lineno, f"imports {alias.name}"
-        elif isinstance(node, ast.Name) and node.id in _PRIVATE_NAMES:
+        elif isinstance(node, ast.Name) and node.id in private:
             yield node.lineno, f"names {node.id}"
         elif isinstance(node, ast.Attribute):
-            if node.attr in _PRIVATE_NAMES:
+            if node.attr in private:
                 yield node.lineno, f"names .{node.attr}"
-            elif (node.attr in _EVENT_FIELDS
-                  and isinstance(node.ctx, ast.Store)):
+            elif node.attr in fields and isinstance(node.ctx, ast.Store):
                 yield node.lineno, f"assigns .{node.attr}"
 
 
-def _model_modules():
-    sim = _PKG / "sim"
-    return sorted(p for p in _PKG.rglob("*.py") if sim not in p.parents)
+def _modules():
+    modules = sorted(_PKG.rglob("*.py"))
+    assert len(modules) > 50  # the walk found the package
+    return modules
+
+
+def _found(modules, **rules):
+    return [f"{path.relative_to(_PKG)}:{line}: {what}"
+            for path in modules
+            for line, what in _violations(ast.parse(path.read_text()),
+                                          **rules)]
 
 
 def test_no_module_outside_sim_reaches_into_the_kernel():
-    modules = _model_modules()
-    assert len(modules) > 50  # the walk found the package
-    found = [f"{path.relative_to(_PKG)}:{line}: {what}"
-             for path in modules
-             for line, what in _violations(ast.parse(path.read_text()))]
-    assert found == []
+    sim = _PKG / "sim"
+    assert _found([p for p in _modules() if sim not in p.parents]) == []
 
+
+def test_only_the_queue_names_its_parked_consumer():
+    queues = _PKG / "runtime" / "queues.py"
+    assert _found([p for p in _modules() if p != queues],
+                  private={"_park_proc"}, fields=set()) == []

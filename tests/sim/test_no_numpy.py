@@ -90,7 +90,6 @@ def test_sim_package_imports_without_numpy():
 import repro.sim
 import repro.sim.primitives
 import repro.sim.channel
-import repro.sim.resources
 import repro.sim.trace
 import sys
 assert "numpy" not in sys.modules

@@ -1,8 +1,10 @@
-"""Unit tests for signals, gates, semaphores, and combinators."""
+"""Unit tests for signals, gates, semaphores, combinators and the bounded
+wait."""
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Event, Gate, Semaphore, Signal
+from repro.sim import (AllOf, AnyOf, Environment, Event, Gate, Semaphore,
+                       Signal, bounded)
 
 
 # ---------------------------------------------------------------- Signal ----
@@ -284,3 +286,72 @@ def test_any_of_empty_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         AnyOf(env, [])
+
+
+# --------------------------------------------------------------- bounded ----
+def test_bounded_event_wins_and_abandons_the_timer():
+    env = Environment()
+    sig = Signal(env)
+    out = {}
+
+    def waiter(env):
+        out["fired"] = yield from bounded(sig.wait(), 5.0)
+        out["at"] = env.now
+
+    def firer(env):
+        yield 2.0
+        sig.fire()
+
+    env.process(waiter(env))
+    env.process(firer(env))
+    env.run()
+    assert out == {"fired": True, "at": 2.0}
+    assert env.now == 2.0  # the abandoned timer did not stretch the run
+
+
+def test_bounded_timer_wins_and_abandons_the_event():
+    env = Environment()
+    sig = Signal(env)
+    ev = sig.wait()
+    seen = []
+    ev.add_callback(seen.append)
+    out = {}
+
+    def waiter(env):
+        out["fired"] = yield from bounded(ev, 3.0)
+        out["at"] = env.now
+
+    env.process(waiter(env))
+    env.run()
+    assert out == {"fired": False, "at": 3.0}
+    assert env.now == 3.0 and ev.abandoned
+    # A late fire triggers the abandoned event, but the dispatch loop
+    # drops it without running its callbacks.
+    sig.fire()
+    env.run()
+    assert ev.triggered and seen == []
+
+
+@pytest.mark.parametrize("waiter_first", [True, False])
+def test_bounded_same_step_tie_counts_as_fired(waiter_first):
+    """The event fires in the step the timer expires: whichever arm the
+    race saw first, the wait reports the event as fired."""
+    env = Environment()
+    sig = Signal(env)
+    out = {}
+
+    def waiter(env):
+        ev = sig.wait()
+        out["fired"] = yield from bounded(ev, 1.0)
+        out["at"] = env.now
+        out["abandoned"] = ev.abandoned
+
+    def firer(env):
+        yield 1.0
+        sig.fire()
+
+    procs = [waiter, firer] if waiter_first else [firer, waiter]
+    for proc in procs:
+        env.process(proc(env))
+    env.run()
+    assert out == {"fired": True, "at": 1.0, "abandoned": False}
