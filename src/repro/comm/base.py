@@ -30,7 +30,7 @@ backend's cost model, pinned by its golden fixture) may differ.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Dict, Generator
+from typing import TYPE_CHECKING, Any, Generator
 
 import numpy as np
 
@@ -84,11 +84,6 @@ class CommBackend(ABC):
         """Initiate one (optionally notified) get; notification is
         delivered at the *origin* with the target as its source."""
 
-    # -- cost hooks --------------------------------------------------------
-    def describe_costs(self) -> Dict[str, float]:
-        """The backend's cost-model knobs, for reports and docs."""
-        return {}
-
     # -- shared mechanics --------------------------------------------------
     def _advance_flush(self, state: RankState, flush_id: int,
                        delay: float = 0.0) -> Generator[Event, Any, None]:
@@ -113,35 +108,20 @@ class CommBackend(ABC):
                       target_offset: int, data: np.ndarray) -> None:
         """Store an arrived put payload into the target's window.
 
-        Raises the same typed errors as the proxy's target side
-        (``BlockManager.incoming_put``) so fault outcomes are
-        backend-independent: ``IndexError`` out of bounds, ``TypeError``
-        on dtype mismatch.
+        Checked by ``RuntimeSystem.window_access``, as the proxy's target
+        side is, so fault outcomes are backend-independent: ``IndexError``
+        out of bounds, ``TypeError`` on dtype mismatch.
         """
-        system = self.runtime.system_of(target_rank)
-        buf = system.window_buffer(global_win_id, target_rank)
         count = int(data.size)
-        if target_offset + count > buf.size:
-            raise IndexError(
-                f"put [{target_offset}:{target_offset + count}]"
-                f" out of bounds for window {global_win_id} of rank "
-                f"{target_rank} ({buf.size} elements)")
-        if count:
-            if data.dtype != buf.dtype:
-                raise TypeError(
-                    f"put dtype {data.dtype} does not match window "
-                    f"{global_win_id} dtype {buf.dtype}")
-            buf[target_offset:target_offset + count] = data
+        buf = self.runtime.system_of(target_rank).window_access(
+            global_win_id, target_rank, "put", target_offset, count,
+            data.dtype)
+        buf[target_offset:target_offset + count] = data
 
     def _read_window(self, global_win_id, target_rank: int,
                      target_offset: int, count: int) -> np.ndarray:
         """Snapshot a get's source region from the target's window
         (``IndexError`` out of bounds, mirroring ``incoming_get``)."""
-        system = self.runtime.system_of(target_rank)
-        buf = system.window_buffer(global_win_id, target_rank)
-        if target_offset + count > buf.size:
-            raise IndexError(
-                f"get [{target_offset}:{target_offset + count}]"
-                f" out of bounds for window {global_win_id} of rank "
-                f"{target_rank} ({buf.size} elements)")
+        buf = self.runtime.system_of(target_rank).window_access(
+            global_win_id, target_rank, "get", target_offset, count)
         return np.ascontiguousarray(buf[target_offset:target_offset + count])

@@ -18,7 +18,7 @@ exactly the order-insensitivity the differential harness checks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 import numpy as np
 
@@ -139,10 +139,3 @@ class DeviceBackend(CommBackend):
         if notify:
             yield from self._notify(state, gid, target_rank, tag)
         yield from self._advance_flush(state, flush_id, dc.completion_cost)
-
-    def describe_costs(self) -> Dict[str, float]:
-        dc = self.cfg.device_comm
-        return {"doorbell_cost": dc.doorbell_cost,
-                "translation_cost": dc.translation_cost,
-                "completion_cost": dc.completion_cost,
-                "request_bytes": dc.request_bytes}

@@ -12,7 +12,7 @@ command over PCIe for the block manager to turn into MPI operations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 import numpy as np
 
@@ -69,10 +69,3 @@ class ProxyBackend(CommBackend):
                 drank.world_rank, win.global_id, target_rank,
                 target_offset, int(dst.size), dst, tag, flush_id,
                 notify))
-
-    def describe_costs(self) -> Dict[str, float]:
-        host = self.cfg.host
-        return {"command_assembly": self.cfg.devicelib.command_assembly,
-                "host.poll_latency": host.poll_latency,
-                "host.command_cost": host.command_cost,
-                "host.request_cost": host.request_cost}

@@ -190,10 +190,3 @@ class StreamBackend(CommBackend):
     def _retire(self, state, flush_id: int):
         yield from self._advance_flush(state, flush_id,
                                        self.cfg.stream_comm.completion_cost)
-
-    def describe_costs(self) -> Dict[str, float]:
-        sc = self.cfg.stream_comm
-        return {"enqueue_cost": sc.enqueue_cost,
-                "trigger_latency": sc.trigger_latency,
-                "completion_cost": sc.completion_cost,
-                "request_bytes": sc.request_bytes}

@@ -479,8 +479,8 @@ def allreduce(rank: DRank, win: Window, scratch_win: Window,
     Raises:
         DCudaError: the caller is not in *group*, the scratch window is
             too small, or *algorithm* is unknown.
-        DCudaTimeoutError: a fault plane is attached and an expected
-            notification never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     algorithm = _resolve(rank, group, buf, algorithm, "allreduce", tuner)
     _index_of(group, rank.world_rank)
@@ -534,8 +534,8 @@ def reduce_scatter(rank: DRank, win: Window, scratch_win: Window,
     Raises:
         DCudaError: membership, scratch-size, or algorithm-name errors,
             as for :func:`allreduce`.
-        DCudaTimeoutError: a fault plane is attached and an expected
-            notification never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     algorithm = _resolve(rank, group, buf, algorithm, "reduce_scatter",
                          tuner)
@@ -585,8 +585,8 @@ def all_gather(rank: DRank, win: Window, scratch_win: Window,
     Raises:
         DCudaError: membership or algorithm-name errors, as for
             :func:`allreduce`.
-        DCudaTimeoutError: a fault plane is attached and an expected
-            notification never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     algorithm = _resolve(rank, group, buf, algorithm, "all_gather", tuner)
     _index_of(group, rank.world_rank)

@@ -76,8 +76,8 @@ def tree_broadcast(rank: DRank, win: Window, group: Sequence[int],
 
     Raises:
         DCudaError: the calling rank is not a member of *group*.
-        DCudaTimeoutError: a fault plane is attached and a parent
-            notification never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     group = list(group)
     p = len(group)
@@ -129,8 +129,8 @@ def tree_reduce(rank: DRank, scratch_win: Window, group: Sequence[int],
     Raises:
         DCudaError: the calling rank is not in *group*, or *scratch_win*
             is too small for ``tree_levels(len(group))`` slots.
-        DCudaTimeoutError: a fault plane is attached and a child's
-            contribution never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     group = list(group)
     p = len(group)
@@ -194,8 +194,8 @@ def hierarchical_broadcast(rank: DRank, win: Window, buf: np.ndarray,
         DCudaError: propagated from :func:`tree_broadcast` /
             :func:`~repro.dcuda.ext.notify_all.put_notify_all` on
             malformed groups.
-        DCudaTimeoutError: a fault plane is attached and an expected
-            notification never arrived within ``handshake_timeout``.
+        DCudaTimeoutError: injected credit starvation outlasted a
+            command queue's retry budget (fault plane only).
     """
     rt = rank.runtime
     placement = rt.placement

@@ -41,8 +41,8 @@ from ..runtime.commands import (
     WinFreeCommand,
 )
 from ..runtime.system import DCudaRuntime
-from ..sim import Event, bounded
-from .errors import DCudaProtocolError, DCudaTimeoutError, DCudaUsageError
+from ..sim import Event
+from .errors import DCudaProtocolError, DCudaUsageError
 from .notifications import (
     DCUDA_ANY_SOURCE,
     DCUDA_ANY_TAG,
@@ -185,8 +185,8 @@ class DRank:
             DCudaUsageError: called after :meth:`finish`.
             DCudaProtocolError: the runtime acknowledged with the wrong
                 ack kind (runtime bug).
-            DCudaTimeoutError: the ack handshake exceeded the configured
-                timeout (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         buffer = np.asarray(buffer)
         if buffer.ndim != 1:
@@ -216,8 +216,8 @@ class DRank:
         Raises:
             DCudaProtocolError: the runtime acknowledged with the wrong
                 ack kind (runtime bug).
-            DCudaTimeoutError: the ack handshake exceeded the configured
-                timeout (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         yield from self._assemble()
         yield from self.state.cmd_queue.enqueue(WinFreeCommand(
@@ -247,8 +247,8 @@ class DRank:
                 (via ``win.check_target``).
             IndexError: a shared-memory put overruns the target buffer.
             TypeError: a shared-memory put with mismatched dtype.
-            DCudaTimeoutError: the command-queue handshake exhausted its
-                retry budget (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         src = np.asarray(src)
         win.check_target(target_rank, target_offset, src.size)
@@ -299,8 +299,8 @@ class DRank:
             ValueError: *dst* is read-only, or the access falls outside
                 the target's region.
             IndexError: a shared-memory get overruns the source buffer.
-            DCudaTimeoutError: the command-queue handshake exhausted its
-                retry budget (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         dst = np.asarray(dst)
         if not dst.flags.writeable:
@@ -344,8 +344,6 @@ class DRank:
 
         Raises:
             ValueError: *count* is negative.
-            DCudaTimeoutError: a fault plane is attached and the wait
-                exceeded its ``handshake_timeout``.
         """
         win_id = DCUDA_ANY_WINDOW if win is None else win.local_id
         return self.matcher.wait(win_id, source, tag, count,
@@ -380,32 +378,17 @@ class DRank:
         all of this rank's operations, or only *win*'s when given
         (window ``flush``, paper §II-C).
 
+        The wait lasts until the operations land, however long that
+        takes; a fault plane changes only the operations it delays.
+
         Args:
             win: Restrict the wait to this window's last operation; all of
                 the rank's operations when ``None``.
-
-        Raises:
-            DCudaTimeoutError: a fault plane is attached and the flush
-                counter did not reach the target within its
-                ``handshake_timeout``.
         """
         target = (self.state.next_flush_id - 1 if win is None
                   else win._last_flush_id)
-        faults = getattr(self.node, "faults", None)
-        if faults is None:
-            while self.state.flush_counter < target:
-                yield self.state.flush_signal.wait()
-            return
-        deadline = self.env._now + faults.cfg.handshake_timeout
         while self.state.flush_counter < target:
-            remaining = deadline - self.env._now
-            advanced = self.state.flush_signal.wait()
-            if remaining <= 0 or not (yield from bounded(advanced,
-                                                         remaining)):
-                raise DCudaTimeoutError(
-                    f"flush: counter stuck at {self.state.flush_counter} "
-                    f"of {target}", rank=self.world_rank,
-                    sim_time=self.env._now)
+            yield self.state.flush_signal.wait()
 
     def barrier(self, comm: str = DCUDA_COMM_WORLD
                 ) -> Generator[Event, Any, None]:
@@ -419,8 +402,8 @@ class DRank:
             ValueError: *comm* is not a known communicator.
             DCudaProtocolError: the runtime acknowledged with the wrong
                 ack kind (runtime bug).
-            DCudaTimeoutError: the ack handshake exceeded the configured
-                timeout (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         comm_name = self._comm_name(comm)
         t0 = self.env._now
@@ -488,8 +471,8 @@ class DRank:
             DCudaUsageError: the rank already finished.
             DCudaProtocolError: the runtime acknowledged with the wrong
                 ack kind (runtime bug).
-            DCudaTimeoutError: the ack handshake exceeded the configured
-                timeout (fault plane attached only).
+            DCudaTimeoutError: injected credit starvation outlasted the
+                command queue's retry budget (fault plane only).
         """
         if self._finished:
             raise DCudaUsageError(f"rank {self.world_rank} already finished")
@@ -503,28 +486,20 @@ class DRank:
     def _await_ack(self, kind: str) -> Generator[Event, Any, Any]:
         """Dequeue the next ack and validate its kind.
 
-        With a fault plane attached the wait is bounded by the plane's
-        ``handshake_timeout`` (the queue raises ``DCudaTimeoutError``);
-        without one it blocks indefinitely, as the paper's runtime does.
+        Blocks until the host posts the ack, as the paper's runtime
+        does: an ack follows the slowest participant of its collective.
 
         Raises:
             DCudaProtocolError: the ack kind does not match *kind*.
-            DCudaTimeoutError: bounded wait expired (fault plane only).
         """
-        faults = getattr(self.node, "faults", None)
-        if faults is not None:
-            ack = yield from self.state.ack_queue.dequeue_timeout(
-                faults.cfg.handshake_timeout, rank=self.world_rank,
-                what=f"{kind} ack")
+        queue = self.state.ack_queue
+        if queue.entries:   # occupancy fast path
+            ack = queue.try_dequeue()
         else:
-            queue = self.state.ack_queue
-            if queue.entries:   # occupancy fast path
-                ack = queue.try_dequeue()
-            else:
-                # Poll elision: the device reads the ack slot the moment
-                # the host's posted write lands (delay 0 — acks were
-                # observed at commit time by the blocking dequeue too).
-                ack, _ = yield queue.park_consume(0.0)
+            # Poll elision: the device reads the ack slot the moment the
+            # host's posted write lands (delay 0 — acks were observed at
+            # commit time by the blocking dequeue too).
+            ack, _ = yield queue.park_consume(0.0)
         if ack.kind != kind:  # pragma: no cover - protocol guard
             raise DCudaProtocolError(
                 f"expected {kind} ack, got {ack.kind}",
@@ -557,11 +532,9 @@ class DRank:
         """Shared-memory put data movement: the device moves the data
         itself (§III-B); how the notification travels afterwards is the
         communication backend's business."""
-        dst_buf = self.system.window_buffer(win.global_id, target_rank)
-        if target_offset + src.size > dst_buf.size:
-            raise IndexError(
-                f"put [{target_offset}:{target_offset + src.size}] out of "
-                f"bounds for window {win.global_id} of rank {target_rank}")
+        dst_buf = self.system.window_access(
+            win.global_id, target_rank, "put", target_offset, src.size,
+            src.dtype)
         # Zero-copy aliasing test against the cached buffer layout: the
         # slice ``dst_buf[target_offset:...]`` has base ``base + off*stride``
         # and strides ``(stride,)``, so this is ``same_memory(src, view)``
@@ -576,10 +549,6 @@ class DRank:
             aliased = same_memory(
                 src, dst_buf[target_offset:target_offset + src.size])
         if not aliased:
-            if src.dtype != dst_buf.dtype:
-                raise TypeError(
-                    f"put dtype {src.dtype} does not match window "
-                    f"{win.global_id} dtype {dst_buf.dtype}")
             # Data transfer by this block's threads; no-copy when source
             # and target addresses are identical (overlapping windows).
             yield from self.device.copy(self.block, float(src.nbytes),
@@ -589,11 +558,8 @@ class DRank:
     def _shared_copy_get(self, win: Window, target_rank: int,
                          target_offset: int, dst: np.ndarray):
         """Shared-memory get data movement: device-side copy."""
-        src_buf = self.system.window_buffer(win.global_id, target_rank)
-        if target_offset + dst.size > src_buf.size:
-            raise IndexError(
-                f"get [{target_offset}:{target_offset + dst.size}] out of "
-                f"bounds for window {win.global_id} of rank {target_rank}")
+        src_buf = self.system.window_access(
+            win.global_id, target_rank, "get", target_offset, dst.size)
         base, stride, itemsize = self.system.window_layout(
             win.global_id, target_rank)
         if stride:

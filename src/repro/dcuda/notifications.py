@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Tuple
 
-from ..errors import DCudaTimeoutError
 from ..hw.config import DeviceLibConfig
 from ..hw.gpu import Block, Device
 from ..runtime.commands import Notification
 from ..runtime.state import RankState
-from ..sim import Event, bounded
+from ..sim import Event
 
 __all__ = ["NotificationMatcher", "deliver", "deliver_bulk",
            "DCUDA_ANY_SOURCE", "DCUDA_ANY_TAG", "DCUDA_ANY_WINDOW"]
@@ -164,17 +163,15 @@ class NotificationMatcher:
         """Block until *count* matching notifications were consumed
         (dcuda_wait_notifications).
 
+        The wait ends when the producers' notifications land, however
+        long that takes.
+
         Raises:
             ValueError: *count* is negative.
-            DCudaTimeoutError: a fault plane is attached and no matching
-                notification arrived within its ``handshake_timeout``.
         """
         if count < 0:
             raise ValueError(f"negative notification count {count!r}")
         t0 = self.env._now
-        faults = getattr(self.state.node, "faults", None)
-        deadline = (t0 + faults.cfg.handshake_timeout
-                    if faults is not None else None)
         tracer = self.device.tracer
         issue = self.block.sm.issue
         matched = 0
@@ -205,26 +202,16 @@ class NotificationMatcher:
             # then continue on the following poll boundary.  The SM issue
             # unit is free during the sleep — this is where over-subscribed
             # blocks overlap their communication.
-            if deadline is None:
-                queue = self.state.notif_queue
-                if not queue.parked:
-                    # Poll elision: one wake at commit + poll_interval —
-                    # the exact tick the arrival-signal + poll-boundary
-                    # sequence below would have rescanned at.
-                    yield queue.park_poll(self.cfg.poll_interval)
-                    continue
-                # Another consumer already parked on this queue (rare):
-                # fall back to the signal + poll-boundary sleep.
-                yield queue.arrived.wait()
-            else:
-                remaining = deadline - self.env._now
-                if remaining <= 0 or not (yield from bounded(
-                        self.state.notif_queue.arrived.wait(), remaining)):
-                    raise DCudaTimeoutError(
-                        f"wait_notifications(win={win_id}, source={source}, "
-                        f"tag={tag}): {matched}/{count} matched within "
-                        f"{faults.cfg.handshake_timeout:.3e}s simulated",
-                        rank=self.state.world_rank, sim_time=self.env._now)
+            queue = self.state.notif_queue
+            if not queue.parked:
+                # Poll elision: one wake at commit + poll_interval — the
+                # exact tick the arrival-signal + poll-boundary sequence
+                # below would have rescanned at.
+                yield queue.park_poll(self.cfg.poll_interval)
+                continue
+            # Another consumer already parked on this queue (rare): fall
+            # back to the signal + poll-boundary sleep.
+            yield queue.arrived.wait()
             yield self.cfg.poll_interval
         if self._wait_hist is not None:
             self._wait_hist.observe(self.env._now - t0)

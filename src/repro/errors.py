@@ -105,19 +105,22 @@ class DCudaUsageError(DCudaError):
 
 
 class DCudaTimeoutError(DCudaError):
-    """A bounded wait expired: handshake, notification wait, or watchdog.
+    """A bounded wait expired: starved credits, the watchdog, or a sweep.
 
-    Raised by the hardened runtime when a queue handshake exhausts its
-    backoff retries, a notification wait exceeds the configured simulated
-    timeout, or the launch-level simulated-time watchdog fires.  Always
-    carries ``sim_time``; carries ``rank`` whenever one rank is waiting.
+    Raised when injected credit starvation outlasts a queue's backoff
+    retries, when the launch-level simulated-time watchdog fires, or when
+    a sweep job outlives its host-time limit.  Waits on acks,
+    notifications and flushes are not bounded: they end when the peer's
+    operation lands, so a slow peer is never a timeout.  Always carries
+    ``sim_time`` for simulated waits; carries ``rank`` whenever one rank
+    is waiting.
     """
 
     code = "DCUDA_TIMEOUT"
-    remediation = ("Raise FaultsConfig.handshake_timeout/watchdog if the "
-                   "workload is legitimately slow; otherwise a peer rank "
-                   "is stuck — check the fault report for the lossy "
-                   "window/queue.")
+    remediation = ("Raise FaultsConfig.watchdog (or max_retries for a "
+                   "starved queue) if the workload is legitimately long; "
+                   "otherwise a rank is spinning — check the fault report "
+                   "for the starved queue.")
 
 
 class DCudaFaultError(DCudaError):

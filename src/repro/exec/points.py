@@ -8,9 +8,10 @@ a spawned worker and its result cacheable by content.
 
 The model code stays where it lives (``repro.bench``, ``repro.faults``,
 ``repro.apps``); this module is the thin, import-lazy adapter layer the
-worker processes load when they receive their ``init`` frame.  Two
-probes at the bottom (``sleep_probe``, ``crash_probe``) exist for the
-engine's own timeout/crash-isolation tests and do no simulation work.
+worker processes load when they receive their ``init`` frame.  The
+probe at the bottom (``selftest_point``) exists for the sweep service's
+own tests — echo, timeout, crash isolation, worker loss, forged frames —
+and does no simulation work.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "queue_burst_point",
     "staging_point",
     "simperf_probe",
-    "sleep_probe",
-    "crash_probe",
     "selftest_point",
 ]
 
@@ -487,31 +486,6 @@ def simperf_probe(params: Mapping[str, Any], shared: Mapping[str, Any]):
     from ..errors import DCudaUsageError
 
     raise DCudaUsageError(f"unknown simperf probe {params['probe']!r}")
-
-
-@entrypoint("sleep_probe")
-def sleep_probe(params: Mapping[str, Any], shared: Mapping[str, Any]):
-    """Engine-test probe: sleep ``seconds`` of host time, return it.
-
-    Exists so the timeout path (worker termination + typed
-    :class:`~repro.errors.DCudaTimeoutError`) is testable without a real
-    stuck simulation.
-    """
-    import time
-
-    time.sleep(params.get("seconds", 0.0))
-    return params.get("seconds", 0.0)
-
-
-@entrypoint("crash_probe")
-def crash_probe(params: Mapping[str, Any], shared: Mapping[str, Any]):
-    """Engine-test probe: raise an untyped exception on demand.
-
-    Exercises crash isolation — the engine must wrap this in
-    :class:`~repro.errors.DCudaWorkerError` instead of leaking a bare
-    ``RuntimeError`` (or taking down the sweep).
-    """
-    raise RuntimeError(params.get("message", "crash_probe"))
 
 
 @entrypoint("selftest_point")

@@ -12,8 +12,10 @@ Usage::
 schedule and prints what was injected, which ranks recovered, and the
 error-code table.  ``--sweep N`` sweeps seeds ``0..N-1`` and prints the
 completion/diagnosed-failure envelope; ``--selftest`` additionally checks
-the zero-perturbation contract (inert plane = bit-identical timing and
-numerics) and exits non-zero on any violation.
+the zero-perturbation contract (an inert plane gives the no-plane run:
+timing, numerics and scheduled entries, and a rank that waits 10 ms for
+a slow peer finishes at its no-plane time) and exits non-zero on any
+violation.
 """
 
 from __future__ import annotations
@@ -97,6 +99,34 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0 if not dirty else 1
 
 
+def _late_put_kernel(rank):
+    """Rank 1 computes for 10 ms, then sends the notified put rank 0
+    waits for: a slow peer, which is not a fault."""
+    import numpy as np
+
+    win = yield from rank.win_create(np.zeros(1))
+    if rank.world_rank == 1:
+        yield from rank.compute(flops=10e-3 * rank.cfg.gpu.flops_per_sm)
+        yield from rank.put_notify(win, 0, 0, np.ones(1))
+    else:
+        yield from rank.wait_notifications(win, source=1)
+    yield from rank.finish()
+
+
+def _late_put_elapsed(faults: Optional[FaultsConfig]):
+    """Simulated time of :func:`_late_put_kernel` on 2 nodes, or the
+    typed error it ended in."""
+    from ..dcuda import launch
+    from ..errors import DCudaError
+    from ..hw import greina
+
+    try:
+        return launch(greina(2, faults=faults), _late_put_kernel,
+                      ranks_per_device=1).elapsed
+    except DCudaError as exc:
+        return exc
+
+
 def _run_selftest(args: argparse.Namespace) -> int:
     """CI smoke: zero-perturbation + one clean chaos case."""
     from ..apps.diffusion import run_dcuda_diffusion
@@ -105,17 +135,28 @@ def _run_selftest(args: argparse.Namespace) -> int:
     import numpy as np
 
     wl = _workload(args)
-    base_elapsed, baseline = baseline_field(wl, args.nodes, args.ranks)
-    # Inert plane (enabled, nothing scheduled): hardening active, zero
-    # injections — timing and numerics must be bit-identical.
-    cluster = Cluster(greina(args.nodes, faults=FaultsConfig(enabled=True)))
-    elapsed, field, _ = run_dcuda_diffusion(cluster, wl, args.ranks)
+
+    def diffusion(faults: Optional[FaultsConfig]):
+        cluster = Cluster(greina(args.nodes, faults=faults))
+        elapsed, field, _ = run_dcuda_diffusion(cluster, wl, args.ranks)
+        return cluster, elapsed, field
+
+    base, base_elapsed, baseline = diffusion(None)
+    # Inert plane (enabled, nothing scheduled): it must give the no-plane
+    # run — timing, numerics and scheduled entries.
+    inert, elapsed, field = diffusion(FaultsConfig(enabled=True))
+    late = _late_put_elapsed(None)
     checks = [
         ("inert plane injects nothing",
-         cluster.faults.total_injections() == 0),
+         inert.faults.total_injections() == 0),
         ("inert plane timing bit-identical", elapsed == base_elapsed),
         ("inert plane numerics bit-identical",
          np.array_equal(field, baseline)),
+        ("inert plane schedules the no-plane entries",
+         inert.env.stats.scheduled == base.env.stats.scheduled),
+        (f"a 10 ms slow peer completes at its no-plane time "
+         f"({late:.6e}s) under an inert plane",
+         _late_put_elapsed(FaultsConfig(enabled=True)) == late),
     ]
     outcome = run_chaos_case(seed=args.seed, num_nodes=args.nodes,
                              ranks_per_device=args.ranks, wl=wl,

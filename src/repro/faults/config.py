@@ -77,7 +77,8 @@ class FaultsConfig:
     #: Master switch; with ``enabled=False`` the plane is never built.
     enabled: bool = False
     #: Explicit schedule.  Empty + ``seed=None`` = enabled-but-inert plane
-    #: (hardening active, nothing injected).
+    #: (nothing injected, so nothing recovers: the run is the no-plane
+    #: run, under the watchdog).
     events: Tuple[FaultEvent, ...] = ()
     #: Seed for a deterministic random plan, expanded once at plane build.
     #: ``None`` disables random generation (only ``events`` apply).
@@ -88,17 +89,16 @@ class FaultsConfig:
     #: How many events the random plan draws.
     plan_size: int = 12
 
-    # --- runtime hardening knobs (active whenever the plane exists) ---
-    #: Handshake/redelivery retry budget before a typed error is raised.
+    # --- runtime hardening knobs (act only where a fault was injected) ---
+    #: Redelivery and starved-credit retry budget before a typed error is
+    #: raised.
     max_retries: int = 6
-    #: First retry backoff [s] for stalled queue handshakes; doubles each
+    #: First retry backoff [s] after a starved credit reload; doubles each
     #: attempt (exponential backoff).
     backoff_base: float = 2e-6
     #: Base delay [s] before a dropped queue slot is re-posted; doubles
     #: per redelivery attempt.
     redelivery_delay: float = 3e-6
-    #: Simulated timeout [s] for one queue handshake (ack/command wait).
-    handshake_timeout: float = 2e-3
     #: Launch-level simulated-time watchdog [s]; ``0`` disables it.
     watchdog: float = 0.25
 

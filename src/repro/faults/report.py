@@ -235,8 +235,8 @@ def sweep_table(outcomes: Sequence[ChaosOutcome]) -> Table:
     table.add_note(f"{len(outcomes)} seeded runs; "
                    f"{len(outcomes) - len(dirty)} satisfy the chaos "
                    f"contract (identical numerics or typed failure), "
-                   f"{len(dirty)} violate it; hangs are impossible by "
-                   f"construction (simulated-time watchdog)")
+                   f"{len(dirty)} violate it; a hang ends at the launch "
+                   f"(simulated-time watchdog or deadlock diagnosis)")
     return table
 
 

@@ -56,8 +56,8 @@ class Cluster:
         self.faults = FaultPlane.build(self.env, self.cfg.faults,
                                        self.platform.num_nodes, obs=self.obs)
         self.nodes: List[Node] = [
-            Node(self.env, self.cfg, i, tracer=self.tracer, obs=self.obs,
-                 faults=self.faults, spec=self.platform.node_spec(i))
+            Node(self.env, self.cfg, i, self.platform.node_spec(i),
+                 tracer=self.tracer, obs=self.obs, faults=self.faults)
             for i in range(self.platform.num_nodes)
         ]
         self.fabric = Fabric(self.env, self.cfg.fabric,

@@ -32,8 +32,8 @@ class Node:
     """
 
     def __init__(self, env: Environment, cfg: MachineConfig, index: int,
-                 tracer: Optional[Tracer] = None, obs: Any = None,
-                 faults: Any = None, spec: Optional[NodeSpec] = None):
+                 spec: NodeSpec, tracer: Optional[Tracer] = None,
+                 obs: Any = None, faults: Any = None):
         self.env = env
         self.cfg = cfg
         self.index = index
@@ -43,11 +43,8 @@ class Node:
         #: from here to instrument this node's queues and managers.
         self.obs = obs
         #: Fault plane (or None); the runtime layer picks it up from here
-        #: to harden this node's queues and bound its handshakes.
+        #: to harden this node's queues.
         self.faults = faults
-        if spec is None:
-            spec = NodeSpec(index=index, class_name="node", gpus_per_node=1,
-                            gpu=cfg.gpu, pcie=cfg.pcie, intra_link=None)
         #: Resolved platform description of this node.
         self.spec = spec
         single = spec.gpus_per_node == 1

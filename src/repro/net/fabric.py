@@ -28,8 +28,8 @@ discusses:
   (much lower) PCIe-read-limited bandwidth.
 
 Intra-node transmissions (src == dst) take the node's intra-node link —
-the legacy loopback constants by default, or the node class's
-NVLink-class ``intra_link`` on dense nodes.
+:data:`~repro.platform.topology.DEFAULT_INTRA_LINK` by default, or the
+node class's NVLink-class ``intra_link`` on dense nodes.
 """
 
 from __future__ import annotations
@@ -39,17 +39,11 @@ from typing import Any, Dict, Generator, List, Optional
 from ..sim import Environment, Event, Semaphore
 from ..sim.link import FairShareLink
 from ..hw.config import FabricConfig
+from ..platform.topology import DEFAULT_INTRA_LINK
 
 __all__ = ["Fabric", "TRANSFER_MODES"]
 
 TRANSFER_MODES = ("host", "d2d")
-
-#: Legacy same-node loopback path; kept as module constants so a Fabric
-#: built without a platform (unit tests, ad-hoc harnesses) behaves
-#: exactly as before the platform layer existed.  With a platform these
-#: come from each node's resolved ``intra_link``.
-_LOOPBACK_LATENCY = 0.3e-6
-_LOOPBACK_BANDWIDTH = 12.0e9
 
 
 class _Nic:
@@ -162,11 +156,11 @@ class Fabric:
         # Platform wiring: per-node intra-node (loopback) link specs and
         # the routed-interconnect table (None = flat full bisection).
         self._routing = platform.routing if platform is not None else None
-        if platform is not None:
-            self._intra = [platform.intra_link_of(i)
-                           for i in range(num_nodes)]
-        else:
-            self._intra = None
+        # A Fabric built without a platform (unit tests, ad-hoc harnesses)
+        # gives every node the default intra-node link.
+        self._intra = ([platform.intra_link_of(i) for i in range(num_nodes)]
+                       if platform is not None
+                       else [DEFAULT_INTRA_LINK] * num_nodes)
         self._links: Dict[str, _HopLink] = {}
         #: Lazily filled per-(src, dst) route cache:
         #: ``(link names, hop links, 2 * one-way path latency)``.  Routes
@@ -242,11 +236,8 @@ class Fabric:
     # -- internals ------------------------------------------------------------
     def _loopback(self, node: int, nbytes: float, done: Event,
                   injected: Optional[Event]):
-        if self._intra is None:
-            yield _LOOPBACK_LATENCY + nbytes / _LOOPBACK_BANDWIDTH
-        else:
-            spec = self._intra[node]
-            yield spec.latency + nbytes / spec.bandwidth
+        spec = self._intra[node]
+        yield spec.latency + nbytes / spec.bandwidth
         if injected is not None:
             injected.succeed()
         done.succeed()

@@ -65,10 +65,10 @@ class LinkSpec:
                 f"{self.latency!r}")
 
 
-#: The legacy intra-node loopback path (matches the former hard-coded
-#: ``_LOOPBACK_*`` constants in :mod:`repro.net.fabric`): what one GPU
-#: pays to reach a window on the *same* node when no NVLink-class link is
-#: configured.  Kept bit-identical so the default machine replays the
+#: The default intra-node loopback path: what one GPU pays to reach a
+#: window on the *same* node when no NVLink-class link is configured,
+#: and what a :class:`~repro.net.fabric.Fabric` built without a platform
+#: uses.  Kept bit-identical so the default machine replays the
 #: golden-timestamp fixtures exactly.
 DEFAULT_INTRA_LINK = LinkSpec(bandwidth=12.0e9, latency=0.3e-6)
 

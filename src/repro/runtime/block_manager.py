@@ -225,19 +225,10 @@ class BlockManager:
                                tag=data_tag(meta.xfer_id))
         msg = yield from req.wait()
         yield from self.node.host_work(self.cfg.host.request_cost)
-        buf = self.system.window_buffer(meta.global_win_id, meta.target_rank)
-        if meta.target_offset + meta.count > buf.size:
-            raise IndexError(
-                f"put [{meta.target_offset}:{meta.target_offset + meta.count}]"
-                f" out of bounds for window {meta.global_win_id} of rank "
-                f"{meta.target_rank} ({buf.size} elements)")
-        if meta.count:
-            if msg.payload.dtype != buf.dtype:
-                raise TypeError(
-                    f"put dtype {msg.payload.dtype} does not match window "
-                    f"{meta.global_win_id} dtype {buf.dtype}")
-            buf[meta.target_offset:meta.target_offset + meta.count] = \
-                msg.payload
+        buf = self.system.window_access(
+            meta.global_win_id, meta.target_rank, "put", meta.target_offset,
+            meta.count, msg.payload.dtype)
+        buf[meta.target_offset:meta.target_offset + meta.count] = msg.payload
         if meta.notify:
             yield from self._deliver(self.state, meta.global_win_id,
                                      meta.origin_rank, meta.tag)
@@ -245,12 +236,9 @@ class BlockManager:
     def incoming_get(self, meta: GetMeta) -> Generator[Event, Any, None]:
         """Target side of a get: read the window, send the data back."""
         yield from self.node.host_work(self.cfg.host.request_cost)
-        buf = self.system.window_buffer(meta.global_win_id, meta.target_rank)
-        if meta.target_offset + meta.count > buf.size:
-            raise IndexError(
-                f"get [{meta.target_offset}:{meta.target_offset + meta.count}]"
-                f" out of bounds for window {meta.global_win_id} of rank "
-                f"{meta.target_rank} ({buf.size} elements)")
+        buf = self.system.window_access(
+            meta.global_win_id, meta.target_rank, "get", meta.target_offset,
+            meta.count)
         snapshot = buf[meta.target_offset:meta.target_offset + meta.count]
         self.world.isend(self.node.index,
                          self.runtime.node_of_rank(meta.origin_rank),

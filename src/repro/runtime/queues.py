@@ -28,17 +28,19 @@ the way the paper's design allows it to:
   raised when the redelivery budget is exhausted;
 * **duplicated posted writes** carry a stale sequence number by the time
   they land, so the receiver's validity check discards them;
-* **credit starvation** turns the sender's wait into a bounded
-  retry-with-exponential-backoff loop (each round a
+* **credit starvation** makes a reload read no space however much the
+  receiver freed, so only a starved reload turns the sender's wait into
+  a bounded retry-with-exponential-backoff loop (each round a
   :func:`~repro.sim.bounded` wait, then a re-read of the tail pointer)
-  that raises :class:`~repro.errors.DCudaTimeoutError` instead of
-  hanging.
+  that raises :class:`~repro.errors.DCudaTimeoutError` once the budget
+  is spent.  A queue that is really full waits for the receiver, plane
+  or not: a slow receiver is not a fault.
 
-Both modes share one :meth:`CircularQueue.enqueue`; they differ only in
-the credit wait and in where a landed write goes (``_commit``, or
-``_commit_faulty`` first under a plane).  With ``faults=None`` (the
-default) the schedule is the unhardened one — the golden-fixture replay
-test holds.
+Both modes share one :meth:`CircularQueue.enqueue`; they differ only
+where the plane injects: a starved reload, and where a landed write goes
+(``_commit``, or ``_commit_faulty`` first under a plane).  A plane that
+injects nothing therefore schedules exactly what ``faults=None`` (the
+default) schedules — the golden-fixture replay test holds for both.
 
 The queue owns its receiver buffer: :attr:`CircularQueue.entries` is a
 deque other modules only read (occupancy checks), and a consumer that
@@ -90,9 +92,9 @@ class CircularQueue:
         self.link = link
         self.name = name
         self.stats = QueueStats()
-        # Fault plane (or None).  The bounded credit wait and the
-        # fault-aware commit are only taken when a plane is attached; the
-        # default path is the unperturbed one.
+        # Fault plane (or None).  The fault-aware commit is taken when a
+        # plane is attached, the bounded credit wait only after a reload
+        # the plane starved; the default path is the unperturbed one.
         self._faults = faults
         #: Where a landed posted write goes: straight into the buffer, or
         #: through the validity check and drop recovery under a plane.
@@ -157,44 +159,47 @@ class CircularQueue:
         return self._credits
 
     # -- sender side --------------------------------------------------------
-    def _reload_credits(self) -> Generator[Event, Any, None]:
-        """Read the tail pointer from receiver memory (one PCIe read)."""
+    def _reload_credits(self) -> Generator[Event, Any, bool]:
+        """Read the tail pointer from receiver memory (one PCIe read);
+        returns whether an injected starvation window hid the space."""
         self.stats.credit_reloads += 1
         if self.link is not None:
             yield from self.link.mapped_read()
         self._known_tail = self._tail
         self._credits = self.size - (self._head - self._known_tail)
-        if self._faults is not None and \
-                self._faults.credit_starved(self.name, self.env._now):
-            # An injected starvation window: the reloaded tail reads as if
-            # the receiver made no progress, so the sender sees no space.
+        starved = (self._faults is not None
+                   and self._faults.credit_starved(self.name, self.env._now))
+        if starved:
+            # The reloaded tail reads as if the receiver made no progress,
+            # so the sender sees no space.
             self._credits = 0
             self.stats.starved_reloads += 1
         if self._credit_series is not None:
             self._credit_series.sample(self.env._now, self._credits)
+        return starved
 
     def _await_credits(self) -> Generator[Event, Any, None]:
         """Reload the credits until one is free (the sender found none).
 
         Each round that still sees no space waits, then re-reads the tail
-        pointer.  Without a fault plane the wait is for the receiver to
-        free space.  Under a plane it is bounded: round *k* waits for freed
-        space or ``backoff_base * 2**(k-1)``, whichever comes first, and
-        the handshake gives up once the retry budget is spent.
+        pointer.  A queue that is really full waits for the receiver to
+        free space, however long it takes.  A reload the fault plane
+        starved cannot see freed space, so round *k* of those waits for
+        freed space or ``backoff_base * 2**(k-1)``, whichever comes first,
+        and the sender gives up once the retry budget is spent.
 
         Raises:
-            DCudaTimeoutError: no credit after ``max_retries`` backed-off
-                handshake retries (fault plane attached only).
+            DCudaTimeoutError: ``max_retries`` backed-off retries still
+                met a starved reload (fault plane only).
         """
-        yield from self._reload_credits()
-        faults = self._faults
+        starved = yield from self._reload_credits()
         attempt = 0
         while self._credits == 0:
             self.stats.full_stalls += 1
-            if faults is None:
+            if not starved:
                 yield self._space_freed.wait()
             else:
-                cfg = faults.cfg
+                cfg = self._faults.cfg
                 attempt += 1
                 if attempt > cfg.max_retries:
                     raise DCudaTimeoutError(
@@ -204,7 +209,7 @@ class CircularQueue:
                 yield from bounded(self._space_freed.wait(),
                                    cfg.backoff_base * (2 ** (attempt - 1)))
                 self.stats.retries += 1
-            yield from self._reload_credits()
+            starved = yield from self._reload_credits()
 
     def enqueue(self, entry: Any) -> Generator[Event, Any, None]:
         """Append *entry*; amortized one posted PCIe write per call.
@@ -214,8 +219,8 @@ class CircularQueue:
         constant delay preserves FIFO order.
 
         Raises:
-            DCudaTimeoutError: a fault plane is attached and the credit
-                handshake exhausted ``max_retries``.
+            DCudaTimeoutError: injected credit starvation outlasted
+                ``max_retries`` backed-off retries.
         """
         if self._credits == 0:
             yield from self._await_credits()

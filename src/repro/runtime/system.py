@@ -226,26 +226,16 @@ class RuntimeSystem:
 
         Global ids are ``(comm name, per-communicator creation index)`` —
         consistent across nodes because window creation is collective and
-        therefore globally ordered per communicator.
+        therefore globally ordered per communicator.  The registration is
+        recorded under the current ``"win"`` epoch before the rank arrives
+        at that collective.
         """
-        st = self._coll.setdefault(
-            ("win", cmd.comm_name),
-            _CollectiveState(signal=Signal(self.env,
-                                           name=f"win:{cmd.comm_name}")))
-        gid: WindowId = (cmd.comm_name, st.epoch)
+        st = self._coll.get(("win", cmd.comm_name))
+        gid: WindowId = (cmd.comm_name, st.epoch if st is not None else 0)
         self.windows.setdefault(gid, {})[cmd.origin_rank] = cmd.buffer
         state = self.runtime.state_of(cmd.origin_rank)
         state.win_reverse[gid] = cmd.local_win_id
-        participants = self._participants(cmd.comm_name)
-        st.arrivals += 1
-        if st.arrivals == participants:
-            st.arrivals = 0
-            st.epoch += 1
-            if cmd.comm_name == "world":
-                yield from self._global_sync(("win", cmd.comm_name, gid[1]))
-            st.signal.fire()
-        else:
-            yield st.signal.wait()
+        yield from self.collective_arrive("win", cmd.comm_name)
         return gid
 
     def unregister_window(self, cmd: WinFreeCommand
@@ -264,6 +254,29 @@ class RuntimeSystem:
             raise KeyError(
                 f"window {gid} has no registration for rank {world_rank} on "
                 f"node {self.node.index}") from None
+
+    def window_access(self, gid: WindowId, world_rank: int, op: str,
+                      offset: int, count: int,
+                      dtype: Any = None) -> np.ndarray:
+        """The buffer of *world_rank*'s registration, checked for *op*
+        (``"put"`` or ``"get"``) of *count* elements at *offset*: the one
+        bounds and dtype rule every put and get path applies, proxy,
+        device-initiated, stream and shared memory alike.
+
+        Raises:
+            IndexError: the access runs past the end of the buffer.
+            TypeError: a non-empty put's *dtype* is not the buffer's.
+        """
+        buf = self.window_buffer(gid, world_rank)
+        if offset + count > buf.size:
+            raise IndexError(
+                f"{op} [{offset}:{offset + count}] out of bounds for window "
+                f"{gid} of rank {world_rank} ({buf.size} elements)")
+        if dtype is not None and count and dtype != buf.dtype:
+            raise TypeError(
+                f"{op} dtype {dtype} does not match window {gid} dtype "
+                f"{buf.dtype}")
+        return buf
 
     def window_layout(self, gid: WindowId,
                       world_rank: int) -> Tuple[int, int, int]:

@@ -64,8 +64,6 @@ def test_runtime_wires_the_configured_backend(backend):
 
     runtime = DCudaRuntime(cluster, 1)
     assert isinstance(runtime.comm, BACKEND_CLASSES[backend])
-    costs = runtime.comm.describe_costs()
-    assert costs and all(isinstance(v, float) for v in costs.values())
 
 
 def test_default_backend_is_proxy():

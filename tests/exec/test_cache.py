@@ -30,7 +30,7 @@ class TestRoundTrip:
         assert not hit and result is None
 
     def test_keys_salted_by_shared_digest(self, cache):
-        spec = RunSpec("sleep_probe", {"seconds": 0.1})
+        spec = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.1})
         assert cache.key_for(spec, "") != cache.key_for(spec, "digest1")
         assert (cache.key_for(spec, "digest1")
                 == cache.key_for(spec, "digest1"))
@@ -72,7 +72,7 @@ class TestCorruptionRecovery:
         assert not hit
 
     def test_engine_reruns_after_corruption(self, cache):
-        spec = RunSpec("sleep_probe", {"seconds": 0.0})
+        spec = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.0})
         first = run_specs([spec], cache=cache)
         assert first.executed == 1
         for path in _entry_files(cache):

@@ -45,7 +45,8 @@ class TestSerial:
         # The in-process path keeps the historical debugging behaviour:
         # no DCudaWorkerError wrapping (that is the worker's job).
         with pytest.raises(RuntimeError, match="boom"):
-            run_specs([RunSpec("crash_probe", {"message": "boom"})])
+            run_specs([RunSpec("selftest_point",
+                               {"mode": "raise", "message": "boom"})])
 
     def test_unknown_entrypoint_is_usage_error(self):
         with pytest.raises(DCudaUsageError, match="unknown entrypoint"):
@@ -90,7 +91,8 @@ class TestCacheInterplay:
 
     def test_non_cacheable_specs_always_execute(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec("sleep_probe", {"seconds": 0.0}, cacheable=False)
+        spec = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.0},
+                       cacheable=False)
         assert run_specs([spec], cache=cache).executed == 1
         assert run_specs([spec], cache=cache).executed == 1
 
@@ -140,9 +142,10 @@ class TestParallel:
             assert outcome.clean
 
     def test_worker_crash_wrapped_in_typed_error(self):
-        specs = [RunSpec("crash_probe", {"message": "kaboom"},
+        specs = [RunSpec("selftest_point",
+                         {"mode": "raise", "message": "kaboom"},
                          label="crasher"),
-                 RunSpec("sleep_probe", {"seconds": 0.0})]
+                 RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.0})]
         with pytest.raises(DCudaWorkerError) as exc_info:
             run_specs(specs, workers=2)
         message = str(exc_info.value)
@@ -150,8 +153,9 @@ class TestParallel:
         assert exc_info.value.code == "DCUDA_WORKER"
 
     def test_stuck_worker_times_out_typed(self, leaked_children):
-        specs = [RunSpec("sleep_probe", {"seconds": 60.0}, label="stuck"),
-                 RunSpec("sleep_probe", {"seconds": 60.0})]
+        nap = {"mode": "sleep", "seconds": 60.0}
+        specs = [RunSpec("selftest_point", nap, label="stuck"),
+                 RunSpec("selftest_point", nap)]
         with pytest.raises(DCudaTimeoutError, match="stuck"):
             run_specs(specs, workers=2, timeout=3.0)
         # Both sleepers were killed and reaped, not left running.

@@ -57,7 +57,8 @@ class TestNoWorkerOutlivesASweep:
         assert leaked_children() == set()
 
     def test_typed_task_error(self, leaked_children):
-        specs = [RunSpec("crash_probe", {"message": "kaboom"},
+        specs = [RunSpec("selftest_point",
+                         {"mode": "raise", "message": "kaboom"},
                          label="crasher")] + HEALTHY[:3]
         with pytest.raises(DCudaWorkerError, match="kaboom"):
             run_specs(specs, workers=2)

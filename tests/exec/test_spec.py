@@ -74,17 +74,18 @@ class TestCanonicalDigest:
 
 class TestRunSpec:
     def test_content_hash_ignores_label_and_cacheable(self):
-        a = RunSpec("sleep_probe", {"seconds": 0.5}, label="x")
-        b = RunSpec("sleep_probe", {"seconds": 0.5}, label="y",
-                    cacheable=False)
+        nap = {"mode": "sleep", "seconds": 0.5}
+        a = RunSpec("selftest_point", nap, label="x")
+        b = RunSpec("selftest_point", nap, label="y", cacheable=False)
         assert a.content_hash() == b.content_hash()
 
     def test_content_hash_covers_entrypoint_and_params(self):
-        a = RunSpec("sleep_probe", {"seconds": 0.5})
+        a = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.5})
         assert (a.content_hash()
-                != RunSpec("crash_probe", {"seconds": 0.5}).content_hash())
+                != RunSpec("simperf_probe", a.params).content_hash())
         assert (a.content_hash()
-                != RunSpec("sleep_probe", {"seconds": 0.6}).content_hash())
+                != RunSpec("selftest_point",
+                           {"mode": "sleep", "seconds": 0.6}).content_hash())
 
     def test_hash_stable_across_pickle_roundtrip(self):
         wl = DiffusionWorkload(ni=8, nj_per_device=4, nk=2, steps=2)
@@ -94,9 +95,9 @@ class TestRunSpec:
         assert clone.label == "c3"
 
     def test_describe_prefers_label(self):
-        assert RunSpec("sleep_probe", label="nap").describe() == "nap"
-        anon = RunSpec("sleep_probe").describe()
-        assert anon.startswith("sleep_probe[")
+        assert RunSpec("selftest_point", label="nap").describe() == "nap"
+        anon = RunSpec("selftest_point").describe()
+        assert anon.startswith("selftest_point[")
 
 
 class TestRegistry:
@@ -104,7 +105,7 @@ class TestRegistry:
         names = set(registered_entrypoints())
         assert {"chaos_case", "pingpong_point", "overlap_point",
                 "weak_scaling_point", "queue_burst_point", "staging_point",
-                "simperf_probe", "sleep_probe", "crash_probe"} <= names
+                "simperf_probe", "selftest_point"} <= names
 
     def test_unknown_entrypoint_raises_typed_error(self):
         with pytest.raises(DCudaUsageError, match="unknown entrypoint"):
@@ -112,10 +113,10 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(DCudaUsageError, match="already registered"):
-            @entrypoint("sleep_probe")
+            @entrypoint("selftest_point")
             def imposter(params, shared):
                 return None
 
     def test_reregistering_same_function_is_idempotent(self):
-        fn = resolve_entrypoint("sleep_probe")
-        assert entrypoint("sleep_probe")(fn) is fn
+        fn = resolve_entrypoint("selftest_point")
+        assert entrypoint("selftest_point")(fn) is fn

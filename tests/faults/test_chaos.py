@@ -3,17 +3,18 @@
 Every seeded run over the diffusion mini-app must either complete with
 numerics bit-identical to a fault-free run, or fail with a diagnosed typed
 error (:class:`DCudaFaultError` / :class:`DCudaTimeoutError`) carrying
-simulated-time context.  Hangs are structurally impossible: the launch is
-guarded by a simulated-time watchdog, and every bounded wait raises on
-expiry.  Any other exception type escapes :func:`run_chaos_case` and fails
-the test — that is the harness-bug detector.
+simulated-time context.  Nothing hangs: the launch is guarded by a
+simulated-time watchdog, and a schedule that drains with a rank still
+waiting is diagnosed as a deadlock.  Any other exception type escapes
+:func:`run_chaos_case` and fails the test — that is the harness-bug
+detector.
 """
 
 import numpy as np
 import pytest
 
 from repro.apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
-from repro.errors import DCudaError, DCudaTimeoutError
+from repro.errors import DCudaError, DCudaFaultError, DCudaTimeoutError
 from repro.faults import (
     ChaosOutcome,
     FaultEvent,
@@ -69,8 +70,7 @@ def test_harsh_budget_produces_typed_failures():
     exercising the typed-error half of the contract."""
     outcomes = [
         run_chaos_case(cfg=FaultsConfig(enabled=True, seed=seed,
-                                        plan_size=30, max_retries=1,
-                                        handshake_timeout=2e-4),
+                                        plan_size=30, max_retries=1),
                        wl=WL)
         for seed in range(10)
     ]
@@ -96,6 +96,15 @@ def test_outcome_clean_logic():
 
 
 # ------------------------------------------------------------- watchdog -----
+def _spinning_kernel(rank):
+    win = yield from rank.win_create(np.zeros(4))
+    # Poll for a notification nobody will ever send: every test charges
+    # the issue unit, so the rank never stops scheduling.
+    while not (yield from rank.test_notifications(win, source=0, tag=99)):
+        pass
+    yield from rank.finish()
+
+
 def _hanging_kernel(rank):
     win = yield from rank.win_create(np.zeros(4))
     # Wait for a notification nobody will ever send.
@@ -106,22 +115,23 @@ def _hanging_kernel(rank):
 def test_watchdog_turns_hang_into_timeout_error():
     from repro.dcuda import launch
 
-    cfg = FaultsConfig(enabled=True, handshake_timeout=1e9, watchdog=1e-3)
+    cfg = FaultsConfig(enabled=True, watchdog=1e-3)
     cluster = Cluster(greina(1, faults=cfg))
     with pytest.raises(DCudaTimeoutError, match="watchdog") as info:
-        launch(cluster, _hanging_kernel, ranks_per_device=1)
+        launch(cluster, _spinning_kernel, ranks_per_device=1)
     assert info.value.sim_time is not None
 
 
-def test_notification_wait_timeout_carries_rank():
+def test_never_satisfied_wait_is_a_diagnosed_deadlock():
+    """A parked wait leaves the schedule, so the run drains long before
+    the watchdog and the launch names the rank that never finished."""
     from repro.dcuda import launch
 
-    cfg = FaultsConfig(enabled=True, handshake_timeout=5e-5)
-    cluster = Cluster(greina(1, faults=cfg))
-    with pytest.raises(DCudaTimeoutError, match="wait_notifications") as info:
+    cluster = Cluster(greina(1, faults=FaultsConfig(enabled=True)))
+    with pytest.raises(DCudaFaultError,
+                       match=r"deadlock: .*kernel:r0") as info:
         launch(cluster, _hanging_kernel, ranks_per_device=1)
-    assert info.value.rank == 0
-    assert info.value.sim_time >= 5e-5
+    assert info.value.sim_time < FaultsConfig().watchdog
 
 
 def test_without_fault_plane_hang_diagnosis_stays_runtime_error():

@@ -70,8 +70,7 @@ def test_harsh_budget_is_typed_on_new_backends(backend):
     or untyped exceptions."""
     outcomes = [
         run_chaos_case(cfg=FaultsConfig(enabled=True, seed=seed,
-                                        plan_size=30, max_retries=1,
-                                        handshake_timeout=2e-4),
+                                        plan_size=30, max_retries=1),
                        wl=WL, comm_backend=backend)
         for seed in range(8)
     ]

@@ -9,7 +9,9 @@ name a semaphore's private ``_req_name`` or ``_available`` (or an
 ``_scheduled`` or ``callbacks``.
 
 A bounded wait is ``yield from bounded(ev, t)``: no module outside
-``sim/`` may name ``AnyOf`` or assign an event's ``abandoned`` flag.
+``sim/`` may name ``AnyOf`` or assign an event's ``abandoned`` flag, and
+no module under ``dcuda/`` may name ``bounded`` at all — the device
+API's waits follow the peer, not a deadline.
 Nor may one reach into a buffer's privates (``_entries``, ``_items``,
 ``_putters``): a circular queue's buffer is its read-only ``entries``,
 and only ``runtime/queues.py`` names a queue's parked consumer
@@ -62,6 +64,15 @@ def _found(modules, **rules):
 def test_no_module_outside_sim_reaches_into_the_kernel():
     sim = _PKG / "sim"
     assert _found([p for p in _modules() if sim not in p.parents]) == []
+
+
+def test_no_dcuda_module_bounds_a_wait():
+    """The device API's waits (acks, notifications, flushes) end when the
+    peer's operation lands; only the hang guards of the launch and the
+    fault-injected queue sites may bound a wait."""
+    dcuda = _PKG / "dcuda"
+    assert _found([p for p in _modules() if dcuda in p.parents],
+                  private={"bounded"}, fields=set()) == []
 
 
 def test_only_the_queue_names_its_parked_consumer():
