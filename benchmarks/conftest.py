@@ -66,9 +66,9 @@ def engine_sweep(exec_workers, sweep_cache):
     :func:`repro.exec.run_specs`'s defaults.
     """
 
-    def _sweep(specs, shared=None):
-        return run_specs(specs, workers=exec_workers, cache=sweep_cache,
-                         shared=shared).results
+    def _sweep(specs):
+        return run_specs(specs, workers=exec_workers,
+                         cache=sweep_cache).results
 
     return _sweep
 

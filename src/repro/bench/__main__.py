@@ -76,7 +76,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             node_counts=tuple(args.nodes) if args.nodes else None,
             verify=not args.no_verify)
         report = run_specs(suite.specs, workers=args.workers,
-                           cache=args.cache_dir, shared=suite.shared)
+                           cache=args.cache_dir)
         text = suite.assemble(report.results)
         print(text)
         print(f"engine: {report.summary()}")

@@ -3,19 +3,21 @@
 Two ranks bounce a data packet using notified puts; latency is half of one
 iteration, bandwidth is packet size over latency.  Ranks are placed either
 on the same device (shared memory) or on two nodes (distributed memory).
+
+The simulator loads inside the functions that simulate, so a sweep
+coordinator unpickles a :class:`PingPongResult` without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..dcuda import launch
-from ..hw import Cluster, greina
-from ..hw.config import MachineConfig
-from ..platform import PlacementSpec
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hw import Cluster
+    from ..hw.config import MachineConfig
 
 __all__ = ["PingPongResult", "run_pingpong", "run_pingpong_pair",
            "pingpong_sweep", "DEFAULT_PACKET_SIZES"]
@@ -43,6 +45,8 @@ def run_pingpong(shared: bool, packet_bytes: int = 0, iterations: int = 100,
     Setup time (window creation, barrier) is excluded by timing only the
     iteration loop — the paper's subtract-zero-iterations methodology.
     """
+    from ..hw import Cluster, greina
+
     if packet_bytes < 0:
         raise ValueError(f"negative packet size {packet_bytes}")
     nodes = 1 if shared else 2
@@ -65,6 +69,9 @@ def run_pingpong_pair(cfg: MachineConfig, a: Tuple[int, int] = (0, 0),
     the node's intra-node link when the devices share a node, and the
     (possibly multi-hop routed) interconnect otherwise.
     """
+    from ..hw import Cluster
+    from ..platform import PlacementSpec
+
     if packet_bytes < 0:
         raise ValueError(f"negative packet size {packet_bytes}")
     a, b = tuple(a), tuple(b)
@@ -78,6 +85,8 @@ def run_pingpong_pair(cfg: MachineConfig, a: Tuple[int, int] = (0, 0),
 def _timed_pingpong(cluster: Cluster, ranks_per_device: int,
                     packet_bytes: int, iterations: int) -> float:
     """Launch the two-rank bounce kernel; returns the half-round-trip."""
+    from ..dcuda import launch
+
     buffers = {r: np.zeros(max(packet_bytes, 1), dtype=np.uint8)
                for r in range(2)}
     loop_time: Dict[int, float] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import DCudaFaultError, DCudaTimeoutError
+from ..errors import DCudaFaultError, DCudaTimeoutError, DCudaUsageError
 from ..hw.cluster import Cluster
 from ..hw.config import MachineConfig
 from ..runtime.system import DCudaRuntime
@@ -54,17 +54,19 @@ def launch(cluster: Union[Cluster, MachineConfig], kernel: Callable[..., Any],
     With a fault plane attached (``MachineConfig.faults``) the run is
     guarded by a simulated-time watchdog: instead of hanging, a launch
     that outlives ``FaultsConfig.watchdog`` raises
-    :class:`~repro.errors.DCudaTimeoutError` naming the unfinished ranks,
-    and a diagnosed deadlock or non-quiescent runtime raises
-    :class:`~repro.errors.DCudaFaultError`.
+    :class:`~repro.errors.DCudaTimeoutError` naming the unfinished ranks.
+    A run whose schedule drains with a rank unfinished (a deadlock) or
+    the runtime non-quiescent is diagnosed with or without a plane, and
+    the error class names the cause: a fault only if the plane injected
+    one.
 
     Raises:
         DCudaTimeoutError: the simulated-time watchdog expired (faults
             attached only).
         DCudaFaultError: the run drained but rank processes or the runtime
-            never completed, under fault injection.
-        RuntimeError: same diagnosis without a fault plane (unchanged
-            legacy behaviour).
+            never completed, after the plane injected a fault.
+        DCudaUsageError: same diagnosis when nothing was injected (no
+            plane, or an inert one): the kernel itself is at fault.
     """
     if isinstance(cluster, MachineConfig):
         cluster = Cluster(cluster)
@@ -90,19 +92,16 @@ def launch(cluster: Union[Cluster, MachineConfig], kernel: Callable[..., Any],
                 sim_time=cluster.env._now)
     else:
         cluster.run()
+    injected = faults is not None and faults.total_injections() > 0
+    error = DCudaFaultError if injected else DCudaUsageError
     for p in procs:
         if not p.triggered:
-            message = f"deadlock: rank process {p.name} never completed"
-            if faults is not None:
-                raise DCudaFaultError(message, sim_time=cluster.env._now)
-            raise RuntimeError(message)
+            raise error(f"deadlock: rank process {p.name} never completed",
+                        sim_time=cluster.env._now)
     problems = runtime.check_quiescent()
     if problems:
-        message = ("runtime not quiescent after launch: "
-                   + "; ".join(problems))
-        if faults is not None:
-            raise DCudaFaultError(message, sim_time=cluster.env._now)
-        raise RuntimeError(message)
+        raise error("runtime not quiescent after launch: "
+                    + "; ".join(problems), sim_time=cluster.env._now)
     return LaunchResult(elapsed=cluster.env._now - t0,
                         results=[p.value for p in procs],
                         runtime=runtime, tracer=cluster.tracer,

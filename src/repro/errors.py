@@ -97,6 +97,8 @@ class DCudaUsageError(DCudaError):
     """The application misused the device API (e.g. use after ``finish``).
 
     The request was well-formed but illegal in the current rank state.
+    ``launch`` also raises it for a deadlock or a non-quiescent runtime
+    that no injected fault caused: the kernel itself is at fault.
     """
 
     code = "DCUDA_USAGE"
@@ -127,9 +129,9 @@ class DCudaFaultError(DCudaError):
     """An injected (or detected) fault exceeded the runtime's recovery budget.
 
     Raised when sequence-number recovery re-posts a dropped queue slot more
-    than ``FaultsConfig.max_retries`` times, or when fault injection drives
-    the runtime into a state the hardening cannot repair (diagnosed
-    deadlock under injection).
+    than ``FaultsConfig.max_retries`` times, or when injected faults drive
+    the runtime into a state the hardening cannot repair (a diagnosed
+    deadlock after the plane injected something).
     """
 
     code = "DCUDA_FAULT"

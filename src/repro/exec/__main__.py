@@ -183,9 +183,8 @@ def _cmd_run(args) -> int:
                   flush=True)
 
     report = run_specs(suite.specs, workers=workers, cache=cache,
-                       shared=suite.shared, timeout=args.timeout,
-                       executor=args.executor, hosts=hosts,
-                       on_event=on_event)
+                       timeout=args.timeout, executor=args.executor,
+                       hosts=hosts, on_event=on_event)
 
     print(suite.assemble(report.results))
     print(f"engine: {report.summary()}")

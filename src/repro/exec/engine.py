@@ -147,9 +147,10 @@ def run_specs(specs: Sequence[RunSpec], *,
         cache: ``None`` (no caching), a :class:`ResultCache`, or a
             directory path to open one at.
         shared: Payload shipped to every worker once and passed to every
-            entrypoint — e.g. the chaos baseline field.  Its canonical
-            digest salts every cache key, so a changed shared input
-            invalidates cached results.
+            entrypoint.  No suite ships one: a worker rebuilds what it
+            can derive from the params (the chaos baseline) and caches
+            it per process.  Its canonical digest salts every cache key,
+            so a changed shared input invalidates cached results.
         timeout: Per-task wall-clock budget [s].  Enforced on preemptive
             (process) transports — a stuck worker is terminated; serial
             execution cannot preempt a running task and ignores it.

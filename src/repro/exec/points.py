@@ -4,7 +4,9 @@ Each entrypoint turns one ``(params, shared)`` pair into one picklable
 result object and builds *all* of its simulation state internally — a
 fresh cluster from config data, nothing captured from the parent process
 — which is what makes a :class:`~repro.exec.spec.RunSpec` executable in
-a spawned worker and its result cacheable by content.
+a spawned worker and its result cacheable by content.  No suite ships a
+``shared`` payload: an input every spec needs (the chaos baseline) is
+rebuilt and cached by each worker.
 
 The model code stays where it lives (``repro.bench``, ``repro.faults``,
 ``repro.apps``); this module is the thin, import-lazy adapter layer the
@@ -40,14 +42,14 @@ __all__ = [
 def chaos_case(params: Mapping[str, Any], shared: Mapping[str, Any]):
     """One seeded fault-injection run of the diffusion mini-app.
 
-    Params: ``seed``, ``num_nodes``, ``ranks_per_device``, optional
-    ``wl`` (:class:`~repro.apps.diffusion.DiffusionWorkload`), ``cfg``
-    (:class:`~repro.faults.config.FaultsConfig`), and ``comm_backend``
-    (the chaos contract holds per backend; the param salts the spec
-    digest so per-backend outcomes never share cache entries).  The
-    fault-free baseline field arrives via ``shared["baseline"]`` —
-    computed once by the sweep driver, not per worker — falling back to
-    the per-process baseline cache when absent.
+    Params: ``seed``, ``num_nodes``, ``ranks_per_device``, ``steps`` (the
+    workload's shape, :func:`~repro.faults.report.chaos_workload`),
+    optional ``cfg`` (:class:`~repro.faults.config.FaultsConfig`), and
+    ``comm_backend`` (the chaos contract holds per backend; the param
+    salts the spec digest so per-backend outcomes never share cache
+    entries).  The fault-free baseline comes from the worker's
+    per-process :func:`~repro.faults.report.baseline_field` cache: one
+    fault-free run per worker and shape, before its first chaos case.
 
     Returns:
         A :class:`~repro.faults.report.ChaosOutcome`.
@@ -57,8 +59,8 @@ def chaos_case(params: Mapping[str, Any], shared: Mapping[str, Any]):
     return run_chaos_case(seed=params.get("seed"),
                           num_nodes=params.get("num_nodes", 2),
                           ranks_per_device=params.get("ranks_per_device", 2),
-                          wl=params.get("wl"), cfg=params.get("cfg"),
-                          baseline=shared.get("baseline"),
+                          steps=params.get("steps", 2),
+                          cfg=params.get("cfg"),
                           comm_backend=params.get("comm_backend", "proxy"))
 
 

@@ -185,10 +185,11 @@ class RunSpec:
         entrypoint: Name of a function registered via :func:`entrypoint`
             (the registry lives in :mod:`repro.exec.points`).
         params: Picklable, canonically-hashable keyword parameters passed
-            to the entrypoint.  Large payloads shared by *every* spec of
-            a sweep (e.g. the chaos baseline field) belong in the
-            engine's ``shared`` mapping instead, so they are shipped to
-            each worker once rather than once per task.
+            to the entrypoint.  An input every spec of a sweep needs is
+            better rebuilt from these params in the worker and cached
+            there (as the chaos baseline is) than built by the caller;
+            a payload only the caller has goes in the engine's
+            ``shared`` mapping, shipped to each worker once.
         label: Display name for progress/error messages; not hashed.
         cacheable: Whether the result may be served from / stored into
             the on-disk cache.  Wall-clock measurements (the simperf

@@ -2,12 +2,13 @@
 
 A *suite* bundles what ``python -m repro.exec run <name>`` and
 ``python -m repro.bench <figure> --workers N`` both need: the list of
-:class:`~repro.exec.spec.RunSpec` tasks, the shared payload (if any),
-and a function that assembles the engine's result list back into the
-figure's :class:`~repro.bench.table.Table`.  Keeping the builders here —
-rather than in either CLI — means the pytest benchmarks, the figure
-runner, and the sweep runner all execute the *same* specs, so their
-cached results are interchangeable.
+:class:`~repro.exec.spec.RunSpec` tasks and a function that assembles
+the engine's result list back into the figure's
+:class:`~repro.bench.table.Table`.  Building a suite is pure data: no
+builder simulates anything or ships a payload beside its specs.
+Keeping the builders here — rather than in either CLI — means the
+pytest benchmarks, the figure runner, and the sweep runner all execute
+the *same* specs, so their cached results are interchangeable.
 
 The assembly functions are pure reshaping: all simulation work happens
 inside entrypoints (:mod:`repro.exec.points`), all scheduling inside the
@@ -19,8 +20,8 @@ bit-identity witness across serial, local and HTTP runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..errors import DCudaUsageError
 from .spec import RunSpec
@@ -39,25 +40,20 @@ class Suite:
 
     name: str
     specs: List[RunSpec]
-    #: Payload shipped once to every worker (e.g. the chaos baseline).
-    shared: Dict[str, Any] = field(default_factory=dict)
     #: ``assemble(results) -> str`` — render the merged results.
     assemble: Callable[[List[Any]], str] = lambda results: repr(results)
 
 
 def _chaos_suite(seeds: Sequence[int], nodes: int, ranks: int,
                  steps: int) -> Suite:
-    from ..apps.diffusion import DiffusionWorkload
     from ..faults.report import chaos_specs, sweep_table
 
-    wl = DiffusionWorkload(ni=8, nj_per_device=2 * ranks, nk=2,
-                           steps=steps)
-    specs, shared = chaos_specs(seeds, nodes, ranks, wl=wl)
+    specs, _ = chaos_specs(seeds, nodes, ranks, steps)
 
     def assemble(outcomes):
         return sweep_table(outcomes).render()
 
-    return Suite("chaos", specs, shared=shared, assemble=assemble)
+    return Suite("chaos", specs, assemble=assemble)
 
 
 def _fig6_suite(iterations: int) -> Suite:

@@ -29,18 +29,13 @@ from .report import (
     ChaosOutcome,
     baseline_field,
     chaos_sweep,
+    chaos_workload,
     fault_report,
     run_chaos_case,
     sweep_table,
 )
 
 __all__ = ["main"]
-
-
-def _workload(args: argparse.Namespace):
-    from ..apps.diffusion import DiffusionWorkload
-    return DiffusionWorkload(ni=8, nj_per_device=2 * args.ranks, nk=2,
-                             steps=args.steps)
 
 
 def _outcome_line(outcome: ChaosOutcome) -> str:
@@ -62,7 +57,7 @@ def _run_report(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    wl = _workload(args)
+    wl = chaos_workload(args.ranks, args.steps)
     _, baseline = baseline_field(wl, args.nodes, args.ranks)
     cfg = FaultsConfig(enabled=True, seed=args.seed)
     cluster = Cluster(greina(args.nodes, faults=cfg,
@@ -90,7 +85,7 @@ def _run_report(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     outcomes = chaos_sweep(range(args.sweep), args.nodes, args.ranks,
-                           wl=_workload(args), workers=args.workers,
+                           args.steps, workers=args.workers,
                            cache=args.cache_dir, executor=args.executor)
     print(sweep_table(outcomes).render())
     dirty = [o for o in outcomes if not o.clean]
@@ -134,7 +129,7 @@ def _run_selftest(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    wl = _workload(args)
+    wl = chaos_workload(args.ranks, args.steps)
 
     def diffusion(faults: Optional[FaultsConfig]):
         cluster = Cluster(greina(args.nodes, faults=faults))
@@ -159,8 +154,7 @@ def _run_selftest(args: argparse.Namespace) -> int:
          _late_put_elapsed(FaultsConfig(enabled=True)) == late),
     ]
     outcome = run_chaos_case(seed=args.seed, num_nodes=args.nodes,
-                             ranks_per_device=args.ranks, wl=wl,
-                             baseline=baseline)
+                             ranks_per_device=args.ranks, steps=args.steps)
     checks.append((f"seeded chaos case (seed={args.seed}) satisfies the "
                    f"chaos contract", outcome.clean))
     failed = 0

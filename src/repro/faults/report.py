@@ -1,8 +1,8 @@
 """Per-rank fault report + the seeded chaos runner.
 
-The tentpole's acceptance contract: under any seeded fault schedule the
-diffusion mini-app either completes with numerics bit-identical to a
-fault-free run, or raises a typed :class:`~repro.errors.DCudaFaultError` /
+The chaos contract: under any seeded fault schedule the diffusion
+mini-app either completes with numerics bit-identical to a fault-free
+run, or raises a typed :class:`~repro.errors.DCudaFaultError` /
 :class:`~repro.errors.DCudaTimeoutError` carrying rank and simulated-time
 context — never a hang.  :func:`run_chaos_case` executes one such run and
 classifies it; :func:`chaos_sweep` sweeps many seeds and aggregates the
@@ -10,8 +10,15 @@ envelope reported in ``EXPERIMENTS.md``; :func:`fault_report` renders what
 a plane injected plus the per-rank hardening counters, next to the obs
 metrics registry when one is attached.
 
-Everything here loads lazily from :mod:`repro.faults` (PEP 562) because it
-imports the hw/apps layers.
+:func:`chaos_specs` describes a sweep as pure data: each spec carries the
+workload's parameters (``steps`` beside ``num_nodes`` and
+``ranks_per_device``), and :func:`run_chaos_case` builds the workload
+(:func:`chaos_workload`) and its fault-free baseline where it runs.  The
+hw and apps layers load inside the functions that simulate, so a sweep
+coordinator imports this module, builds its specs and unpickles its
+outcomes without loading the simulator.  The module still loads lazily
+from :mod:`repro.faults` (PEP 562): ``repro.hw.config`` imports that
+package and should not pay for the report.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .plane import FaultPlane
 
 __all__ = ["ChaosOutcome", "run_chaos_case", "chaos_specs", "chaos_sweep",
            "fault_report", "injection_table", "hardening_table",
-           "baseline_field", "sweep_table"]
+           "baseline_field", "chaos_workload", "sweep_table"]
 
 #: CircularQueue hardening counters surfaced by the per-rank report.
 _QUEUE_STATS = ("retries", "dropped_writes", "recovered",
@@ -71,6 +78,18 @@ class ChaosOutcome:
         return self.status in ("DCudaTimeoutError", "DCudaFaultError")
 
 
+def chaos_workload(ranks_per_device: int = 2, steps: int = 2):
+    """The chaos sweep's diffusion workload for one machine shape.
+
+    Two columns per rank on each device, so every rank exchanges halos;
+    the one place the default chaos workload is built.
+    """
+    from ..apps.diffusion import DiffusionWorkload
+
+    return DiffusionWorkload(ni=8, nj_per_device=2 * ranks_per_device,
+                             nk=2, steps=steps)
+
+
 _baseline_cache: Dict[tuple, Tuple[float, np.ndarray]] = {}
 
 
@@ -83,7 +102,8 @@ def baseline_field(wl, num_nodes: int, ranks_per_device: int,
     by the tier-1 suite), so fault-induced divergence is isolated from any
     model-vs-reference differences.  The baseline runs on the same
     *comm_backend* as the chaos case — bit-identical numerics are a
-    per-backend contract.
+    per-backend contract.  The cache is per process: each sweep worker
+    pays one fault-free run per shape, before its first chaos case.
     """
     from ..apps.diffusion import run_dcuda_diffusion
     from ..hw import Cluster, greina
@@ -100,38 +120,37 @@ def baseline_field(wl, num_nodes: int, ranks_per_device: int,
 
 
 def run_chaos_case(seed: Optional[int] = None, num_nodes: int = 2,
-                   ranks_per_device: int = 2, wl=None,
+                   ranks_per_device: int = 2, steps: int = 2,
                    cfg: Optional[FaultsConfig] = None,
-                   baseline: Optional[np.ndarray] = None,
                    comm_backend: str = "proxy") -> ChaosOutcome:
     """Run diffusion under one fault schedule and classify the outcome.
+
+    The workload is :func:`chaos_workload` and the numerics are compared
+    against its fault-free run (:func:`baseline_field`, cached per
+    process).
 
     Args:
         seed: Random-plan seed (ignored if *cfg* is given).
         num_nodes: Cluster size.
         ranks_per_device: dCUDA over-subscription factor.
-        wl: :class:`~repro.apps.diffusion.DiffusionWorkload`; a small
-            default is used when ``None``.
+        steps: Diffusion iterations.
         cfg: Full :class:`FaultsConfig` override (for explicit schedules);
             defaults to ``FaultsConfig(enabled=True, seed=seed)``.
-        baseline: Fault-free final field to compare against; computed (and
-            cached) via :func:`baseline_field` when ``None``.
-        comm_backend: Communication backend the run (and any computed
-            baseline) uses — the chaos contract holds per backend.
+        comm_backend: Communication backend the run and its baseline use
+            — the chaos contract holds per backend.
 
     Returns:
         A :class:`ChaosOutcome`.  Exceptions other than the two typed
-        dCUDA failures are *not* caught — they indicate a harness bug.
+        fault classes are *not* caught: they indicate a harness or kernel
+        bug (a deadlock no injection caused is a
+        :class:`~repro.errors.DCudaUsageError`).
     """
-    from ..apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
+    from ..apps.diffusion import run_dcuda_diffusion
     from ..hw import Cluster, greina
 
-    if wl is None:
-        wl = DiffusionWorkload(ni=8, nj_per_device=2 * ranks_per_device,
-                               nk=2, steps=2)
-    if baseline is None:
-        _, baseline = baseline_field(wl, num_nodes, ranks_per_device,
-                                     comm_backend=comm_backend)
+    wl = chaos_workload(ranks_per_device, steps)
+    _, baseline = baseline_field(wl, num_nodes, ranks_per_device,
+                                 comm_backend=comm_backend)
     if cfg is None:
         cfg = FaultsConfig(enabled=True, seed=seed)
     cluster = Cluster(greina(num_nodes, faults=cfg,
@@ -152,42 +171,37 @@ def run_chaos_case(seed: Optional[int] = None, num_nodes: int = 2,
 
 
 def chaos_specs(seeds: Sequence[int], num_nodes: int = 2,
-                ranks_per_device: int = 2, wl=None,
+                ranks_per_device: int = 2, steps: int = 2,
                 comm_backend: str = "proxy"):
-    """Build the engine specs + shared payload for a chaos sweep.
+    """Build the engine specs for a chaos sweep, as pure data.
 
-    The fault-free baseline is computed *once* here (per process, cached)
-    and returned as the engine's shared payload — the executor ships it
-    to each worker once, at start, instead of each recomputing it.  Both
-    :func:`chaos_sweep` and the ``chaos`` suite of ``python -m
-    repro.exec`` build specs through this helper, so their cached results
-    are interchangeable.
+    Simulates nothing and loads no simulator: each spec names the
+    workload by its parameters, and every worker builds it and its
+    fault-free baseline itself (:func:`run_chaos_case`, cached per
+    process).  :func:`chaos_sweep`, the ``chaos`` suite of ``python -m
+    repro.exec`` and ``python -m repro.faults report --sweep`` all build
+    specs through this helper, so their cache keys, and so their cached
+    outcomes, are interchangeable.
 
     Returns:
-        ``(specs, shared)`` — one ``chaos_case``
-        :class:`~repro.exec.spec.RunSpec` per seed, plus
-        ``{"baseline": ndarray}``.
+        ``(specs, {})`` — one ``chaos_case``
+        :class:`~repro.exec.spec.RunSpec` per seed, plus an empty shared
+        payload (kept for callers that unpack two values).
     """
-    from ..apps.diffusion import DiffusionWorkload
     from ..exec import RunSpec
 
-    if wl is None:
-        wl = DiffusionWorkload(ni=8, nj_per_device=2 * ranks_per_device,
-                               nk=2, steps=2)
-    _, baseline = baseline_field(wl, num_nodes, ranks_per_device,
-                                 comm_backend=comm_backend)
     suffix = "" if comm_backend == "proxy" else f":{comm_backend}"
     specs = [RunSpec("chaos_case",
                      dict(seed=seed, num_nodes=num_nodes,
-                          ranks_per_device=ranks_per_device, wl=wl,
+                          ranks_per_device=ranks_per_device, steps=steps,
                           comm_backend=comm_backend),
                      label=f"chaos:seed{seed}{suffix}")
              for seed in seeds]
-    return specs, {"baseline": baseline}
+    return specs, {}
 
 
 def chaos_sweep(seeds: Sequence[int], num_nodes: int = 2,
-                ranks_per_device: int = 2, wl=None, workers=None,
+                ranks_per_device: int = 2, steps: int = 2, workers=None,
                 cache=None,
                 comm_backend: str = "proxy",
                 executor=None) -> List[ChaosOutcome]:
@@ -199,23 +213,24 @@ def chaos_sweep(seeds: Sequence[int], num_nodes: int = 2,
 
     Args:
         seeds: Fault-plan seeds, one independent run each.
-        num_nodes/ranks_per_device/wl: Cluster and workload shape, as in
-            :func:`run_chaos_case`.
+        num_nodes/ranks_per_device/steps: Cluster and workload shape, as
+            in :func:`run_chaos_case`.
         workers: Engine worker processes (``None`` = serial or
             ``$REPRO_EXEC_WORKERS``).
         cache: Optional :class:`~repro.exec.cache.ResultCache` or cache
-            directory path; the baseline digest salts every key, so a
-            changed baseline invalidates cached outcomes.
+            directory path.  A key is the spec's content hash under the
+            source fingerprint; the baseline is a function of both, so
+            it needs no salt of its own.
         executor: Transport name or :class:`~repro.exec.executors.
             Executor` instance (``None`` = ``$REPRO_EXEC_EXECUTOR`` or
             by worker count).
     """
     from ..exec import run_specs
 
-    specs, shared = chaos_specs(seeds, num_nodes, ranks_per_device, wl=wl,
-                                comm_backend=comm_backend)
+    specs, _ = chaos_specs(seeds, num_nodes, ranks_per_device, steps,
+                           comm_backend=comm_backend)
     return run_specs(specs, workers=workers, cache=cache,
-                     shared=shared, executor=executor).results
+                     executor=executor).results
 
 
 def sweep_table(outcomes: Sequence[ChaosOutcome]) -> Table:

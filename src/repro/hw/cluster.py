@@ -56,7 +56,7 @@ class Cluster:
         self.faults = FaultPlane.build(self.env, self.cfg.faults,
                                        self.platform.num_nodes, obs=self.obs)
         self.nodes: List[Node] = [
-            Node(self.env, self.cfg, i, self.platform.node_spec(i),
+            Node(self.env, i, self.platform.node_spec(i),
                  tracer=self.tracer, obs=self.obs, faults=self.faults)
             for i in range(self.platform.num_nodes)
         ]

@@ -7,7 +7,6 @@ from typing import Any, Generator, List, Optional
 
 from ..platform.resolve import NodeSpec
 from ..sim import Environment, Event, Semaphore, Tracer
-from .config import MachineConfig
 from .gpu import Device
 from .pcie import PCIeLink
 
@@ -31,11 +30,10 @@ class Node:
     :attr:`pcie` alias the first GPU/port for the one-GPU call sites.
     """
 
-    def __init__(self, env: Environment, cfg: MachineConfig, index: int,
-                 spec: NodeSpec, tracer: Optional[Tracer] = None,
-                 obs: Any = None, faults: Any = None):
+    def __init__(self, env: Environment, index: int, spec: NodeSpec,
+                 tracer: Optional[Tracer] = None, obs: Any = None,
+                 faults: Any = None):
         self.env = env
-        self.cfg = cfg
         self.index = index
         self.name = f"node{index}"
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)

@@ -84,13 +84,17 @@ class CircularQueue:
 
     def __init__(self, env: Environment, size: int,
                  link: Optional[PCIeLink] = None, name: str = "queue",
-                 obs: Any = None, faults: Any = None):
+                 obs: Any = None, faults: Any = None,
+                 rank: Optional[int] = None):
         if size < 1:
             raise ValueError(f"queue size must be >= 1, got {size}")
         self.env = env
         self.size = size
         self.link = link
         self.name = name
+        #: World rank of the queue's owner, carried by its typed errors
+        #: (``None`` for a queue no rank owns).
+        self.rank = rank
         self.stats = QueueStats()
         # Fault plane (or None).  The fault-aware commit is taken when a
         # plane is attached, the bounded credit wait only after a reload
@@ -205,7 +209,7 @@ class CircularQueue:
                     raise DCudaTimeoutError(
                         f"queue {self.name}: no credits after "
                         f"{cfg.max_retries} backed-off handshake retries",
-                        sim_time=self.env._now)
+                        rank=self.rank, sim_time=self.env._now)
                 yield from bounded(self._space_freed.wait(),
                                    cfg.backoff_base * (2 ** (attempt - 1)))
                 self.stats.retries += 1
@@ -343,7 +347,7 @@ class CircularQueue:
             raise DCudaFaultError(
                 f"queue {self.name}: slot seq={seq} lost {attempt} times; "
                 f"redelivery budget ({cfg.max_retries}) exhausted",
-                sim_time=self.env._now)
+                rank=self.rank, sim_time=self.env._now)
         delay = cfg.redelivery_delay * (2 ** (attempt - 1))
         self.env.call_at(delay, self._commit_faulty, seq, entry, attempt)
 

@@ -68,16 +68,16 @@ class RankState:
         faults = getattr(node, "faults", None)
         self.cmd_queue = CircularQueue(env, queue_size, pcie,
                                        name=f"cmd:r{world_rank}", obs=obs,
-                                       faults=faults)
+                                       faults=faults, rank=world_rank)
         self.ack_queue = CircularQueue(env, queue_size, pcie,
                                        name=f"ack:r{world_rank}", obs=obs,
-                                       faults=faults)
+                                       faults=faults, rank=world_rank)
         self.notif_queue = CircularQueue(env, queue_size, pcie,
                                          name=f"ntf:r{world_rank}", obs=obs,
-                                         faults=faults)
+                                         faults=faults, rank=world_rank)
         self.log_queue = CircularQueue(env, queue_size, pcie,
                                        name=f"log:r{world_rank}", obs=obs,
-                                       faults=faults)
+                                       faults=faults, rank=world_rank)
         # Device-visible flush counter, mirrored by the block manager.
         self.flush_counter = 0
         self.flush_signal = Signal(env, name=f"flush:r{world_rank}")

@@ -107,7 +107,7 @@ class TestCacheInterplay:
 
 
 def _chaos_micro_specs(seeds=(0, 1, 2)):
-    """A miniature chaos sweep: the cheapest shared-payload consumer."""
+    """A miniature chaos sweep: one ~10 ms diffusion per seed."""
     from repro.faults.report import chaos_specs
 
     return chaos_specs(seeds, num_nodes=2, ranks_per_device=2)
@@ -134,12 +134,15 @@ class TestParallel:
             assert _digest([by_label[spec.label]]) == _digest([result])
 
     def test_shared_payload_reaches_workers(self):
-        specs, shared = _chaos_micro_specs(seeds=(0, 1))
+        specs = [RunSpec("selftest_point", {"token": i}, label=f"echo:{i}")
+                 for i in range(2)]
+        shared = {"alpha": 1, "beta": (2, 3)}
         serial = run_specs(specs, workers=1, shared=shared)
         parallel = run_specs(specs, workers=2, shared=shared)
+        assert parallel.executor == "local"
         assert parallel.results == serial.results
-        for outcome in parallel.results:
-            assert outcome.clean
+        assert [r["payload"] for r in parallel.results] == \
+            [["alpha", "beta"]] * 2
 
     def test_worker_crash_wrapped_in_typed_error(self):
         specs = [RunSpec("selftest_point",

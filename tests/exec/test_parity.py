@@ -23,13 +23,33 @@ class TestChaosParity:
         """The engine-backed chaos_sweep reproduces per-case execution."""
         from repro.faults.report import run_chaos_case
 
-        specs, shared = chaos_specs(SEEDS)
-        via_engine = run_specs(specs, shared=shared).results
-        inline = [run_chaos_case(seed, 2, 2,
-                                 wl=specs[0].params["wl"],
-                                 baseline=shared["baseline"])
-                  for seed in SEEDS]
+        specs, _ = chaos_specs(SEEDS)
+        via_engine = run_specs(specs).results
+        inline = [run_chaos_case(seed, 2, 2) for seed in SEEDS]
         assert via_engine == inline
+
+    def test_front_ends_share_cache_keys(self, tmp_path, capsys):
+        """chaos_specs, the chaos suite and ``python -m repro.faults
+        report --sweep`` key one shape identically, so their cached
+        outcomes are interchangeable."""
+        from repro.exec import ResultCache
+        from repro.exec.suites import build_suite
+        from repro.faults.__main__ import main
+
+        cache = ResultCache(tmp_path / "cache")
+        specs, _ = chaos_specs(SEEDS, num_nodes=2, ranks_per_device=2,
+                               steps=2)
+        keys = [cache.key_for(spec) for spec in specs]
+        suite = build_suite("chaos", seeds=len(SEEDS), nodes=2, ranks=2,
+                            steps=2)
+        assert [cache.key_for(spec) for spec in suite.specs] == keys
+        assert main(["report", "--sweep", str(len(SEEDS)), "--nodes", "2",
+                     "--ranks", "2", "--steps", "2",
+                     "--cache-dir", str(cache.root)]) == 0
+        capsys.readouterr()
+        # The CLI's sweep stored exactly the entries those keys address.
+        assert all(cache.get(key)[0] for key in keys)
+        assert cache.stats().entries == len(keys)
 
     @pytest.mark.slow
     def test_parallel_sweep_bit_identical_to_serial(self):

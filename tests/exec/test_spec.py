@@ -89,7 +89,8 @@ class TestRunSpec:
 
     def test_hash_stable_across_pickle_roundtrip(self):
         wl = DiffusionWorkload(ni=8, nj_per_device=4, nk=2, steps=2)
-        spec = RunSpec("chaos_case", dict(seed=3, wl=wl), label="c3")
+        spec = RunSpec("weak_scaling_point",
+                       dict(app="stencil", nodes=3, wl=wl), label="c3")
         clone = pickle.loads(pickle.dumps(spec))
         assert clone.content_hash() == spec.content_hash()
         assert clone.label == "c3"

@@ -5,16 +5,23 @@ numerics bit-identical to a fault-free run, or fail with a diagnosed typed
 error (:class:`DCudaFaultError` / :class:`DCudaTimeoutError`) carrying
 simulated-time context.  Nothing hangs: the launch is guarded by a
 simulated-time watchdog, and a schedule that drains with a rank still
-waiting is diagnosed as a deadlock.  Any other exception type escapes
-:func:`run_chaos_case` and fails the test — that is the harness-bug
-detector.
+waiting is diagnosed as a deadlock (a fault only if the plane injected
+one).  Any other exception type escapes :func:`run_chaos_case` and
+fails the test — that is the harness-bug detector.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from repro.apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
-from repro.errors import DCudaError, DCudaFaultError, DCudaTimeoutError
+from repro.errors import (
+    DCudaError,
+    DCudaFaultError,
+    DCudaTimeoutError,
+    DCudaUsageError,
+)
 from repro.faults import (
     ChaosOutcome,
     FaultEvent,
@@ -31,7 +38,7 @@ SEEDS = range(50)
 
 @pytest.fixture(scope="module")
 def sweep():
-    return chaos_sweep(SEEDS, num_nodes=2, ranks_per_device=2, wl=WL)
+    return chaos_sweep(SEEDS, num_nodes=2, ranks_per_device=2, steps=1)
 
 
 def test_sweep_covers_fifty_seeds(sweep):
@@ -71,15 +78,22 @@ def test_harsh_budget_produces_typed_failures():
     outcomes = [
         run_chaos_case(cfg=FaultsConfig(enabled=True, seed=seed,
                                         plan_size=30, max_retries=1),
-                       wl=WL)
+                       steps=1)
         for seed in range(10)
     ]
     assert all(o.clean for o in outcomes)
     failed = [o for o in outcomes if o.status != "completed"]
     assert failed, "harsh sweep produced no typed failures to verify"
+    queue_errors = 0
     for o in failed:
         assert o.error_code in ("DCUDA_TIMEOUT", "DCUDA_FAULT")
         assert "t=" in o.error  # simulated-time context rendered
+        # A queue's typed error carries its owner's world rank.
+        owner = re.match(r"queue \w+:r(\d+): ", o.error)
+        if owner:
+            queue_errors += 1
+            assert f"[rank={owner.group(1)} t=" in o.error, o.error
+    assert queue_errors, "no typed queue outcome to check for its rank"
 
 
 def test_outcome_clean_logic():
@@ -124,29 +138,36 @@ def test_watchdog_turns_hang_into_timeout_error():
 
 def test_never_satisfied_wait_is_a_diagnosed_deadlock():
     """A parked wait leaves the schedule, so the run drains long before
-    the watchdog and the launch names the rank that never finished."""
+    the watchdog and the launch names the rank that never finished.  The
+    inert plane injected nothing, so the kernel is at fault."""
     from repro.dcuda import launch
 
     cluster = Cluster(greina(1, faults=FaultsConfig(enabled=True)))
-    with pytest.raises(DCudaFaultError,
+    with pytest.raises(DCudaUsageError,
                        match=r"deadlock: .*kernel:r0") as info:
         launch(cluster, _hanging_kernel, ranks_per_device=1)
     assert info.value.sim_time < FaultsConfig().watchdog
 
 
-def test_without_fault_plane_hang_diagnosis_stays_runtime_error():
-    """Legacy behaviour preserved: no plane, no typed errors."""
+def test_without_fault_plane_deadlock_is_a_usage_error():
+    """No plane, same rule: the deadlock is typed as the kernel's bug."""
     from repro.dcuda import launch
 
-    def kernel(rank):
-        win = yield from rank.win_create(np.zeros(4))
-        got = yield from rank.test_notifications(win, source=0, tag=1)
-        assert got == 0
-        yield from rank.win_free(win)
-        yield from rank.finish()
+    with pytest.raises(DCudaUsageError, match=r"deadlock: .*kernel:r0"):
+        launch(Cluster(greina(1)), _hanging_kernel, ranks_per_device=1)
 
-    res = launch(Cluster(greina(1)), kernel, ranks_per_device=1)
-    assert res.elapsed > 0
+
+def test_deadlock_after_an_injection_is_a_fault_error():
+    """The same hang after the plane injected something (one discarded
+    duplicate) may be the fault's doing, so it is typed as a fault."""
+    from repro.dcuda import launch
+
+    cfg = FaultsConfig(enabled=True, events=(
+        FaultEvent("queue_dup", start=0.0, duration=1.0, count=1),))
+    cluster = Cluster(greina(1, faults=cfg))
+    with pytest.raises(DCudaFaultError, match=r"deadlock: .*kernel:r0"):
+        launch(cluster, _hanging_kernel, ranks_per_device=1)
+    assert cluster.faults.total_injections() == 1
 
 
 # ---------------------------------------------------------------- report ----

@@ -12,11 +12,9 @@ host proxy they bypass.
 
 import pytest
 
-from repro.apps.diffusion import DiffusionWorkload
 from repro.faults import FaultsConfig, run_chaos_case
 from repro.hw.config import COMM_BACKENDS
 
-WL = DiffusionWorkload(ni=8, nj_per_device=4, nk=2, steps=1)
 SEEDS = range(50)
 
 
@@ -27,7 +25,7 @@ def _backend_of(seed: int) -> str:
 @pytest.fixture(scope="module")
 def sweep():
     return [run_chaos_case(seed=seed, num_nodes=2, ranks_per_device=2,
-                           wl=WL, comm_backend=_backend_of(seed))
+                           steps=1, comm_backend=_backend_of(seed))
             for seed in SEEDS]
 
 
@@ -71,7 +69,7 @@ def test_harsh_budget_is_typed_on_new_backends(backend):
     outcomes = [
         run_chaos_case(cfg=FaultsConfig(enabled=True, seed=seed,
                                         plan_size=30, max_retries=1),
-                       wl=WL, comm_backend=backend)
+                       steps=1, comm_backend=backend)
         for seed in range(8)
     ]
     assert all(o.clean for o in outcomes)
