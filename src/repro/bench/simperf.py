@@ -290,7 +290,7 @@ def profile_probes(quick: bool = True, top: int = 25,
                               comm_backend=comm_backend):
         fn = resolve_entrypoint(spec.entrypoint)
         prof = cProfile.Profile()
-        result = prof.runcall(fn, spec.params, {})
+        result = prof.runcall(fn, spec.params)
         buf = io.StringIO()
         stats = pstats.Stats(prof, stream=buf)
         stats.sort_stats("cumulative").print_stats(top)

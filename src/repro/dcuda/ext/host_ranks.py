@@ -5,20 +5,20 @@ extend our programming model with host ranks that like the device ranks
 communicate using notified remote memory access."
 
 A :class:`HostRank` runs on a node's host processor.  It can put into (and
-get from) device-rank windows with target notification, and device ranks
-can address it symmetrically through its own host window.  Host-side
-matching works on a private notification store — no PCIe queue is involved
-for notifications *to* the host.
+get from) device-rank windows with target notification, under the same
+bounds and dtype rule as a device rank, and device ranks notify it with
+:func:`notify_host`.  Host-side matching works on a private notification
+store — no PCIe queue is involved for notifications *to* the host.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 import numpy as np
 
 from ...runtime.commands import Notification
-from ...runtime.system import DCudaRuntime, WindowId
+from ...runtime.system import DCudaRuntime
 from ...sim import Event, Store
 from ..device_api import DRank
 from ..notifications import DCUDA_ANY_SOURCE, DCUDA_ANY_TAG
@@ -34,11 +34,12 @@ HOST_RANK_BASE = 1 << 20
 class HostRank:
     """A host-resident rank communicating via notified RMA.
 
-    Create one per node *after* the runtime started.  Windows it registers
-    live in host memory; device ranks target them through :meth:`put` on
-    the host-rank side only (full device→host symmetry would need its own
-    window table entry — the published runtime never had host ranks, this
-    is the suggested extension in its simplest useful form).
+    Create one per node *after* the runtime started.  A host rank owns no
+    window: it puts into and gets from the device-rank windows of its own
+    node, and device ranks signal it with :func:`notify_host` (full
+    device→host symmetry would need its own window table entry — the
+    published runtime never had host ranks, this is the suggested
+    extension in its simplest useful form).
     """
 
     def __init__(self, runtime: DCudaRuntime, node_index: int):
@@ -48,18 +49,6 @@ class HostRank:
         self.rank_id = HOST_RANK_BASE + node_index
         self._notifications = Store(self.env,
                                     name=f"hostrank{node_index}.notif")
-        self._buffers: Dict[WindowId, np.ndarray] = {}
-
-    # -- windows ------------------------------------------------------
-    def attach(self, win_id: WindowId, buffer: np.ndarray) -> None:
-        """Expose a host buffer under an existing window's global id so
-        device ranks can reference symmetric offsets."""
-        if buffer.ndim != 1:
-            raise ValueError("host window buffers must be 1-D")
-        self._buffers[win_id] = buffer
-
-    def buffer(self, win_id: WindowId) -> np.ndarray:
-        return self._buffers[win_id]
 
     # -- RMA ----------------------------------------------------------------
     def put_notify(self, win: Window, target_rank: int, target_offset: int,
@@ -68,7 +57,12 @@ class HostRank:
         """Put host data into a device rank's window with notification.
 
         Data crosses the PCIe link by DMA; the notification takes the same
-        notification-queue path a block manager uses.
+        notification-queue path a block manager uses.  The target region
+        is checked like every device put (``window_access``).
+
+        Raises:
+            IndexError: the put runs past the end of the target window.
+            TypeError: *src*'s dtype is not the window's.
         """
         src = np.asarray(src)
         win.check_target(target_rank, target_offset, src.size)
@@ -78,8 +72,10 @@ class HostRank:
             raise ValueError(
                 "host ranks address their own node's device; route through "
                 "MPI for remote nodes")
+        buf = system.window_access(win.global_id, target_rank, "put",
+                                   target_offset, snapshot.size,
+                                   snapshot.dtype)
         yield from self.node.pcie.dma_copy(float(snapshot.nbytes))
-        buf = system.window_buffer(win.global_id, target_rank)
         buf[target_offset:target_offset + snapshot.size] = snapshot
         state = self.runtime.state_of(target_rank)
         local_win = state.win_reverse[win.global_id]
@@ -88,10 +84,15 @@ class HostRank:
 
     def get(self, win: Window, target_rank: int, target_offset: int,
             count: int) -> Generator[Event, Any, np.ndarray]:
-        """Read a device rank's window region into host memory."""
+        """Read a device rank's window region into host memory.
+
+        Raises:
+            IndexError: the region runs past the end of the window.
+        """
         win.check_target(target_rank, target_offset, count)
         system = self.runtime.system_of(target_rank)
-        buf = system.window_buffer(win.global_id, target_rank)
+        buf = system.window_access(win.global_id, target_rank, "get",
+                                   target_offset, count)
         data = buf[target_offset:target_offset + count].copy()
         yield from self.node.pcie.dma_copy(float(data.nbytes))
         return data

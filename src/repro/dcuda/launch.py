@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..errors import DCudaFaultError, DCudaTimeoutError, DCudaUsageError
 from ..hw.cluster import Cluster
 from ..hw.config import MachineConfig
 from ..runtime.system import DCudaRuntime
@@ -51,26 +50,25 @@ def launch(cluster: Union[Cluster, MachineConfig], kernel: Callable[..., Any],
     The rank count per device is capped at the device's in-flight block
     limit — dCUDA's over-subscription rule (§II-B).
 
-    With a fault plane attached (``MachineConfig.faults``) the run is
-    guarded by a simulated-time watchdog: instead of hanging, a launch
-    that outlives ``FaultsConfig.watchdog`` raises
-    :class:`~repro.errors.DCudaTimeoutError` naming the unfinished ranks.
-    A run whose schedule drains with a rank unfinished (a deadlock) or
-    the runtime non-quiescent is diagnosed with or without a plane, and
-    the error class names the cause: a fault only if the plane injected
-    one.
+    The run and its hang diagnosis are :meth:`Cluster.run_processes
+    <repro.hw.cluster.Cluster.run_processes>`: with a fault plane
+    attached (``MachineConfig.faults``) a simulated-time watchdog stops a
+    launch that outlives ``FaultsConfig.watchdog``, and a schedule that
+    drains with a rank unfinished is a deadlock, plane or not.  A runtime
+    left non-quiescent is diagnosed here.  Every error class names the
+    cause: a fault only if the plane injected one.
 
     Raises:
-        DCudaTimeoutError: the simulated-time watchdog expired (faults
-            attached only).
+        DCudaTimeoutError: the watchdog expired after the plane injected
+            a fault.
         DCudaFaultError: the run drained but rank processes or the runtime
             never completed, after the plane injected a fault.
-        DCudaUsageError: same diagnosis when nothing was injected (no
-            plane, or an inert one): the kernel itself is at fault.
+        DCudaUsageError: either diagnosis when nothing was injected (no
+            plane, or an inert one): the kernel itself spins, waits
+            forever, or needs a longer watchdog.
     """
     if isinstance(cluster, MachineConfig):
         cluster = Cluster(cluster)
-    faults = getattr(cluster, "faults", None)
     runtime = DCudaRuntime(cluster, ranks_per_device)
     runtime.start()
     args = kernel_args or {}
@@ -80,24 +78,7 @@ def launch(cluster: Union[Cluster, MachineConfig], kernel: Callable[..., Any],
         drank = DRank(runtime, world_rank)
         procs.append(cluster.env.process(kernel(drank, **args),
                                          name=f"kernel:r{world_rank}"))
-    if faults is not None and faults.cfg.watchdog > 0:
-        drained = cluster.env.run_watchdog(t0 + faults.cfg.watchdog)
-        if not drained:
-            unfinished = [p.name for p in procs if not p.triggered]
-            raise DCudaTimeoutError(
-                f"watchdog: simulated time exceeded "
-                f"{faults.cfg.watchdog:.3e}s with "
-                f"{len(unfinished)} rank(s) unfinished "
-                f"({', '.join(unfinished) or 'runtime only'})",
-                sim_time=cluster.env._now)
-    else:
-        cluster.run()
-    injected = faults is not None and faults.total_injections() > 0
-    error = DCudaFaultError if injected else DCudaUsageError
-    for p in procs:
-        if not p.triggered:
-            raise error(f"deadlock: rank process {p.name} never completed",
-                        sim_time=cluster.env._now)
+    error = cluster.run_processes(procs)
     problems = runtime.check_quiescent()
     if problems:
         raise error("runtime not quiescent after launch: "

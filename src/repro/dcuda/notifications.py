@@ -140,10 +140,6 @@ class NotificationMatcher:
         return consumed
 
     # -- public API ------------------------------------------------------
-    def pending_count(self) -> int:
-        """Arrived-but-unmatched notifications (drains the queue first)."""
-        return len(self._drain())
-
     def test(self, win_id: int = DCUDA_ANY_WINDOW,
              source: int = DCUDA_ANY_SOURCE, tag: int = DCUDA_ANY_TAG,
              count: int = 1) -> Generator[Event, Any, int]:

@@ -97,8 +97,11 @@ class DCudaUsageError(DCudaError):
     """The application misused the device API (e.g. use after ``finish``).
 
     The request was well-formed but illegal in the current rank state.
-    ``launch`` also raises it for a deadlock or a non-quiescent runtime
-    that no injected fault caused: the kernel itself is at fault.
+    ``launch`` and ``run_mpicuda`` also raise it for a hang that no
+    injected fault caused — a deadlock, a non-quiescent runtime, or a
+    watchdog expiry under an inert plane: the program itself is at fault
+    (it spins or waits forever), or its run needs a longer
+    ``FaultsConfig.watchdog``.
     """
 
     code = "DCUDA_USAGE"
@@ -110,12 +113,13 @@ class DCudaTimeoutError(DCudaError):
     """A bounded wait expired: starved credits, the watchdog, or a sweep.
 
     Raised when injected credit starvation outlasts a queue's backoff
-    retries, when the launch-level simulated-time watchdog fires, or when
-    a sweep job outlives its host-time limit.  Waits on acks,
-    notifications and flushes are not bounded: they end when the peer's
-    operation lands, so a slow peer is never a timeout.  Always carries
-    ``sim_time`` for simulated waits; carries ``rank`` whenever one rank
-    is waiting.
+    retries, when the simulated-time watchdog of a run fires after the
+    fault plane injected something (with nothing injected the hang is a
+    :class:`DCudaUsageError`), or when a sweep job outlives its host-time
+    limit.  Waits on acks, notifications and flushes are not bounded: they
+    end when the peer's operation lands, so a slow peer is never a
+    timeout.  Always carries ``sim_time`` for simulated waits; carries
+    ``rank`` whenever one rank is waiting.
     """
 
     code = "DCUDA_TIMEOUT"

@@ -11,16 +11,16 @@ and executes whole sweeps through three cooperating layers:
   one protocol and one worker program, so every transport is
   interchangeable.
 * **Store** (:mod:`repro.exec.cache`) — results memoized on disk keyed
-  by content hash + source-tree fingerprint, sharded by key prefix so
-  the directory scales to million-point campaigns.
+  by content hash + source-tree fingerprint, sharded by key prefix over
+  a constant fan-out so the directory scales to large campaigns.
 * **Coordinator** (:mod:`repro.exec.coordinator`) — *what* runs when:
   the spec queue, cache probes, in-flight dedup, retry on worker loss,
   poisoned-spec quarantine, and streamed progress.
 
-Results are merged by submission index, so every sweep is
-**bit-identical to serial execution** for any executor, worker count,
-shard count, and any sequence of worker deaths
-(:func:`~repro.exec.engine.run_specs` is the one-call surface).
+A task is its spec — an entrypoint is ``fn(params)`` — and results are
+merged by submission index, so every sweep is **bit-identical to serial
+execution** for any executor, worker count, and any sequence of worker
+deaths (:func:`~repro.exec.engine.run_specs` is the one-call surface).
 
 Command line::
 

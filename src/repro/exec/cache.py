@@ -2,20 +2,16 @@
 
 Layout: one directory per *source fingerprint generation* (first 16 hex
 chars of :func:`~repro.exec.fingerprint.source_fingerprint`), and inside
-it N ``shard-XXX`` directories addressed by the task-key prefix.  One
-file per result, named by the full task key — the sha256 of the spec's
-content hash concatenated with the shared-payload digest.  A key never
-changes meaning: same code + same spec + same shared inputs ⇒ same file,
-same shard.  Sharding keeps any one directory small enough to be cheap
-on network filesystems (a million-entry campaign is ~4k files per shard
-at the default width) and lets independent workers publish concurrently
+it :data:`DEFAULT_SHARDS` ``shard-XXX`` directories addressed by the
+task-key prefix.  One file per result, named by the full task key — the
+spec's content hash.  A key never changes meaning: same code + same spec
+⇒ same file, same shard.  The fan-out is a constant: the fingerprint
+covers this module, so every reader and writer of one generation runs
+the same code and agrees on where every key lives, and a probe is one
+``open()`` of the entry's path.  Sharding keeps any one directory small
+enough to be cheap on network filesystems (a million-entry campaign is
+~60k files per shard) and lets independent workers publish concurrently
 without contending on a single directory's metadata.
-
-A ``meta.json`` next to the shards records the generation's shard
-count.  The count on disk always wins over the constructor argument, so
-readers and writers with different defaults agree on where every key
-lives.  A cache instance resolves its shard directories once, on first
-use; after that a probe is one ``open()`` of the entry's path.
 
 Entry format (self-verifying, unchanged from the unsharded store)::
 
@@ -38,7 +34,6 @@ returns ``False`` and the sweep goes on with its in-memory result.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
@@ -58,13 +53,11 @@ __all__ = ["ResultCache", "CacheStats", "ShardStats", "DEFAULT_CACHE_DIR",
 #: (the repo root in every documented workflow).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Default shard fan-out per generation.  Wide enough that million-point
-#: campaigns stay at a few thousand files per directory, small enough
-#: that an ``ls`` of a fresh cache is still readable.
+#: Shard fan-out of every generation: ``shard-000`` … ``shard-015``.
+#: Small enough that an ``ls`` of a fresh cache is still readable.
 DEFAULT_SHARDS = 16
 
 _MAGIC = b"repro-cache-v1"
-_META_NAME = "meta.json"
 
 
 @dataclass(frozen=True)
@@ -104,74 +97,34 @@ class ResultCache:
         fingerprint: Source-tree fingerprint to namespace entries under;
             defaults to the live fingerprint of the installed ``repro``
             package.  Tests inject explicit values to model code changes.
-        shards: Shard fan-out for *new* generations.  A generation that
-            already has a ``meta.json`` keeps its recorded count — the
-            disk always wins, so mixed-version readers agree on layout.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
-                 fingerprint: Optional[str] = None,
-                 shards: int = DEFAULT_SHARDS):
+                 fingerprint: Optional[str] = None):
         self.root = Path(root)
         self.fingerprint = fingerprint or source_fingerprint()
         if not self.fingerprint:
             raise DCudaUsageError("empty cache fingerprint")
-        if shards < 1:
-            raise DCudaUsageError(f"shard count must be >= 1, got {shards}")
-        self._configured_shards = int(shards)
         self._gen = os.path.join(self.root, self.fingerprint[:16])
-        self._shards: Optional[int] = None  # resolved lazily, disk wins
-        self._shard_dirs: List[str] = []
+        self._shard_dirs = [os.path.join(self._gen, f"shard-{i:03d}", "")
+                            for i in range(DEFAULT_SHARDS)]
 
     # ---------------------------------------------------------- keys -----
-    def key_for(self, spec: RunSpec, shared_digest: str = "") -> str:
-        """Task key: spec content hash salted with the shared digest."""
-        return hashlib.sha256(
-            (spec.content_hash() + shared_digest).encode()).hexdigest()
+    def key_for(self, spec: RunSpec) -> str:
+        """Task key: the spec's content hash."""
+        return spec.content_hash()
 
     def _generation_dir(self) -> Path:
         return Path(self._gen)
 
-    # -------------------------------------------------------- sharding -----
-    def shard_count(self) -> int:
-        """Shard fan-out of the current generation (disk wins)."""
-        if self._shards is None:
-            self._shards = self._read_meta_shards()
-        return self._shards
-
-    def _read_meta_shards(self) -> int:
-        """Shard count recorded in the generation's meta.json, else the
-        configured one."""
-        try:
-            with open(os.path.join(self._gen, _META_NAME)) as f:
-                count = int(json.load(f)["shards"])
-            if count >= 1:
-                return count
-        except (OSError, ValueError, KeyError, TypeError):
-            pass
-        return self._configured_shards
-
-    def _write_meta(self) -> None:
-        """Publish meta.json atomically if absent (first write wins)."""
-        path = os.path.join(self._gen, _META_NAME)
-        if not os.path.exists(path):
-            self._write_atomic(path, json.dumps(
-                {"format": "repro-cache-v2", "shards": self.shard_count()},
-                sort_keys=True).encode())
-
     def _entry_path(self, key: str) -> str:
         """Where *key*'s entry lives: the shard its hex prefix picks (a
         crc32 of the key for a non-hex one)."""
-        dirs = self._shard_dirs
-        if not dirs:
-            dirs = self._shard_dirs = [
-                os.path.join(self._gen, f"shard-{i:03d}", "")
-                for i in range(self.shard_count())]
         try:
             idx = int(key[:2], 16)
         except ValueError:
             idx = zlib.crc32(key.encode())
-        return dirs[idx % len(dirs)] + key + ".pkl"
+        return self._shard_dirs[idx % DEFAULT_SHARDS] + key + ".pkl"
 
     # ----------------------------------------------------------- I/O -----
     @staticmethod
@@ -233,7 +186,6 @@ class ResultCache:
             except FileNotFoundError:
                 # First write to this shard, or the store was deleted.
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                self._write_meta()
                 self._write_atomic(path, blob)
         except OSError:
             return False
@@ -285,7 +237,7 @@ class ResultCache:
         breakdown = tuple(
             ShardStats(name=name, entries=counts[0], bytes=counts[1])
             for name, counts in sorted(per_shard.items()))
-        shards = self.shard_count() if os.path.isdir(self._gen) else 0
+        shards = DEFAULT_SHARDS if os.path.isdir(self._gen) else 0
         return CacheStats(root=str(self.root), fingerprint=self.fingerprint,
                           entries=live, bytes=live_b, stale_entries=stale,
                           stale_bytes=stale_b, generations=len(gens),

@@ -7,14 +7,15 @@ deliberately excludes —
 * **Merging**: results are placed by *submission index*, so the merged
   list (and its :func:`~repro.exec.spec.canonical_digest`) is a pure
   function of the spec list alone — bit-identical for any executor,
-  worker count, shard count, and any sequence of worker deaths.  An
-  executor only decides *when* a completion arrives, never *what* it
-  contains, and a retried task re-runs the same pure function.
-* **Caching**: one probe and one publish per unique task key against
-  the sharded :class:`~repro.exec.cache.ResultCache`.  A publish the
-  store refuses (full disk, read-only or deleted cache) leaves that
-  result uncached and is counted in
-  :attr:`SweepReport.publish_failures`; it never fails the sweep.
+  worker count, and any sequence of worker deaths.  An executor only
+  decides *when* a completion arrives, never *what* it contains, and a
+  retried task re-runs the same pure function.
+* **Caching**: one probe and one publish per unique task key (the
+  spec's content hash) against the sharded
+  :class:`~repro.exec.cache.ResultCache`.  A publish the store refuses
+  (full disk, read-only or deleted cache) leaves that result uncached
+  and is counted in :attr:`SweepReport.publish_failures`; it never
+  fails the sweep.
 * **In-flight dedup**: identical cacheable specs submitted concurrently
   execute once; every duplicate index receives the same result and is
   counted as a ``dedup_hit``.  Non-cacheable specs (wall-clock probes)
@@ -42,12 +43,12 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import DCudaTimeoutError, DCudaWorkerError
 from .cache import ResultCache
 from .executors import Executor, Job, SerialExecutor
-from .spec import RunSpec, canonical_digest
+from .spec import RunSpec
 
 __all__ = ["Coordinator", "ProgressEvent", "SweepReport",
            "STATUS_FILENAME"]
@@ -218,15 +219,11 @@ class Coordinator:
 
     # ------------------------------------------------------------- run -----
     def run(self, specs: Sequence[RunSpec], *,
-            shared: Optional[Mapping[str, Any]] = None,
             timeout: Optional[float] = None) -> SweepReport:
         """Execute *specs*; return the merged, submission-ordered report.
 
         Args:
             specs: The tasks; each must name a registered entrypoint.
-            shared: Payload shipped to every worker once and passed to
-                every entrypoint.  Its canonical digest salts every
-                cache/dedup key.
             timeout: Per-task wall-clock budget [s], enforced on
                 preemptive executors only (serial execution cannot
                 preempt a running task and ignores it, as the engine
@@ -243,9 +240,7 @@ class Coordinator:
                 was lost with no respawn budget left.
         """
         specs = list(specs)
-        shared = dict(shared or {})
         t0 = time.perf_counter()
-        shared_digest = canonical_digest(shared) if shared else ""
 
         results: List[Any] = [None] * len(specs)
         cache_hits = 0
@@ -260,7 +255,7 @@ class Coordinator:
         group_spec: Dict[str, RunSpec] = {}
         for idx, spec in enumerate(specs):
             if spec.cacheable and self.cache is not None:
-                key = self.cache.key_for(spec, shared_digest)
+                key = self.cache.key_for(spec)
             else:
                 key = f"!independent:{idx}"
             groups.setdefault(key, []).append(idx)
@@ -316,7 +311,7 @@ class Coordinator:
                 executor=ex.name, **phases)
 
         try:
-            ex.start(shared, expected_jobs=len(jobs))
+            ex.start(expected_jobs=len(jobs))
             pending: Dict[int, _JobState] = {}
             order: List[int] = []  # submission order, for timeout blame
             for job_id, state in enumerate(jobs):

@@ -8,15 +8,15 @@ caching, in-flight dedup, retry-on-worker-loss, and quarantine.
 
 Determinism argument (the proof sketch expanded in
 ``docs/performance.md`` and ``docs/sweep_service.md``): every
-entrypoint is a *pure function* of ``(params, shared)`` — each task
+entrypoint is a *pure function* of its spec's params — each task
 builds its own :class:`~repro.sim.Environment` and cluster from config
 data, the simulator is fully deterministic given its inputs, and
 workers share no mutable state (fresh interpreters).  The coordinator
 assigns each spec an index at submission, executes tasks in whatever
 order on whichever transport, and merges results *by index*.  Therefore
 the merged result list is a pure function of the spec list alone —
-bit-identical for any executor, worker count, shard count, and any
-sequence of worker deaths survived by retry.  The golden-timestamp
+bit-identical for any executor, worker count, and any sequence of
+worker deaths survived by retry.  The golden-timestamp
 fixture, the chaos contract, and the worker-loss fuzz harness
 (``tests/exec/``) enforce this empirically.
 
@@ -146,11 +146,9 @@ def run_specs(specs: Sequence[RunSpec], *,
             transport for crash isolation and true parallelism.
         cache: ``None`` (no caching), a :class:`ResultCache`, or a
             directory path to open one at.
-        shared: Payload shipped to every worker once and passed to every
-            entrypoint.  No suite ships one: a worker rebuilds what it
-            can derive from the params (the chaos baseline) and caches
-            it per process.  Its canonical digest salts every cache key,
-            so a changed shared input invalidates cached results.
+        shared: ``None`` or an empty mapping, and nothing else: an
+            entrypoint takes only its params, so a sweep-wide input is
+            rebuilt from them in the worker (as the chaos baseline is).
         timeout: Per-task wall-clock budget [s].  Enforced on preemptive
             (process) transports — a stuck worker is terminated; serial
             execution cannot preempt a running task and ignores it.
@@ -172,13 +170,18 @@ def run_specs(specs: Sequence[RunSpec], *,
         completion order.
 
     Raises:
-        DCudaUsageError: Unknown entrypoint, executor, or bad knobs.
+        DCudaUsageError: Unknown entrypoint, executor, or bad knobs,
+            or a non-empty *shared*.
         DCudaTimeoutError: A task exceeded *timeout* (process modes).
         DCudaWorkerError: A task raised an untyped exception in a
             worker, or a spec was quarantined after exhausting its
             dispatch attempts on distinct workers (serial execution
             propagates task exceptions raw).
     """
+    if shared is not None and (not isinstance(shared, Mapping) or shared):
+        raise DCudaUsageError(
+            f"run_specs(shared=) takes only None or an empty mapping, got "
+            f"{shared!r}: an entrypoint reads nothing but its spec's params")
     if workers is None:
         workers = default_workers()
     workers = max(1, int(workers))
@@ -186,4 +189,4 @@ def run_specs(specs: Sequence[RunSpec], *,
     coordinator = Coordinator(ex, cache=cache, max_attempts=max_attempts,
                               on_event=on_event, workers_hint=workers,
                               serial_fallback=fallback)
-    return coordinator.run(specs, shared=shared, timeout=timeout)
+    return coordinator.run(specs, timeout=timeout)

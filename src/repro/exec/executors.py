@@ -117,10 +117,11 @@ class Completion:
 class Executor(abc.ABC):
     """The executor protocol every transport implements.
 
-    Lifecycle: :meth:`start` once (with the shared payload), any number
-    of :meth:`submit` / :meth:`next_completion` interleavings, then
-    :meth:`stop`.  Implementations are thread-safe for one submitting
-    thread plus internal harvester threads.
+    Lifecycle: :meth:`start` once, any number of :meth:`submit` /
+    :meth:`next_completion` interleavings, then :meth:`stop`.  A job
+    carries everything its task reads, so starting ships nothing.
+    Implementations are thread-safe for one submitting thread plus
+    internal harvester threads.
 
     Attributes:
         name: Transport name recorded in :class:`~repro.exec.engine.
@@ -135,9 +136,9 @@ class Executor(abc.ABC):
     preemptive = True
 
     @abc.abstractmethod
-    def start(self, shared: Mapping[str, Any],
-              expected_jobs: Optional[int] = None) -> None:
-        """Provision workers and ship them the shared payload once."""
+    def start(self, expected_jobs: Optional[int] = None) -> None:
+        """Provision workers (at most *expected_jobs* where that caps
+        the fleet)."""
 
     @abc.abstractmethod
     def submit(self, job: Job) -> None:
@@ -191,10 +192,9 @@ class SerialExecutor(Executor):
 
     def __init__(self):
         self._pending: List[Job] = []
-        self._shared: Mapping[str, Any] = {}
 
-    def start(self, shared, expected_jobs=None):
-        self._shared = dict(shared or {})
+    def start(self, expected_jobs=None):
+        pass
 
     def submit(self, job):
         self._pending.append(job)
@@ -204,7 +204,7 @@ class SerialExecutor(Executor):
             return None
         job = self._pending.pop(0)
         fn = resolve_entrypoint(job.entrypoint)
-        value = fn(dict(job.params), self._shared)
+        value = fn(dict(job.params))
         return Completion(job.job_id, ok=True, value=value, worker="serial")
 
     def stop(self):
@@ -313,8 +313,6 @@ class _PipeWorker:
         return f"worker-{self.slot}-pid{pid}"
 
     def spawn(self):
-        from .worker import send_frame
-
         ex = self.executor
         self.proc = proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.exec", "worker",
@@ -322,7 +320,6 @@ class _PipeWorker:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL, env=ex.child_env)
         ex.procs.append(proc)
-        send_frame(proc.stdin, {"kind": "init", "shared": ex.shared_blob})
         self.alive = True
         self.thread = threading.Thread(target=self._read_loop,
                                        args=(proc,), daemon=True)
@@ -355,8 +352,8 @@ class LocalPoolExecutor(Executor):
     """A fleet of long-lived ``worker --stdio`` processes over pipes.
 
     Each worker is a fresh interpreter running the frame loop of
-    :mod:`repro.exec.worker`; the parent ships the shared payload once
-    per worker, then feeds one job at a time.  A worker is lost when its
+    :mod:`repro.exec.worker`; it announces itself with ``ready`` and the
+    parent feeds it one job at a time.  A worker is lost when its
     pipe reaches EOF or it sends anything but ``ready`` or a done frame
     :func:`decode_done` credits.  Its in-flight job then becomes a
     ``worker_lost`` completion, the process is reaped, and the slot is
@@ -375,8 +372,6 @@ class LocalPoolExecutor(Executor):
 
     def __init__(self, workers: int = 2):
         self.workers = max(1, int(workers))
-        self.shared_blob = pickle.dumps({},
-                                        protocol=pickle.HIGHEST_PROTOCOL)
         self.child_env: Dict[str, str] = {}
         #: Every process this fleet started, respawns included.
         self.procs: List[subprocess.Popen] = []
@@ -387,9 +382,7 @@ class LocalPoolExecutor(Executor):
         self._respawns = 0
         self._stopped = False
 
-    def start(self, shared, expected_jobs=None):
-        self.shared_blob = pickle.dumps(dict(shared or {}),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
+    def start(self, expected_jobs=None):
         self.child_env = _child_env()
         count = (min(self.workers, expected_jobs)
                  if expected_jobs else self.workers)
@@ -546,7 +539,7 @@ class _HttpWorkerClient(threading.Thread):
     def _try_connect(self) -> bool:
         try:
             self._request("GET", "/healthz", timeout=2.0)
-            self._request("POST", "/init", self.executor.shared_blob)
+            self._request("POST", "/init")
         except Exception:
             return False
         self.alive = True
@@ -588,8 +581,8 @@ class HTTPWorkerExecutor(Executor):
     """Dispatch to ``python -m repro.exec worker --port N`` daemons.
 
     The coordinator-facing contract matches every other transport; the
-    wire protocol is deliberately minimal stdlib HTTP: ``POST /init``
-    ships the shared payload, ``POST /submit`` enqueues one pickled job,
+    wire protocol is deliberately minimal stdlib HTTP: a body-less ``POST
+    /init`` starts a session, ``POST /submit`` enqueues one pickled job,
     ``GET /poll?wait=S`` long-polls for completion frames, and ``GET
     /healthz`` answers liveness probes.  Payloads are pickle and carry
     no authentication — the transport is for machines you already trust
@@ -623,8 +616,6 @@ class HTTPWorkerExecutor(Executor):
         self.poll_wait = poll_wait
         self.reconnect_interval = reconnect_interval
         self.max_reconnect_failures = max_reconnect_failures
-        self.shared_blob = pickle.dumps({},
-                                        protocol=pickle.HIGHEST_PROTOCOL)
         #: Session tag: submitted with every job and echoed on its done
         #: frame, so a reused daemon's stale frames (from a sweep that
         #: gave this host up) are never credited to this sweep.
@@ -633,10 +624,8 @@ class HTTPWorkerExecutor(Executor):
         self._jobs: "queue.Queue[Optional[Job]]" = queue.Queue()
         self._completions: "queue.Queue[Completion]" = queue.Queue()
 
-    def start(self, shared, expected_jobs=None):
+    def start(self, expected_jobs=None):
         self.epoch = f"{os.getpid():x}-{id(self):x}-{time.time_ns():x}"
-        self.shared_blob = pickle.dumps(dict(shared or {}),
-                                        protocol=pickle.HIGHEST_PROTOCOL)
         for host in self.hosts:
             client = _HttpWorkerClient(self, host)
             client.start()

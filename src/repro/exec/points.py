@@ -1,19 +1,19 @@
 """Registered sweep entrypoints: every figure point as a pure function.
 
-Each entrypoint turns one ``(params, shared)`` pair into one picklable
-result object and builds *all* of its simulation state internally — a
-fresh cluster from config data, nothing captured from the parent process
-— which is what makes a :class:`~repro.exec.spec.RunSpec` executable in
-a spawned worker and its result cacheable by content.  No suite ships a
-``shared`` payload: an input every spec needs (the chaos baseline) is
-rebuilt and cached by each worker.
+Each entrypoint turns one ``params`` mapping into one picklable result
+object and builds *all* of its simulation state internally — a fresh
+cluster from config data, nothing captured from the parent process —
+which is what makes a :class:`~repro.exec.spec.RunSpec` executable in a
+spawned worker and its result cacheable by content.  An input every
+spec needs (the chaos baseline) is rebuilt from the params and cached by
+each worker.
 
 The model code stays where it lives (``repro.bench``, ``repro.faults``,
 ``repro.apps``); this module is the thin, import-lazy adapter layer the
-worker processes load when they receive their ``init`` frame.  The
-probe at the bottom (``selftest_point``) exists for the sweep service's
-own tests — echo, timeout, crash isolation, worker loss, forged frames —
-and does no simulation work.
+worker processes load at start-up.  The probe at the bottom
+(``selftest_point``) exists for the sweep service's own tests — echo,
+timeout, crash isolation, worker loss, forged frames — and does no
+simulation work.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
 
 
 @entrypoint("chaos_case")
-def chaos_case(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def chaos_case(params: Mapping[str, Any]):
     """One seeded fault-injection run of the diffusion mini-app.
 
     Params: ``seed``, ``num_nodes``, ``ranks_per_device``, ``steps`` (the
@@ -65,7 +65,7 @@ def chaos_case(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("pingpong_point")
-def pingpong_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def pingpong_point(params: Mapping[str, Any]):
     """One Fig. 6 ping-pong measurement.
 
     Params: ``shared_mem`` (bool), ``packet_bytes``, ``iterations``,
@@ -91,7 +91,7 @@ def pingpong_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("topology_point")
-def topology_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def topology_point(params: Mapping[str, Any]):
     """One ping-pong measurement on a declaratively built platform.
 
     Params: ``kind`` (``"flat"`` | ``"fat_tree"`` | ``"ring"``),
@@ -130,7 +130,7 @@ def topology_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("overlap_point")
-def overlap_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def overlap_point(params: Mapping[str, Any]):
     """One Fig. 7/8 overlap-benchmark configuration.
 
     Params mirror :func:`~repro.bench.overlap.run_overlap`: ``mode``,
@@ -154,8 +154,7 @@ def overlap_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("weak_scaling_point")
-def weak_scaling_point(params: Mapping[str, Any],
-                       shared: Mapping[str, Any]):
+def weak_scaling_point(params: Mapping[str, Any]):
     """One node count of a Fig. 9/10/11 weak-scaling sweep.
 
     Params: ``app`` (``"particles"`` | ``"stencil"`` | ``"spmv"``),
@@ -210,7 +209,7 @@ def _ml_cluster(params: Mapping[str, Any]):
 
 
 @entrypoint("collective_point")
-def collective_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def collective_point(params: Mapping[str, Any]):
     """One timed collective on one (backend, topology, algorithm) cell.
 
     Params: ``op`` (``"allreduce"`` | ``"reduce_scatter"`` |
@@ -289,7 +288,7 @@ def collective_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("gemm_point")
-def gemm_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def gemm_point(params: Mapping[str, Any]):
     """One pipelined-GEMM run (one mode of the overlap decomposition).
 
     Params: ``mode`` (``"both"`` | ``"compute"`` | ``"stream"``),
@@ -325,7 +324,7 @@ def gemm_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("train_point")
-def train_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def train_point(params: Mapping[str, Any]):
     """One data-parallel SGD run with an (optionally autotuned) allreduce.
 
     Params: ``features``, ``steps``, ``samples_per_rank``, ``algorithm``
@@ -360,8 +359,7 @@ def train_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("queue_burst_point")
-def queue_burst_point(params: Mapping[str, Any],
-                      shared: Mapping[str, Any]):
+def queue_burst_point(params: Mapping[str, Any]):
     """Queue-sizing ablation cell: a put burst at one queue size.
 
     Rank 0 fires ``burst`` back-to-back puts at a circular queue of
@@ -413,7 +411,7 @@ def queue_burst_point(params: Mapping[str, Any],
 
 
 @entrypoint("staging_point")
-def staging_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def staging_point(params: Mapping[str, Any]):
     """Host-staging ablation cell: one device-buffer send, timed.
 
     Params: ``nbytes`` (message size) and ``staging_threshold`` (bytes
@@ -451,7 +449,7 @@ def staging_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("simperf_probe")
-def simperf_probe(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def simperf_probe(params: Mapping[str, Any]):
     """One simulator-throughput probe (wall-clock; never cacheable).
 
     Params: ``probe`` = ``"synthetic"`` (``num_procs``, ``hops``) or
@@ -491,13 +489,13 @@ def simperf_probe(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
 
 @entrypoint("selftest_point")
-def selftest_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
+def selftest_point(params: Mapping[str, Any]):
     """Sweep-service test probe: echo, sleep, raise, or kill the worker.
 
     ``mode`` selects the behaviour:
 
-    * ``echo`` (default) — return a deterministic record of ``(params,
-      shared keys)``; the chaos fuzz harness digests these.
+    * ``echo`` (default) — return a deterministic record of the params;
+      the chaos fuzz harness digests these.
     * ``sleep`` — sleep ``seconds`` of host time, then echo.
     * ``raise`` — raise an untyped ``RuntimeError(message)``.
     * ``exit`` — hard-kill the hosting process with ``os._exit(code)``
@@ -527,6 +525,4 @@ def selftest_point(params: Mapping[str, Any], shared: Mapping[str, Any]):
 
         sys.stdout.buffer.write(params["blob"])
         sys.stdout.buffer.flush()
-    return {"token": params.get("token"),
-            "payload": sorted(shared) if shared else [],
-            "mode": mode}
+    return {"token": params.get("token"), "mode": mode}

@@ -18,12 +18,12 @@ arrays — and deliberately rejects everything else: an unhashable
 parameter would silently break cache addressing, so it raises
 :class:`~repro.errors.DCudaUsageError` instead.
 
-Entrypoints are plain functions ``fn(params, shared) -> result``
-registered by name via :func:`entrypoint`; the registry is populated by
-importing :mod:`repro.exec.points` (done lazily by
-:func:`resolve_entrypoint`, and by every worker on its ``init``
-frame), so a spec resolves identically in the parent and in a
-spawned worker.
+Entrypoints are plain functions ``fn(params) -> result`` registered
+by name via :func:`entrypoint`; the registry is populated by importing
+:mod:`repro.exec.points` (done lazily by :func:`resolve_entrypoint`,
+and by every worker at start-up), so a spec resolves identically in the
+parent and in a spawned worker.  A task is its spec: nothing but the
+params reaches the entrypoint.
 """
 
 from __future__ import annotations
@@ -185,11 +185,9 @@ class RunSpec:
         entrypoint: Name of a function registered via :func:`entrypoint`
             (the registry lives in :mod:`repro.exec.points`).
         params: Picklable, canonically-hashable keyword parameters passed
-            to the entrypoint.  An input every spec of a sweep needs is
-            better rebuilt from these params in the worker and cached
-            there (as the chaos baseline is) than built by the caller;
-            a payload only the caller has goes in the engine's
-            ``shared`` mapping, shipped to each worker once.
+            to the entrypoint, its only input.  An input every spec of a
+            sweep needs is rebuilt from these params in the worker and
+            cached there, as the chaos baseline is.
         label: Display name for progress/error messages; not hashed.
         cacheable: Whether the result may be served from / stored into
             the on-disk cache.  Wall-clock measurements (the simperf
@@ -216,12 +214,11 @@ class RunSpec:
 
 
 # ------------------------------------------------------------ registry -----
-_ENTRYPOINTS: Dict[str, Callable[[Mapping[str, Any], Mapping[str, Any]],
-                                 Any]] = {}
+_ENTRYPOINTS: Dict[str, Callable[[Mapping[str, Any]], Any]] = {}
 
 
 def entrypoint(name: str):
-    """Decorator factory: register ``fn(params, shared)`` under *name*.
+    """Decorator factory: register ``fn(params)`` under *name*.
 
     Raises:
         DCudaUsageError: If *name* is already registered (a silent
@@ -242,7 +239,7 @@ def resolve_entrypoint(name: str):
     """Look up a registered entrypoint, importing the registry if needed.
 
     Returns:
-        The registered ``fn(params, shared)`` callable.
+        The registered ``fn(params)`` callable.
 
     Raises:
         DCudaUsageError: If no entrypoint of that name exists.

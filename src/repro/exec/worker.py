@@ -6,17 +6,21 @@ protocol:
 * ``--stdio`` — serve a parent :class:`~repro.exec.executors.
   LocalPoolExecutor` over stdin/stdout pipes.  Frames are
   length-prefixed pickles: a 4-byte big-endian payload length followed
-  by the pickled dict.  Parent → worker kinds: ``init`` (shared payload,
-  sent once), ``job`` (one task), ``shutdown``.  Worker → parent kinds:
-  ``ready`` (init acknowledged / job finished, free for work) and
-  ``done`` (one task outcome).
+  by the pickled dict.  The worker loads the entrypoint registry at
+  start-up and sends ``ready`` unprompted.  Parent → worker kinds:
+  ``job`` (one task) and ``shutdown``.  Worker → parent kinds: ``ready``
+  (started / job finished, free for work) and ``done`` (one task
+  outcome).
 * ``--port N`` — serve :class:`~repro.exec.executors.HTTPWorkerExecutor`
-  coordinators over stdlib HTTP: ``POST /init`` installs the shared
-  payload, ``POST /submit`` enqueues one job, ``GET /poll?wait=S``
-  long-polls for finished completions, ``GET /healthz`` answers
-  liveness, ``GET /stats`` reports jobs served.  Payloads are pickled
-  dicts — the trust model is "machines that already run your code"
-  (like SSH), never the open internet.
+  coordinators over stdlib HTTP: ``POST /init`` starts a new session (it
+  carries no body), ``POST /submit`` enqueues one job, ``GET
+  /poll?wait=S`` long-polls for finished completions, ``GET /healthz``
+  answers liveness, ``GET /stats`` reports jobs served.  Payloads are
+  pickled dicts — the trust model is "machines that already run your
+  code" (like SSH), never the open internet.
+
+A job carries everything its task reads: the entrypoint name and its
+params (:mod:`repro.exec.spec`).
 
 Task outcomes always cross the wire typed: a task raising a
 :class:`~repro.errors.DCudaError` ships it as-is, any other exception is
@@ -85,8 +89,7 @@ def recv_frame(pipe: BinaryIO) -> Optional[Dict[str, Any]]:
     return pickle.loads(blob)
 
 
-def run_job_payload(job: Mapping[str, Any],
-                    shared: Mapping[str, Any]) -> Dict[str, Any]:
+def run_job_payload(job: Mapping[str, Any]) -> Dict[str, Any]:
     """Execute one ``job`` frame; return the matching ``done`` frame.
 
     The outcome is guaranteed picklable: typed errors pass through,
@@ -97,7 +100,7 @@ def run_job_payload(job: Mapping[str, Any],
     label = job.get("label", "")
     try:
         fn = resolve_entrypoint(job["entrypoint"])
-        value = fn(dict(job.get("params") or {}), shared)
+        value = fn(dict(job.get("params") or {}))
     except DCudaError as exc:
         return {"kind": "done", "job_id": job["job_id"], "ok": False,
                 "error": exc}
@@ -123,9 +126,11 @@ def serve_stdio() -> int:
     Returns:
         Process exit status (0 on clean shutdown).
     """
+    from . import points  # noqa: F401  (populate the registry)
+
     stdin = sys.stdin.buffer
     stdout = sys.stdout.buffer
-    shared: Dict[str, Any] = {}
+    send_frame(stdout, {"kind": "ready"})
     while True:
         try:
             frame = recv_frame(stdin)
@@ -133,13 +138,8 @@ def serve_stdio() -> int:
             return 1
         if frame is None or frame.get("kind") == "shutdown":
             return 0
-        if frame.get("kind") == "init":
-            shared = pickle.loads(frame["shared"])
-            from . import points  # noqa: F401  (populate the registry)
-
-            send_frame(stdout, {"kind": "ready"})
-        elif frame.get("kind") == "job":
-            send_frame(stdout, run_job_payload(frame, shared))
+        if frame.get("kind") == "job":
+            send_frame(stdout, run_job_payload(frame))
             send_frame(stdout, {"kind": "ready"})
 
 
@@ -147,7 +147,6 @@ class _HttpWorkerState:
     """Shared state of one HTTP worker daemon: queue, runner, results."""
 
     def __init__(self):
-        self.shared: Dict[str, Any] = {}
         self.jobs: List[Dict[str, Any]] = []
         self.finished: List[Dict[str, Any]] = []
         self.served = 0
@@ -156,8 +155,8 @@ class _HttpWorkerState:
         self.cond = threading.Condition()
         self.stopping = False
 
-    def reset(self, shared: Dict[str, Any]) -> None:
-        """Start a new session: install *shared*, drop stale work.
+    def reset(self) -> None:
+        """Start a new session: drop stale work.
 
         A daemon outlives the sweeps it serves.  Any queued job, running
         job or unpolled result at init time belongs to a dead session —
@@ -170,7 +169,6 @@ class _HttpWorkerState:
         """
         with self.cond:
             self.session += 1
-            self.shared = shared
             self.jobs.clear()
             self.finished.clear()
             self.cond.notify_all()
@@ -184,7 +182,7 @@ class _HttpWorkerState:
                     return
                 job = self.jobs.pop(0)
                 session = self.session
-            done = run_job_payload(job, self.shared)
+            done = run_job_payload(job)
             # Echo the submitter's epoch so clients can tell this
             # sweep's frames from a dead session's stragglers.
             done["epoch"] = job.get("epoch")
@@ -268,7 +266,7 @@ def serve_http(port: int, host: str = "127.0.0.1",
         def do_POST(self):
             body = self._body()
             if self.path.startswith("/init"):
-                state.reset(pickle.loads(body) if body else {})
+                state.reset()
                 self._reply(b"ok")
             elif self.path.startswith("/submit"):
                 job = pickle.loads(body)

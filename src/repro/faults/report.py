@@ -185,8 +185,9 @@ def chaos_specs(seeds: Sequence[int], num_nodes: int = 2,
 
     Returns:
         ``(specs, {})`` — one ``chaos_case``
-        :class:`~repro.exec.spec.RunSpec` per seed, plus an empty shared
-        payload (kept for callers that unpack two values).
+        :class:`~repro.exec.spec.RunSpec` per seed, plus an empty mapping
+        kept for callers that unpack two values and pass the second to
+        ``run_specs(shared=)``, which accepts only an empty one.
     """
     from ..exec import RunSpec
 

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence, Type
 
+from ..errors import (
+    DCudaError,
+    DCudaFaultError,
+    DCudaTimeoutError,
+    DCudaUsageError,
+)
 from ..faults.plane import FaultPlane
 from ..obs.core import Observability
 from ..platform.resolve import Platform
-from ..sim import Environment, Tracer
+from ..sim import Environment, Process, Tracer
 from ..net.fabric import Fabric
 from .config import MachineConfig, greina
 from .node import Node
@@ -79,6 +85,56 @@ class Cluster:
         """Run the simulation; returns the final simulated time."""
         self.env.run(until=until)
         return self.env.now
+
+    def run_processes(self, procs: Sequence[Process]) -> Type[DCudaError]:
+        """Run a program's *procs* to the end; a hang ends typed.
+
+        The one run-and-diagnose rule of both programming models
+        (:func:`~repro.dcuda.launch.launch` and
+        :func:`~repro.mpicuda.runtime.run_mpicuda`).  With a fault plane
+        attached, a simulated-time watchdog of ``FaultsConfig.watchdog``
+        seconds (``0`` disables it) stops a run that keeps scheduling
+        work; a run whose schedule drains with a process of *procs*
+        unfinished is a deadlock, plane or not.  The class names the
+        cause: a fault only if the plane injected something, otherwise
+        the program itself is at fault.
+
+        Returns:
+            The class a later diagnosis of the same run raises:
+            ``DCudaFaultError`` after an injection, else
+            ``DCudaUsageError``.
+
+        Raises:
+            DCudaTimeoutError: the watchdog expired after an injection.
+            DCudaFaultError: a deadlock after an injection.
+            DCudaUsageError: either hang with nothing injected (no
+                plane, or an inert one).
+        """
+        env = self.env
+        faults = self.faults
+        watchdog = faults.cfg.watchdog if faults is not None else 0.0
+        if watchdog > 0:
+            drained = env.run_watchdog(env._now + watchdog)
+        else:
+            env.run()
+            drained = True
+        injected = faults is not None and faults.total_injections() > 0
+        unfinished = [p.name for p in procs if not p.triggered]
+        if not drained:
+            message = (f"watchdog: simulated time exceeded {watchdog:.3e}s "
+                       f"with {len(unfinished)} process(es) unfinished "
+                       f"({', '.join(unfinished) or 'runtime only'})")
+            if injected:
+                raise DCudaTimeoutError(message, sim_time=env._now)
+            raise DCudaUsageError(
+                message + "; the plane injected nothing, so a process "
+                "spins on a wait nothing will satisfy, or the run needs "
+                "more than FaultsConfig.watchdog", sim_time=env._now)
+        error = DCudaFaultError if injected else DCudaUsageError
+        if unfinished:
+            raise error(f"deadlock: process {unfinished[0]} never "
+                        "completed", sim_time=env._now)
+        return error
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<Cluster {self.num_nodes} nodes @ t={self.env.now:.6e}s>"

@@ -113,13 +113,6 @@ class MPIWorld:
         msg = yield from req.wait()
         return msg
 
-    def iprobe(self, rank: int, source: int = ANY_SOURCE,
-               tag: int = ANY_TAG) -> bool:
-        """True when a matching message is already buffered (MPI_Iprobe)."""
-        self.check_rank(rank)
-        return self._inbox[rank].peek(
-            lambda m: m.matches(source, tag, ANY_SOURCE, ANY_TAG)) is not None
-
     # -- transfer internals ------------------------------------------------------
     def _transfer_plan(self, msg: Envelope) -> Tuple[str, float]:
         """Pick (fabric mode, extra latency) for a message."""

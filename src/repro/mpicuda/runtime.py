@@ -158,7 +158,21 @@ class MPICudaResult:
 def run_mpicuda(cluster: Cluster, program: Callable[..., Any],
                 program_args: Optional[Dict[str, Any]] = None
                 ) -> MPICudaResult:
-    """Run *program* (one instance per node); returns timing + results."""
+    """Run *program* (one instance per node); returns timing + results.
+
+    Runs and diagnoses like a dCUDA launch
+    (:meth:`~repro.hw.cluster.Cluster.run_processes`): under a fault
+    plane the simulated-time watchdog bounds the run, and a program that
+    never completes is a typed error.
+
+    Raises:
+        DCudaTimeoutError: the watchdog expired after the plane injected
+            a fault.
+        DCudaFaultError: a program process never completed after an
+            injection.
+        DCudaUsageError: either hang with nothing injected: the program
+            itself is at fault.
+    """
     world = MPIWorld(cluster)
     args = program_args or {}
     t0 = cluster.env.now
@@ -167,11 +181,7 @@ def run_mpicuda(cluster: Cluster, program: Callable[..., Any],
         ctx = MPICudaContext(cluster, world, node_index)
         procs.append(cluster.env.process(program(ctx, **args),
                                          name=f"mpicuda:n{node_index}"))
-    cluster.run()
-    for p in procs:
-        if not p.triggered:
-            raise RuntimeError(
-                f"deadlock: program process {p.name} never completed")
+    cluster.run_processes(procs)
     return MPICudaResult(elapsed=cluster.env.now - t0,
                          results=[p.value for p in procs],
                          world=world, tracer=cluster.tracer)

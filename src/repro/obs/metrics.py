@@ -118,13 +118,6 @@ class OccupancySeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def value_at(self, t: float) -> float:
-        """Series value at time *t* (0 before the first sample)."""
-        idx = bisect_left(self.times, t)
-        if idx < len(self.times) and self.times[idx] == t:
-            return self.values[idx]
-        return self.values[idx - 1] if idx > 0 else 0.0
-
     def integral(self, t0: Optional[float] = None,
                  t1: Optional[float] = None) -> float:
         """Exact time-weighted integral of the step function over [t0, t1].

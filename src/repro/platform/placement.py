@@ -84,7 +84,6 @@ class Placement:
         self._node_of: List[int] = []
         self._gpu_of: List[int] = []
         self._device_rank: List[int] = []
-        self._node_ranks: Dict[int, List[int]] = {}
         self._device_ranks: Dict[Tuple[int, int], List[int]] = {}
         for rank, dev in enumerate(self._rank_device):
             node, gpu = self.devices[dev]
@@ -93,11 +92,10 @@ class Placement:
             on_device = self._device_ranks.setdefault((node, gpu), [])
             self._device_rank.append(len(on_device))
             on_device.append(rank)
-            self._node_ranks.setdefault(node, []).append(rank)
         #: Nodes hosting at least one rank, ascending (collectives
         #: coordinate over these; unpopulated nodes stay passive).
         self.participating_nodes: Tuple[int, ...] = tuple(
-            sorted(self._node_ranks))
+            sorted(set(self._node_of)))
 
     # -- per-rank lookups --------------------------------------------------
     def node_of(self, rank: int) -> int:
@@ -117,10 +115,6 @@ class Placement:
         return self._device_rank[rank]
 
     # -- per-location lookups ----------------------------------------------
-    def ranks_on_node(self, node: int) -> Tuple[int, ...]:
-        """World ranks hosted by *node*, ascending (may be empty)."""
-        return tuple(self._node_ranks.get(node, ()))
-
     def ranks_on_device(self, node: int, gpu: int) -> Tuple[int, ...]:
         """World ranks hosted by GPU *gpu* of *node*, ascending."""
         return tuple(self._device_ranks.get((node, gpu), ()))

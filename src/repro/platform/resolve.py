@@ -120,12 +120,6 @@ class Platform:
     def total_gpus(self) -> int:
         return len(self.devices)
 
-    @property
-    def is_flat_single_gpu(self) -> bool:
-        """True for the legacy machine shape (the schedule-preserved path)."""
-        return (self.routing is None
-                and all(spec.gpus_per_node == 1 for spec in self.node_specs))
-
     # -- net ---------------------------------------------------------------
     def intra_link_of(self, node: int) -> LinkSpec:
         """The intra-node (loopback / NVLink-class) link of node *node*."""

@@ -71,11 +71,6 @@ class RoutingTable:
         """Sum of per-hop latencies on the ``src -> dst`` route."""
         return sum(self.links[name].latency for name in self.route(src, dst))
 
-    def bottleneck_bandwidth(self, src: int, dst: int) -> float:
-        """Minimum link bandwidth along the ``src -> dst`` route."""
-        return min(self.links[name].bandwidth
-                   for name in self.route(src, dst))
-
 
 def _bfs_routes(num_nodes: int, links: Dict[str, RouteLink],
                 adjacency: Dict[str, List[Tuple[str, str]]]

@@ -195,19 +195,6 @@ class Topology:
     def total_gpus(self) -> int:
         return sum(nc.count * nc.gpus_per_node for nc in self.node_classes)
 
-    def node_class_of(self, node: int) -> NodeClass:
-        """The :class:`NodeClass` owning node index *node*."""
-        if not 0 <= node < self.num_nodes:
-            raise DCudaUsageError(
-                f"node {node} out of range (topology has "
-                f"{self.num_nodes} nodes)")
-        base = 0
-        for nc in self.node_classes:
-            if node < base + nc.count:
-                return nc
-            base += nc.count
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def devices(self) -> Tuple[Tuple[int, int], ...]:
         """All ``(node, gpu)`` pairs in canonical placement order."""
         out = []

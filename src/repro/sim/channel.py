@@ -91,10 +91,3 @@ class Store:
                 return ev
         self._getters.append((ev, filt))
         return ev
-
-    def peek(self, filt: Optional[Callable[[Any], bool]] = None) -> Any:
-        """Return (without removing) the oldest matching item, or ``None``."""
-        for item in self._items:
-            if filt is None or filt(item):
-                return item
-        return None

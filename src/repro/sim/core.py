@@ -449,11 +449,6 @@ class Environment:
         """Event-loop totals derived from the schedule (see EnvStats)."""
         return EnvStats(self)
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
     # -- event creation ---------------------------------------------------
     def event(self, name: str = "") -> Event:
         """Create a fresh pending event."""

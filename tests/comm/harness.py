@@ -267,9 +267,8 @@ def run_program(program: Program, backend: str) -> Observables:
 
     leftovers = {}
     for r, drank in sorted(dranks.items()):
-        drank.matcher.pending_count()  # drain the queue into the indexes
         leftovers[r] = sorted((n.win_id, n.source, n.tag)
-                              for n in drank.matcher._pending)
+                              for n in drank.matcher._drain())
     return Observables(finals={r: buffers[r].copy()
                                for r in range(program.num_ranks)},
                        gets={k: v.copy() for k, v in gets.items()},

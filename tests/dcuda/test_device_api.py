@@ -169,6 +169,8 @@ def test_negative_count_rejected():
 
 
 def test_pending_count_reflects_arrivals():
+    """Landed notifications stay pending until matched: one non-blocking
+    test consumes all three, and none is left for a second."""
     counts = {}
 
     def kernel(rank):
@@ -182,9 +184,10 @@ def test_pending_count_reflects_arrivals():
         yield from rank.barrier()
         if r == 1:
             yield rank.env.timeout(5e-5)  # let notifications land
-            counts["pending"] = rank.matcher.pending_count()
-            yield from rank.wait_notifications(win, count=3)
-            counts["after"] = rank.matcher.pending_count()
+            counts["pending"] = yield from rank.test_notifications(win,
+                                                                   count=4)
+            counts["after"] = yield from rank.test_notifications(win,
+                                                                 count=4)
             counts["matched"] = rank.matcher.matched_total
         yield from rank.finish()
 

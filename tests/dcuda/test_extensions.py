@@ -216,3 +216,50 @@ def test_host_rank_get_and_device_notify():
     cluster.env.process(host_proc(cluster.env))
     cluster.run()
     np.testing.assert_array_equal(fetched["data"], [4.0, 5.0, 6.0])
+
+
+def _host_rma(buf, host_op):
+    """Run ``host_op(host, win)`` on node 0's host rank once rank 0 has
+    registered *buf* as a window; returns what the operation returns."""
+    from repro.runtime import DCudaRuntime
+    from repro.dcuda import DRank
+
+    cluster = Cluster(greina(1))
+    runtime = DCudaRuntime(cluster, ranks_per_device=1)
+    runtime.start()
+    host = HostRank(runtime, 0)
+    state = {}
+
+    def kernel(rank):
+        state["win"] = yield from rank.win_create(buf)
+        yield from rank.finish()
+
+    def host_proc(env):
+        while "win" not in state:
+            yield env.timeout(1e-6)
+        return (yield from host_op(host, state["win"]))
+
+    cluster.env.process(kernel(DRank(runtime, 0)))
+    proc = cluster.env.process(host_proc(cluster.env))
+    cluster.run()
+    return proc.value
+
+
+def test_host_rank_put_checks_the_window_dtype():
+    """A host put obeys the window rule of device puts: a float64 source
+    into an int64 window is a TypeError, never a silent truncation."""
+    buf = np.zeros(8, dtype=np.int64)
+    with pytest.raises(TypeError, match="dtype"):
+        _host_rma(buf, lambda host, win: host.put_notify(
+            win, 0, 2, np.array([9.75, 2.5]), tag=4))
+    assert not buf.any()
+
+
+def test_host_rank_get_checks_the_window_bounds():
+    """A host get past the window's end is an IndexError, never a short
+    read."""
+    buf = np.arange(8, dtype=np.float64)
+    with pytest.raises(IndexError, match="out of bounds"):
+        _host_rma(buf, lambda host, win: host.get(win, 0, 6, count=4))
+    assert _host_rma(buf, lambda host, win: host.get(
+        win, 0, 6, count=2)).tolist() == [6.0, 7.0]

@@ -29,12 +29,6 @@ class TestRoundTrip:
         hit, result = cache.get("missing")
         assert not hit and result is None
 
-    def test_keys_salted_by_shared_digest(self, cache):
-        spec = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.1})
-        assert cache.key_for(spec, "") != cache.key_for(spec, "digest1")
-        assert (cache.key_for(spec, "digest1")
-                == cache.key_for(spec, "digest1"))
-
     def test_unpicklable_result_silently_not_cached(self, cache):
         cache.put("k", lambda: None)
         hit, _ = cache.get("k")

@@ -6,13 +6,12 @@ wrong or stale result served as a hit), and never crashes a sweep.
 """
 
 import errno
-import json
+import re
 import shutil
 import tempfile
 
 import pytest
 
-from repro.errors import DCudaUsageError
 from repro.exec import ResultCache, RunSpec, run_specs
 from repro.exec.cache import DEFAULT_SHARDS
 
@@ -21,51 +20,49 @@ FP = "a" * 64
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache", fingerprint=FP, shards=8)
+    return ResultCache(tmp_path / "cache", fingerprint=FP)
+
+
+def _home_shard(key):
+    return f"shard-{int(key[:2], 16) % DEFAULT_SHARDS:03d}"
 
 
 class TestShardedLayout:
     def test_entries_land_in_shard_dirs(self, cache):
-        for i in range(16):
-            cache.put(f"{i:02x}{'0' * 62}", i)
+        """A cold store holds shard directories and nothing else: no
+        entry outside them and no ``meta.json`` beside them."""
+        keys = [f"{i:02x}{'0' * 62}" for i in range(16)]
+        for i, key in enumerate(keys):
+            cache.put(key, i)
         gen = cache._generation_dir()
-        flat = [p for p in gen.glob("*.pkl")]
-        assert not flat  # nothing outside shards
-        shard_dirs = sorted(p.name for p in gen.iterdir()
-                            if p.is_dir())
-        assert all(name.startswith("shard-") for name in shard_dirs)
-        assert len(shard_dirs) > 1  # keys actually spread out
+        for key in keys:
+            assert (gen / _home_shard(key) / f"{key}.pkl").is_file()
+        assert all(re.fullmatch(r"shard-\d{3}", p.name) and p.is_dir()
+                   for p in gen.iterdir())
+        assert not (gen / "meta.json").exists()
+        assert len(list(gen.iterdir())) > 1  # keys actually spread out
 
-    def test_meta_json_records_shard_count(self, cache):
-        cache.put("k" * 64, 1)
-        meta = json.loads(
-            (cache._generation_dir() / "meta.json").read_text())
-        assert meta["shards"] == 8
-
-    def test_disk_shard_count_wins_over_constructor(self, cache):
-        cache.put("deadbeef" + "0" * 56, "v")
-        # Reopen with a *different* configured width: reads must agree
-        # with the width recorded on disk, not the new default.
-        reopened = ResultCache(cache.root, fingerprint=FP, shards=64)
-        assert reopened.shard_count() == 8
-        hit, value = reopened.get("deadbeef" + "0" * 56)
-        assert hit and value == "v"
-
-    def test_default_shard_count(self, tmp_path):
-        cache = ResultCache(tmp_path / "c", fingerprint=FP)
+    def test_default_shard_count(self, cache):
         cache.put("aa" + "0" * 62, 1)
-        assert cache.shard_count() == DEFAULT_SHARDS
-
-    def test_invalid_shard_count_rejected(self, tmp_path):
-        with pytest.raises(DCudaUsageError, match="shard count"):
-            ResultCache(tmp_path / "c", fingerprint=FP, shards=0)
+        assert cache.stats().shards == DEFAULT_SHARDS
 
     def test_same_key_same_shard_across_instances(self, cache):
         key = "0123456789abcdef" * 4
         a = cache._entry_path(key)
-        b = ResultCache(cache.root, fingerprint=FP,
-                        shards=8)._entry_path(key)
+        b = ResultCache(cache.root, fingerprint=FP)._entry_path(key)
         assert a == b
+
+    def test_spec_entry_is_its_content_hash_in_its_home_shard(self, cache):
+        """The task key is the spec's content hash, unsalted, and its
+        entry sits in the shard its first byte picks."""
+        spec = RunSpec("selftest_point", {"token": "home"})
+        run_specs([spec], cache=cache)
+        key = spec.content_hash()
+        assert cache.key_for(spec) == key
+        (entry,) = cache.root.rglob("*.pkl")
+        assert entry.name == f"{key}.pkl"
+        assert entry.parent.name == _home_shard(key)
+        assert entry.parent.parent == cache._generation_dir()
 
 
 class TestCorruptShardEntry:
@@ -121,9 +118,6 @@ class TestFailedPublish:
         assert cache.get(key) == (False, None)
         assert cache.put(key, "again") is True
         assert cache.get(key) == (True, "again")
-        meta = json.loads(
-            (cache._generation_dir() / "meta.json").read_text())
-        assert meta["shards"] == 8
 
 
 class TestShardStats:
@@ -131,18 +125,17 @@ class TestShardStats:
         for i in range(12):
             cache.put(f"{i:02x}{'5' * 62}", i)
         stats = cache.stats()
-        assert stats.entries == 12 and stats.shards == 8
+        assert stats.entries == 12 and stats.shards == DEFAULT_SHARDS
         assert sum(s.entries for s in stats.shard_breakdown) == 12
         assert sum(s.bytes for s in stats.shard_breakdown) == stats.bytes
         assert all(s.name.startswith("shard-")
                    for s in stats.shard_breakdown)
 
     def test_gc_reclaims_sharded_stale_generations(self, tmp_path):
-        stale = ResultCache(tmp_path / "c", fingerprint="b" * 64,
-                            shards=4)
+        stale = ResultCache(tmp_path / "c", fingerprint="b" * 64)
         for i in range(4):
             stale.put(f"{i:02x}{'7' * 62}", i)
-        live = ResultCache(tmp_path / "c", fingerprint=FP, shards=4)
+        live = ResultCache(tmp_path / "c", fingerprint=FP)
         live.put("aa" + "8" * 62, "keep")
         removed, freed = live.gc()
         assert removed == 4 and freed > 0

@@ -120,14 +120,14 @@ class TestWorkerSubcommand:
 
     @pytest.mark.slow
     def test_stdio_worker_round_trip(self):
-        """`worker --stdio` speaks the frame protocol over its pipes."""
+        """`worker --stdio` speaks the frame protocol over its pipes: it
+        announces ``ready`` unprompted (there is no ``init`` frame), then
+        answers each job with ``done`` and ``ready``."""
         import io
-        import pickle
 
         from repro.exec.worker import recv_frame, send_frame
 
         request = io.BytesIO()
-        send_frame(request, {"kind": "init", "shared": pickle.dumps({})})
         send_frame(request, {"kind": "job", "job_id": 0,
                              "entrypoint": "selftest_point",
                              "params": {"token": "cli"}, "label": "t"})
@@ -143,6 +143,8 @@ class TestWorkerSubcommand:
         done = recv_frame(out)
         assert done["kind"] == "done" and done["ok"]
         assert done["value"]["token"] == "cli"
+        assert recv_frame(out)["kind"] == "ready"
+        assert recv_frame(out) is None
 
 
 @pytest.mark.slow

@@ -38,12 +38,11 @@ class ScriptedExecutor(Executor):
     def __init__(self, deaths=None):
         self.deaths = dict(deaths or {})
         self._pending = []
-        self._shared = {}
         self._seen = {}
         self._worker_serial = 0
 
-    def start(self, shared, expected_jobs=None):
-        self._shared = dict(shared or {})
+    def start(self, expected_jobs=None):
+        pass
 
     def submit(self, job):
         self._pending.append(job)
@@ -59,7 +58,7 @@ class ScriptedExecutor(Executor):
         if attempt < self.deaths.get(job.label, 0):
             return Completion(job.job_id, worker=worker, worker_lost=True)
         fn = resolve_entrypoint(job.entrypoint)
-        value = fn(dict(job.params), self._shared)
+        value = fn(dict(job.params))
         return Completion(job.job_id, ok=True, value=value, worker=worker)
 
     def stop(self):

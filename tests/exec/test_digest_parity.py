@@ -1,8 +1,7 @@
 """Digest parity: the exact-type serializer against the frozen reference.
 
-:func:`repro.exec.spec.canonical_digest` keys every cache entry, salts
-every key with the shared payload's digest, and witnesses every sweep's
-results.  Its serialization must therefore never drift.  This module
+:func:`repro.exec.spec.canonical_digest` keys every cache entry and
+witnesses every sweep's results.  Its serialization must therefore never drift.  This module
 keeps a frozen copy of the streaming ``h.update`` implementation it
 replaced (:func:`_reference_feed`) and asserts byte-identical digests,
 and the same typed errors, on a generated corpus that covers both the

@@ -63,7 +63,7 @@ class TestBuildExecutor:
 class TestSerialExecutor:
     def test_jobs_run_lazily_in_order(self):
         ex = SerialExecutor()
-        ex.start({}, expected_jobs=3)
+        ex.start(expected_jobs=3)
         for job in _echo_jobs(3):
             ex.submit(job)
         comps = _drain(ex, 3)
@@ -74,7 +74,7 @@ class TestSerialExecutor:
 
     def test_exceptions_propagate_raw(self):
         ex = SerialExecutor()
-        ex.start({})
+        ex.start()
         ex.submit(Job(0, "selftest_point",
                       {"mode": "raise", "message": "bang"}))
         with pytest.raises(RuntimeError, match="bang"):
@@ -97,7 +97,7 @@ class TestLocalPoolPythonPathHygiene:
         ex.stop()  # never started: environment untouched
         assert os.environ["PYTHONPATH"] == "caller-value"
         ex2 = LocalPoolExecutor(workers=1)
-        ex2.start({}, expected_jobs=1)
+        ex2.start(expected_jobs=1)
         assert os.environ["PYTHONPATH"] == "caller-value"
         child = ex2.child_env["PYTHONPATH"].split(os.pathsep)
         assert child[-1] == "caller-value" and len(child) == 2
@@ -129,18 +129,18 @@ class TestLocalPoolExecutor:
     def test_completes_all_jobs(self):
         with build_executor("local", workers=2) as ex:
             assert isinstance(ex, LocalPoolExecutor)
-            ex.start({"payload": "p"}, expected_jobs=4)
+            ex.start(expected_jobs=4)
             for job in _echo_jobs(4):
                 ex.submit(job)
             comps = _drain(ex, 4)
         assert sorted(c.job_id for c in comps) == [0, 1, 2, 3]
         for c in comps:
-            assert c.ok and c.value["payload"] == ["payload"]
+            assert c.ok and c.value["token"] == c.job_id
             assert c.worker.startswith("worker-")
 
     def test_task_exception_is_typed_completion(self):
         with build_executor("local", workers=1) as ex:
-            ex.start({}, expected_jobs=1)
+            ex.start(expected_jobs=1)
             ex.submit(Job(0, "selftest_point",
                           {"mode": "raise", "message": "pow"}, "boomtask"))
             (comp,) = _drain(ex, 1)
@@ -150,7 +150,7 @@ class TestLocalPoolExecutor:
 
     def test_worker_death_is_worker_lost_and_pool_recovers(self):
         with build_executor("local", workers=1) as ex:
-            ex.start({}, expected_jobs=2)
+            ex.start(expected_jobs=2)
             ex.submit(Job(0, "selftest_point", {"mode": "exit"}, "killer"))
             (lost,) = _drain(ex, 1)
             assert lost.worker_lost and not lost.ok
@@ -169,7 +169,7 @@ class TestSubprocessWorkerExecutor:
 
     def test_completes_jobs_across_fleet(self):
         with LocalPoolExecutor(workers=2) as ex:
-            ex.start({"shared": 1}, expected_jobs=6)
+            ex.start(expected_jobs=6)
             assert len(ex.worker_pids()) == 2
             for job in _echo_jobs(6):
                 ex.submit(job)
@@ -177,11 +177,11 @@ class TestSubprocessWorkerExecutor:
         assert sorted(c.job_id for c in comps) == list(range(6))
         for c in comps:
             assert c.ok and c.worker.startswith("worker-")
-            assert c.value["payload"] == ["shared"]
+            assert c.value["token"] == c.job_id
 
     def test_worker_death_reported_and_respawned(self):
         with LocalPoolExecutor(workers=1) as ex:
-            ex.start({}, expected_jobs=2)
+            ex.start(expected_jobs=2)
             ex.submit(Job(0, "selftest_point", {"mode": "exit"}, "poison"))
             (lost,) = _drain(ex, 1)
             assert lost.worker_lost
@@ -192,7 +192,7 @@ class TestSubprocessWorkerExecutor:
 
     def test_typed_error_crosses_the_pipe(self):
         with LocalPoolExecutor(workers=1) as ex:
-            ex.start({}, expected_jobs=1)
+            ex.start(expected_jobs=1)
             ex.submit(Job(0, "selftest_point",
                           {"mode": "raise", "message": "wired"}, "t"))
             (comp,) = _drain(ex, 1)
@@ -204,7 +204,7 @@ class TestHTTPWorkerExecutor:
     def test_completes_jobs_via_daemon(self, http_worker):
         host, _ = http_worker
         ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({"k": 1}, expected_jobs=3)
+        ex.start(expected_jobs=3)
         try:
             for job in _echo_jobs(3):
                 ex.submit(job)
@@ -214,13 +214,13 @@ class TestHTTPWorkerExecutor:
         assert sorted(c.job_id for c in comps) == [0, 1, 2]
         for c in comps:
             assert c.ok and c.worker == f"http:{host}"
-            assert c.value["payload"] == ["k"]
+            assert c.value["token"] == c.job_id
 
     def test_unreachable_daemon_reports_worker_lost_not_hang(self):
         ex = HTTPWorkerExecutor(["127.0.0.1:1"], poll_wait=0.1,
                                 reconnect_interval=0.01,
                                 max_reconnect_failures=3)
-        ex.start({}, expected_jobs=1)
+        ex.start(expected_jobs=1)
         try:
             ex.submit(Job(0, "selftest_point", {}))
             deadline = 50
@@ -246,7 +246,7 @@ class TestHTTPWorkerExecutor:
                                    "epoch": "dead-session"})
             state.cond.notify_all()
         ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({}, expected_jobs=1)
+        ex.start(expected_jobs=1)
         try:
             ex.submit(Job(0, "selftest_point", {"token": "fresh"}))
             (comp,) = _drain(ex, 1)
@@ -262,10 +262,11 @@ class TestHTTPWorkerExecutor:
             state.finished.append({"kind": "done", "job_id": 9,
                                    "ok": True, "value": "old",
                                    "epoch": "dead"})
-        state.reset({"fresh": True})
+        session = state.session
+        state.reset()
         with state.cond:
             assert state.finished == [] and state.jobs == []
-            assert state.shared == {"fresh": True}
+            assert state.session == session + 1
 
     def test_job_running_at_init_is_never_delivered(self, http_worker):
         """A client that reconnects (``POST /init``) while the daemon
@@ -286,7 +287,7 @@ class TestHTTPWorkerExecutor:
         while state.jobs:  # until the runner has taken it
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        state.reset({})
+        state.reset()
         while state.served < 1:
             assert time.monotonic() < deadline
             time.sleep(0.005)
@@ -296,7 +297,7 @@ class TestHTTPWorkerExecutor:
     def test_daemon_stats_route(self, http_worker):
         host, server = http_worker
         ex = HTTPWorkerExecutor([host], poll_wait=0.2)
-        ex.start({}, expected_jobs=1)
+        ex.start(expected_jobs=1)
         try:
             ex.submit(Job(0, "selftest_point", {"token": "t"}))
             _drain(ex, 1)
@@ -320,13 +321,12 @@ class TestWorkerPayload:
                 "params": params, "label": "t"}
 
     def test_success_frame(self):
-        frame = run_job_payload(self._job(token="x"), {"s": 1})
+        frame = run_job_payload(self._job(token="x"))
         assert frame["ok"] and frame["job_id"] == 7
         assert frame["value"]["token"] == "x"
 
     def test_untyped_exception_wrapped_with_traceback(self):
-        frame = run_job_payload(self._job(mode="raise", message="deep"),
-                                {})
+        frame = run_job_payload(self._job(mode="raise", message="deep"))
         assert not frame["ok"]
         assert isinstance(frame["error"], DCudaWorkerError)
         assert "deep" in str(frame["error"])
@@ -335,12 +335,12 @@ class TestWorkerPayload:
     def test_typed_error_passes_through(self):
         job = {"kind": "job", "job_id": 1, "entrypoint": "no_such_point",
                "params": {}, "label": "t"}
-        frame = run_job_payload(job, {})
+        frame = run_job_payload(job)
         assert not frame["ok"]
         assert isinstance(frame["error"], DCudaUsageError)
 
     def test_frame_is_picklable_even_for_weird_errors(self):
-        frame = run_job_payload(self._job(mode="raise", message="x"), {})
+        frame = run_job_payload(self._job(mode="raise", message="x"))
         assert pickle.loads(pickle.dumps(frame))
 
 

@@ -199,7 +199,7 @@ def test_http_forged_frame_is_never_credited(case, http_worker):
     job = Job(0, "selftest_point",
               {"token": "real", "mode": "sleep", "seconds": 0.5}, "held")
     ex = HTTPWorkerExecutor([host], poll_wait=0.2, reconnect_interval=0.05)
-    ex.start({}, expected_jobs=1)
+    ex.start(expected_jobs=1)
     comps = []
     try:
         ex.submit(job)

@@ -50,30 +50,30 @@ class TestEntrypoints:
                                     "all_gather"))
     def test_collective_point_verifies_in_process(self, op):
         result = collective_point(
-            dict(TINY, op=op, algorithm="ring", elems=10), {})
+            dict(TINY, op=op, algorithm="ring", elems=10))
         assert result["ok"] and result["elapsed"] > 0
         assert result["algorithm"] == "ring"
 
     def test_collective_point_rejects_unknown_op(self):
         with pytest.raises(DCudaUsageError, match="collective op"):
-            collective_point(dict(TINY, op="scan", elems=4), {})
+            collective_point(dict(TINY, op="scan", elems=4))
 
     def test_gemm_point_bit_identity_in_both_mode(self):
         result = gemm_point(
             dict(kind="fat_tree", num_nodes=2, gpus_per_node=2,
-                 mode="both", m=24, k=6, batch=8, tiles=4), {})
+                 mode="both", m=24, k=6, batch=8, tiles=4))
         assert result["ok"]
         assert result["elapsed"] > 0 and result["gather"] > 0
 
     def test_gemm_point_stream_mode_skips_verification(self):
         result = gemm_point(dict(TINY, mode="stream", m=8, k=6,
-                                 batch=8, tiles=4), {})
+                                 batch=8, tiles=4))
         assert result["ok"] and result["gather"] == 0.0
 
     def test_train_point_autotunes_and_verifies(self):
         result = train_point(
             dict(kind="fat_tree", num_nodes=2, gpus_per_node=2,
-                 features=64, steps=2, algorithm="auto"), {})
+                 features=64, steps=2, algorithm="auto"))
         assert result["ok"]
         # On 2 nodes hierarchical pays fewer inter-node latency terms
         # than tree (2 vs 4), so it wins even for a small gradient.
@@ -82,13 +82,13 @@ class TestEntrypoints:
 
     def test_train_point_pinned_algorithm_has_no_prediction(self):
         result = train_point(dict(TINY, features=16, steps=1,
-                                  algorithm="ring"), {})
+                                  algorithm="ring"))
         assert result["ok"] and result["algorithm"] == "ring"
         assert result["predicted"] is None
 
     def test_ml_cluster_rejects_unknown_kind(self):
         with pytest.raises(DCudaUsageError, match="ml-suite topology"):
-            collective_point(dict(kind="ring", elems=4), {})
+            collective_point(dict(kind="ring", elems=4))
 
 
 def test_cli_runs_tiny_ml_suite(tmp_path, capsys):

@@ -108,6 +108,17 @@ class TestRegistry:
                 "weak_scaling_point", "queue_burst_point", "staging_point",
                 "simperf_probe", "selftest_point"} <= names
 
+    def test_every_entrypoint_takes_only_its_params(self):
+        """A task is its spec: each registered entrypoint has exactly one
+        parameter, the spec's params, and nothing else can reach it."""
+        import inspect
+
+        for name, fn in registered_entrypoints().items():
+            params = list(inspect.signature(fn).parameters.values())
+            assert len(params) == 1, (name, params)
+            assert params[0].kind in (inspect.Parameter.POSITIONAL_ONLY,
+                                      inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
     def test_unknown_entrypoint_raises_typed_error(self):
         with pytest.raises(DCudaUsageError, match="unknown entrypoint"):
             resolve_entrypoint("no_such_point")
@@ -115,7 +126,7 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(DCudaUsageError, match="already registered"):
             @entrypoint("selftest_point")
-            def imposter(params, shared):
+            def imposter(params):
                 return None
 
     def test_reregistering_same_function_is_idempotent(self):

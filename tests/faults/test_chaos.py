@@ -5,9 +5,10 @@ numerics bit-identical to a fault-free run, or fail with a diagnosed typed
 error (:class:`DCudaFaultError` / :class:`DCudaTimeoutError`) carrying
 simulated-time context.  Nothing hangs: the launch is guarded by a
 simulated-time watchdog, and a schedule that drains with a rank still
-waiting is diagnosed as a deadlock (a fault only if the plane injected
-one).  Any other exception type escapes :func:`run_chaos_case` and
-fails the test — that is the harness-bug detector.
+waiting is diagnosed as a deadlock; either hang is a fault only if the
+plane injected one.  Any other exception type escapes
+:func:`run_chaos_case` and fails the test — that is the harness-bug
+detector.
 """
 
 import re
@@ -112,6 +113,7 @@ def test_outcome_clean_logic():
 # ------------------------------------------------------------- watchdog -----
 def _spinning_kernel(rank):
     win = yield from rank.win_create(np.zeros(4))
+    yield from rank.compute(flops=1e3)  # what a block stall slows
     # Poll for a notification nobody will ever send: every test charges
     # the issue unit, so the rank never stops scheduling.
     while not (yield from rank.test_notifications(win, source=0, tag=99)):
@@ -127,13 +129,33 @@ def _hanging_kernel(rank):
 
 
 def test_watchdog_turns_hang_into_timeout_error():
+    """A spin under a plane that injected something (a block stall
+    slowed the rank's compute phase) may be the fault's doing: the
+    watchdog's expiry is a timeout."""
     from repro.dcuda import launch
 
-    cfg = FaultsConfig(enabled=True, watchdog=1e-3)
+    cfg = FaultsConfig(enabled=True, watchdog=1e-3, events=(
+        FaultEvent("block_stall", start=0.0, duration=1.0, factor=2.0),))
     cluster = Cluster(greina(1, faults=cfg))
     with pytest.raises(DCudaTimeoutError, match="watchdog") as info:
         launch(cluster, _spinning_kernel, ranks_per_device=1)
     assert info.value.sim_time is not None
+    assert cluster.faults.total_injections() > 0
+
+
+def test_watchdog_on_an_inert_plane_is_a_usage_error():
+    """The same spin with nothing injected is the kernel's bug (or a run
+    longer than the watchdog): the class rule of the deadlock
+    diagnosis, and the message names both remedies."""
+    from repro.dcuda import launch
+
+    cluster = Cluster(greina(1, faults=FaultsConfig(enabled=True,
+                                                    watchdog=1e-4)))
+    with pytest.raises(DCudaUsageError, match="watchdog") as info:
+        launch(cluster, _spinning_kernel, ranks_per_device=1)
+    assert "spins" in str(info.value)
+    assert "FaultsConfig.watchdog" in str(info.value)
+    assert cluster.faults.total_injections() == 0
 
 
 def test_never_satisfied_wait_is_a_diagnosed_deadlock():

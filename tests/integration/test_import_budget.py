@@ -7,7 +7,7 @@ that interpreter imports is paid once per worker and per command.
 ``repro.bench`` and ``repro.dcuda`` therefore re-export on use, and scipy
 sits only behind the SpMV app.  This test runs in a fresh interpreter
 what ``python -m repro.exec worker --stdio`` runs: it imports the CLI
-module, takes the ``init`` step of :func:`~repro.exec.worker.serve_stdio`
+module, takes the start-up step of :func:`~repro.exec.worker.serve_stdio`
 (``from . import points``), and runs one chaos case and one ping-pong
 point through :func:`~repro.exec.worker.run_job_payload`.  It then
 imports the fault, overlap and table report modules and checks that
@@ -34,14 +34,14 @@ _SCRIPT = """
 import sys
 
 import repro.exec.__main__  # the worker program: python -m repro.exec
-from repro.exec import points  # serve_stdio's init step
+from repro.exec import points  # serve_stdio's start-up step
 from repro.exec.worker import run_job_payload
 
 
 def run(job_id, entrypoint, params, label):
     done = run_job_payload({"kind": "job", "job_id": job_id,
                             "entrypoint": entrypoint, "params": params,
-                            "label": label}, {})
+                            "label": label})
     assert done["kind"] == "done" and done["job_id"] == job_id, done
     assert done["ok"], done.get("error")
     return done["value"]

@@ -137,25 +137,6 @@ def test_irecv_posted_before_send():
     assert out["payload_none"]
 
 
-def test_iprobe():
-    cluster, world = make_world()
-    seen = []
-
-    def sender(env):
-        yield from world.send(0, 1, None, tag=4, nbytes=8)
-
-    def prober(env):
-        assert not world.iprobe(1, tag=4)
-        yield env.timeout(1.0)  # plenty of time for arrival
-        seen.append(world.iprobe(1, tag=4))
-        seen.append(world.iprobe(1, tag=5))
-
-    cluster.env.process(sender(cluster.env))
-    cluster.env.process(prober(cluster.env))
-    cluster.run()
-    assert seen == [True, False]
-
-
 def test_wait_all_requests():
     cluster, world = make_world(3)
     out = {}

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.errors import DCudaUsageError
+from repro.faults import FaultsConfig
 from repro.hw import Cluster, greina
 from repro.mpicuda import run_mpicuda
 from repro.sim import Environment
@@ -151,3 +153,20 @@ def test_result_contains_all_nodes():
     res = run_mpicuda(cluster, program)
     assert res.results == [0, 2, 4]
     assert res.elapsed > 0
+
+
+@pytest.mark.parametrize("faults", [None, FaultsConfig(enabled=True)],
+                         ids=["no-plane", "inert-plane"])
+def test_unmatched_recv_is_a_typed_deadlock(faults):
+    """A receive nobody sends drains the schedule with node 0 waiting:
+    the same typed diagnosis as a dCUDA launch, a usage error because
+    nothing was injected."""
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.recv(source=1, tag=9)
+
+    cluster = Cluster(greina(2, faults=faults))
+    with pytest.raises(DCudaUsageError,
+                       match=r"deadlock: .*mpicuda:n0") as info:
+        run_mpicuda(cluster, program)
+    assert info.value.sim_time is not None

@@ -37,7 +37,6 @@ class TestBlock:
             (0, 0), (0, 0), (0, 1), (0, 1),
             (1, 0), (1, 0), (1, 1), (1, 1)]
         assert p.ranks_on_device(0, 1) == (2, 3)
-        assert p.ranks_on_node(1) == (4, 5, 6, 7)
         assert [p.device_rank(r) for r in range(4)] == [0, 1, 0, 1]
         assert p.participating_nodes == (0, 1)
 
@@ -72,7 +71,6 @@ class TestExplicit:
         spec = PlacementSpec("explicit", explicit=((1, 0), (1, 1)))
         p = resolve_placement(DEVICES, 1, spec)
         assert p.participating_nodes == (1,)
-        assert p.ranks_on_node(0) == ()
 
     def test_rejects_device_outside_topology(self):
         spec = PlacementSpec("explicit", explicit=((0, 0), (2, 0)))

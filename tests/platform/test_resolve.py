@@ -24,7 +24,6 @@ class TestLegacyShape:
         assert platform.num_nodes == 4
         assert platform.total_gpus == 4
         assert platform.routing is None
-        assert platform.is_flat_single_gpu
         for n in range(4):
             spec = platform.node_spec(n)
             assert spec.gpus_per_node == 1
@@ -42,12 +41,12 @@ class TestTopologyShape:
     def test_multi_gpu_is_not_legacy(self):
         platform = Platform(greina(topology=flat(2, gpus_per_node=2)))
         assert platform.total_gpus == 4
-        assert not platform.is_flat_single_gpu
+        assert [platform.node_spec(n).gpus_per_node for n in range(2)] == [
+            2, 2]
 
     def test_routed_is_not_legacy(self):
         platform = Platform(greina(topology=ring(4)))
         assert platform.routing is not None
-        assert not platform.is_flat_single_gpu
 
     def test_num_nodes_contradiction_raises(self):
         with pytest.raises(DCudaUsageError, match="contradicts"):

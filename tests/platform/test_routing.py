@@ -71,9 +71,11 @@ class TestFatTree:
         uplink = table.links["leaf0-spine"]
         # radix * bw / oversubscription = 4/8 of one downlink.
         assert uplink.bandwidth == pytest.approx(LINK.bandwidth / 2)
-        assert table.bottleneck_bandwidth(0, 7) == uplink.bandwidth
+        assert min(table.links[name].bandwidth
+                   for name in table.route(0, 7)) == uplink.bandwidth
         # Same-leaf traffic never crosses the spine.
-        assert table.bottleneck_bandwidth(0, 3) == LINK.bandwidth
+        assert all(table.links[name].bandwidth == LINK.bandwidth
+                   for name in table.route(0, 3))
 
     def test_full_bisection_uplinks_never_bottleneck(self):
         table = build_routing(

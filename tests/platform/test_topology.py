@@ -94,17 +94,6 @@ class TestTopology:
         assert topo.num_nodes == 5
         assert topo.total_gpus == 2 * 4 + 3
 
-    def test_node_class_of_boundaries(self):
-        dense = NodeClass(name="dense", count=2, gpus_per_node=4)
-        thin = NodeClass(name="thin", count=3)
-        topo = Topology(node_classes=(dense, thin))
-        assert topo.node_class_of(0) is dense
-        assert topo.node_class_of(1) is dense
-        assert topo.node_class_of(2) is thin
-        assert topo.node_class_of(4) is thin
-        with pytest.raises(DCudaUsageError, match="out of range"):
-            topo.node_class_of(5)
-
     def test_devices_canonical_order(self):
         topo = Topology(node_classes=(
             NodeClass(name="dense", count=1, gpus_per_node=2),

