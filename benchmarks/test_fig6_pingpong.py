@@ -11,8 +11,7 @@ import pytest
 
 from repro.bench import Table
 from repro.exec import RunSpec
-
-PACKET_SIZES = [4 ** k for k in range(0, 12)]  # 1 B .. 4 MB
+from repro.exec.suites import build_suite
 
 PAPER_LATENCY_SHARED = 7.8e-6
 PAPER_LATENCY_DISTRIBUTED = 9.4e-6
@@ -21,12 +20,9 @@ PAPER_BW_DISTRIBUTED = 2057.9e6
 
 
 def figure_specs():
-    """Both bandwidth curves plus the two zero-byte latency probes."""
-    specs = [RunSpec("pingpong_point",
-                     dict(shared_mem=shared_mem, packet_bytes=size,
-                          iterations=30),
-                     label=f"fig6:{'shm' if shared_mem else 'dist'}:{size}B")
-             for shared_mem in (True, False) for size in PACKET_SIZES]
+    """Both bandwidth curves (the fig6 suite's specs: 1 B .. 4 MB) plus
+    the two zero-byte latency probes."""
+    specs = build_suite("fig6", iterations=30).specs
     specs += [RunSpec("pingpong_point",
                       dict(shared_mem=shared_mem, packet_bytes=0,
                            iterations=100),
@@ -36,7 +32,7 @@ def figure_specs():
 
 
 def assemble(results):
-    half = len(PACKET_SIZES)
+    half = (len(results) - 2) // 2
     shared, distributed = results[:half], results[half:2 * half]
     lat_s, lat_d = results[2 * half].latency, results[2 * half + 1].latency
     table = Table("Fig. 6 - put bandwidth vs packet size",

@@ -26,8 +26,8 @@ Subpackages
     Mini-applications (stencil, diffusion, particles, SpMV) in both
     programming models with serial references.
 ``repro.bench``
-    Benchmark harness regenerating every figure of the paper's
-    evaluation (also a CLI: ``python -m repro.bench``).
+    Benchmark harness behind every figure of the paper's evaluation;
+    ``python -m repro.exec run <figure>`` regenerates one.
 
 Quick start: see ``repro.dcuda.launch`` and ``examples/quickstart.py``.
 """

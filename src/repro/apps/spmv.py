@@ -28,6 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..dcuda import DRank, launch
+from ..dcuda.collectives import tree_levels
 from ..hw.cluster import Cluster
 from ..mpicuda import MPICudaContext, run_mpicuda
 from .decomp import block_range, square_grid
@@ -94,13 +95,6 @@ def reference(wl: SpmvWorkload, num_nodes: int) -> np.ndarray:
     return a_global @ make_x(wl, pc)
 
 
-def _tree_levels(p: int) -> int:
-    levels = 0
-    while (1 << levels) < p:
-        levels += 1
-    return levels
-
-
 # --------------------------------------------------------------- dCUDA ------
 def dcuda_spmv_kernel(rank: DRank, wl: SpmvWorkload,
                       outputs: Dict[int, np.ndarray],
@@ -139,7 +133,7 @@ def dcuda_spmv_kernel(rank: DRank, wl: SpmvWorkload,
     if dev_row == 0 and drank == 0:
         x_global = make_x(wl, pc) if x_init is None else x_init
         x_buf[:] = x_global[dev_col * n:(dev_col + 1) * n]
-    levels = _tree_levels(pc)
+    levels = tree_levels(pc)
     slice_len = s1 - s0
     scratch = np.zeros((max(levels, 1), slice_len))
 

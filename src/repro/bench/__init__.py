@@ -1,12 +1,13 @@
-"""Benchmark harness: microbenchmarks, weak-scaling drivers, statistics.
+"""Benchmark harness: microbenchmarks, weak-scaling points, statistics.
 
 Every name below loads on first use (PEP 562), the idiom of
 :mod:`repro.faults` and :mod:`repro.obs`.  Importing the package, or
 ``repro.bench.table`` for the fault and overlap reports, then loads no
-simulation code, and scipy loads only where the SpMV weak-scaling driver
-runs rather than in every sweep worker and CLI that touches the package.
+simulation code, and scipy loads only where a weak-scaling point runs
+rather than in every sweep worker and CLI that touches the package.
 ``repro.bench.simperf`` is a ``python -m`` entry point and is not
-re-exported; import it as ``from repro.bench.simperf import ...``.
+re-exported; import it as ``from repro.bench.simperf import ...``.  The
+figures themselves run through ``python -m repro.exec run <figure>``.
 """
 
 import importlib
@@ -14,13 +15,11 @@ import importlib
 #: Submodule -> the public names it defines.
 _SUBMODULE_EXPORTS = {
     "stats": ("Measurement", "median", "median_ci", "summarize"),
-    "table": ("Table", "ascii_series", "format_value"),
-    "pingpong": ("DEFAULT_PACKET_SIZES", "PingPongResult", "pingpong_sweep",
-                 "run_pingpong"),
+    "table": ("Table", "format_value"),
+    "pingpong": ("PingPongResult", "run_pingpong"),
     "overlap": ("COPY_BYTES_PER_ITER", "NEWTON_FLOPS_PER_ITER",
                 "OverlapPoint", "run_overlap"),
-    "weak_scaling": ("ScalingRow", "particles_weak_scaling",
-                     "spmv_weak_scaling", "stencil_weak_scaling"),
+    "weak_scaling": ("ScalingRow",),
 }
 _SOURCE = {name: module for module, names in _SUBMODULE_EXPORTS.items()
            for name in names}

@@ -48,28 +48,23 @@ from ..apps.spmv import SpmvWorkload
 from ..hw.config import COMM_BACKENDS, greina
 from .overlap import run_overlap
 from .pingpong import run_pingpong, run_pingpong_pair
-from .weak_scaling import (
-    particles_weak_scaling,
-    spmv_weak_scaling,
-    stencil_weak_scaling,
-)
+from .weak_scaling import scaling_point
 
 __all__ = ["GOLDEN_WORKLOADS", "capture", "capture_backends",
            "ROUTED_KINDS", "capture_routed"]
 
 
-def _rows(table, label: str) -> Dict[str, float]:
-    """Flatten a weak-scaling table into per-node-count timestamp entries."""
+def _scaling(app: str, label: str, node_counts, wl,
+             ranks_per_device: int) -> Dict[str, float]:
+    """One weak-scaling miniature as per-node-count timestamp entries
+    (milliseconds, as the figure's table reports them)."""
     out: Dict[str, float] = {}
-    cols = list(table.columns)
-    nodes = table.column("nodes")
-    dcuda = table.column(cols[1])
-    mpicuda = table.column(cols[2])
-    comm = table.column(cols[3])
-    for n, d, m, c in zip(nodes, dcuda, mpicuda, comm):
-        out[f"{label}.n{n}.dcuda_ms"] = d
-        out[f"{label}.n{n}.mpicuda_ms"] = m
-        out[f"{label}.n{n}.comm_ms"] = c
+    for n in node_counts:
+        row = scaling_point(app, n, wl=wl, ranks_per_device=ranks_per_device,
+                            nblocks=4)
+        out[f"{label}.n{n}.dcuda_ms"] = row.dcuda_time * 1e3
+        out[f"{label}.n{n}.mpicuda_ms"] = row.mpicuda_time * 1e3
+        out[f"{label}.n{n}.comm_ms"] = row.comm_time * 1e3
     return out
 
 
@@ -94,23 +89,17 @@ def _fig8() -> Dict[str, float]:
 
 def _fig9() -> Dict[str, float]:
     wl = ParticleWorkload(cells_per_node=8, particles_per_node=48, steps=2)
-    table = particles_weak_scaling(node_counts=(1, 2), wl=wl,
-                                   ranks_per_device=2, nblocks=4)
-    return _rows(table, "fig9")
+    return _scaling("particles", "fig9", (1, 2), wl, ranks_per_device=2)
 
 
 def _fig10() -> Dict[str, float]:
     wl = DiffusionWorkload(ni=8, nj_per_device=6, nk=2, steps=2)
-    table = stencil_weak_scaling(node_counts=(1, 2), wl=wl,
-                                 ranks_per_device=3, nblocks=4)
-    return _rows(table, "fig10")
+    return _scaling("stencil", "fig10", (1, 2), wl, ranks_per_device=3)
 
 
 def _fig11() -> Dict[str, float]:
     wl = SpmvWorkload(n_per_device=16, density=0.2, iters=1)
-    table = spmv_weak_scaling(node_counts=(1, 4), wl=wl,
-                              ranks_per_device=2, nblocks=4)
-    return _rows(table, "fig11")
+    return _scaling("spmv", "fig11", (1, 4), wl, ranks_per_device=2)
 
 
 #: Label -> callable producing ``{timestamp label: simulated time}``.

@@ -11,7 +11,7 @@ coordinator unpickles a :class:`PingPongResult` without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -19,10 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw import Cluster
     from ..hw.config import MachineConfig
 
-__all__ = ["PingPongResult", "run_pingpong", "run_pingpong_pair",
-           "pingpong_sweep", "DEFAULT_PACKET_SIZES"]
-
-DEFAULT_PACKET_SIZES = tuple(4 ** k for k in range(0, 12))  # 1 B .. 4 MB
+__all__ = ["PingPongResult", "run_pingpong", "run_pingpong_pair"]
 
 
 @dataclass(frozen=True)
@@ -111,10 +108,3 @@ def _timed_pingpong(cluster: Cluster, ranks_per_device: int,
 
     launch(cluster, kernel, ranks_per_device=ranks_per_device)
     return loop_time[0] / iterations / 2.0
-
-
-def pingpong_sweep(shared: bool,
-                   packet_sizes: Sequence[int] = DEFAULT_PACKET_SIZES,
-                   iterations: int = 50) -> List[PingPongResult]:
-    """The Fig. 6 bandwidth curve for one placement."""
-    return [run_pingpong(shared, size, iterations) for size in packet_sizes]

@@ -1,11 +1,11 @@
-"""Plain-text table/series rendering for benchmark reports."""
+"""Plain-text table rendering for benchmark reports."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, List, Sequence
 
-__all__ = ["Table", "format_value", "ascii_series"]
+__all__ = ["Table", "format_value"]
 
 
 def format_value(value: Any) -> str:
@@ -60,21 +60,3 @@ class Table:
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
-
-def ascii_series(xs: Sequence[float], ys: Sequence[float], width: int = 60,
-                 height: int = 12, label: str = "") -> str:
-    """A tiny ASCII scatter/line plot for terminal benchmark reports."""
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("series must be equal-length and non-empty")
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    xspan = max(xmax - xmin, 1e-30)
-    yspan = max(ymax - ymin, 1e-30)
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int((x - xmin) / xspan * (width - 1))
-        row = height - 1 - int((y - ymin) / yspan * (height - 1))
-        grid[row][col] = "*"
-    lines = [f"{label} (y: {ymin:.3g}..{ymax:.3g}, x: {xmin:.3g}..{xmax:.3g})"]
-    lines += ["|" + "".join(r) + "|" for r in grid]
-    return "\n".join(lines)

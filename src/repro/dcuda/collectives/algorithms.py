@@ -40,7 +40,7 @@ from ...sim import Event
 from ..device_api import DRank
 from ..errors import DCudaError
 from ..window import Window
-from .core import tree_broadcast, tree_levels, tree_reduce
+from .core import _index_of, tree_broadcast, tree_levels, tree_reduce
 
 __all__ = [
     "ALGORITHMS",
@@ -144,14 +144,6 @@ def node_groups(placement, group: Sequence[int]
     for r in group:
         by_node.setdefault(placement.node_of(r), []).append(r)
     return sorted(by_node.items())
-
-
-def _index_of(group: Sequence[int], rank: int) -> int:
-    try:
-        return list(group).index(rank)
-    except ValueError:
-        raise DCudaError(f"rank {rank} not in collective group "
-                         f"{list(group)}") from None
 
 
 def _check_scratch(scratch_win: Window, needed: int, what: str) -> None:

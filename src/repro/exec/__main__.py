@@ -3,7 +3,7 @@
 Subcommands::
 
     run <suite>     execute a named sweep (chaos, fig6..fig11, topo,
-                    ml, simperf) on any executor transport
+                    ml) on any executor transport
     worker          serve jobs: --stdio (pipe fleet member) or
                     --port N (HTTP worker daemon)
     status          census the result cache + live sweep progress
@@ -11,24 +11,32 @@ Subcommands::
     cache gc        delete entries from stale source fingerprints
     cache clear     delete every cache entry
 
-``run`` prints the suite's table, an engine summary line, and writes the
-machine-readable sweep record to ``BENCH_sweep.json`` at the repo root:
-wall-clock, the coordinator's phase times (keys, probes, publishes),
-worker count, executor, cache hit rate, and the canonical digest of the
-merged result list.  The digest is the bit-identity witness — it is a
-pure function of the spec list, so any two invocations of the same suite
-at the same source fingerprint must print the same digest regardless of
-executor, worker count, completion order, cache state, or worker deaths
-survived along the way.
+``run`` is the one way to regenerate a figure or report of the paper's
+evaluation: it prints the suite's table, an engine summary line and the
+canonical digest of the merged result list, and with ``--json PATH``
+writes the machine-readable sweep record there: wall-clock, the
+coordinator's phase times (keys, probes, publishes), worker count,
+executor, cache hit rate, and the digest.  The digest is the
+bit-identity witness — it is a pure function of the spec list, so any
+two invocations of the same suite at the same source fingerprint must
+print the same digest regardless of executor, worker count, completion
+order, cache state, or worker deaths survived along the way.
 
-``--require-cached`` exits with status 3 unless *every* cacheable task
-was served from the cache — CI uses it to assert that a warm replay does
-zero simulation work.
+Each suite reads its own shape knobs (``--nodes``, ``--steps``, ...) with
+per-suite defaults, and refuses one it would ignore (exit 1).  A suite
+with a contract (chaos: complete with identical numerics or fail typed)
+prints each violating result and exits 1.  ``--require-cached`` exits
+with status 3 unless *every* cacheable task was served from the cache —
+CI uses it to assert that a warm replay does zero simulation work.
 
 Examples::
 
     PYTHONPATH=src python -m repro.exec run chaos --seeds 50 --workers 4
     PYTHONPATH=src python -m repro.exec run fig6 --workers 2
+    PYTHONPATH=src python -m repro.exec run fig10 --nodes 1 2 4
+    for fig in fig6 fig7 fig8 fig9 fig10 fig11; do     # every figure
+        PYTHONPATH=src python -m repro.exec run $fig > $fig.txt
+    done
     PYTHONPATH=src python -m repro.exec worker --port 8791   # terminal 1
     PYTHONPATH=src python -m repro.exec run fig6 --executor http \\
         --hosts 127.0.0.1:8791                               # terminal 2
@@ -50,7 +58,7 @@ from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .coordinator import STATUS_FILENAME
 from .engine import default_workers, run_specs
 from .executors import EXECUTOR_NAMES
-from .fingerprint import repo_root, source_fingerprint
+from .fingerprint import source_fingerprint
 from .spec import canonical_digest
 from .suites import SUITE_NAMES, build_suite
 
@@ -58,6 +66,13 @@ __all__ = ["main"]
 
 #: Exit status for ``--require-cached`` violations (2 is argparse's).
 EXIT_NOT_CACHED = 3
+
+
+def _names(text: str) -> Optional[tuple]:
+    """Split a comma-separated option value into its non-empty names
+    (``None``, the option's default, when there are none)."""
+    return tuple(name.strip() for name in text.split(",")
+                 if name.strip()) or None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="transport (default: $REPRO_EXEC_EXECUTOR, or "
                           "serial/local by worker count)")
-    run.add_argument("--hosts", type=str, default=None, metavar="H:P,...",
+    run.add_argument("--hosts", type=_names, metavar="H:P,...",
                      help="http executor: comma-separated host:port "
                           "worker daemons (default: $REPRO_EXEC_HOSTS)")
     run.add_argument("--progress", action="store_true",
@@ -91,41 +106,41 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="per-task wall-clock budget in seconds "
                           "(process transports)")
     run.add_argument("--json", type=str, default=None, metavar="PATH",
-                     help="sweep record path (default: BENCH_sweep.json "
-                          "at the repo root)")
-    run.add_argument("--no-json", action="store_true",
-                     help="skip writing the sweep record")
+                     help="write the sweep record to PATH (default: no "
+                          "record)")
     run.add_argument("--require-cached", action="store_true",
                      help=f"exit {EXIT_NOT_CACHED} unless every cacheable "
                           "task was a cache hit")
-    # Suite shape knobs (each suite reads the subset it understands).
-    run.add_argument("--seeds", type=int, default=50,
+    # Suite shape knobs: each suite reads its own subset and refuses
+    # the rest; an unset knob takes the suite's default.
+    run.add_argument("--seeds", type=int,
                      help="chaos: number of fault seeds (default 50)")
-    run.add_argument("--nodes", type=int, default=2,
-                     help="chaos: cluster size (default 2)")
-    run.add_argument("--ranks", type=int, default=2,
+    run.add_argument("--nodes", type=int, nargs="+", metavar="N",
+                     help="node count: fig9-11 sweep every N given "
+                          "(default 1 2 4 8; fig11: 1 4 9); chaos, "
+                          "fig7/8, topo and ml take one (default 2, 8, "
+                          "4 and 4)")
+    run.add_argument("--ranks", type=int,
                      help="chaos: ranks per device (default 2)")
-    run.add_argument("--steps", type=int, default=2,
-                     help="chaos: diffusion steps (default 2)")
-    run.add_argument("--iterations", type=int, default=30,
-                     help="fig6: ping-pong iterations (default 30)")
-    run.add_argument("--no-verify", action="store_true",
+    run.add_argument("--steps", type=int,
+                     help="chaos: diffusion steps (default 2); fig7/8: "
+                          "iterations per overlap point (default 20)")
+    run.add_argument("--iterations", type=int,
+                     help="fig6/topo: ping-pong iterations (default 30)")
+    run.add_argument("--no-verify", dest="verify", action="store_false",
+                     default=None,
                      help="fig9-11: skip reference verification")
-    run.add_argument("--full", action="store_true",
-                     help="simperf: figure-scale workload")
-    run.add_argument("--topology", type=str, default=None,
-                     metavar="KINDS",
+    run.add_argument("--topology", type=_names, metavar="KINDS",
                      help="topo/ml: comma-separated interconnect kinds "
                           "(topo default: flat,fat_tree,ring; ml "
                           "default: flat,fat_tree)")
-    run.add_argument("--topo-nodes", type=int, default=4,
-                     help="topo/ml: nodes per topology (default 4)")
-    run.add_argument("--topo-gpus", type=int, default=2,
+    run.add_argument("--topo-gpus", type=int,
                      help="topo/ml: GPUs per node (default 2)")
-    run.add_argument("--backend", type=str, default=None, metavar="NAMES",
-                     help="topo/ml/simperf: comma-separated "
-                          "communication backends to sweep (proxy, "
-                          "device, stream; default: proxy)")
+    run.add_argument("--backend", dest="backends", type=_names,
+                     metavar="NAMES",
+                     help="topo/ml: comma-separated communication "
+                          "backends to sweep (proxy, device, stream; "
+                          "default: proxy)")
 
     worker = sub.add_parser(
         "worker", help="serve sweep jobs (stdio fleet member or HTTP "
@@ -158,22 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    kinds = (tuple(k.strip() for k in args.topology.split(",") if k.strip())
-             if args.topology else None)
-    backends = (tuple(b.strip() for b in args.backend.split(",")
-                      if b.strip())
-                if args.backend else None)
     suite = build_suite(args.suite, seeds=args.seeds, nodes=args.nodes,
                         ranks=args.ranks, steps=args.steps,
-                        iterations=args.iterations,
-                        verify=not args.no_verify, full=args.full,
-                        topology=kinds, topo_nodes=args.topo_nodes,
-                        topo_gpus=args.topo_gpus, backends=backends)
+                        iterations=args.iterations, verify=args.verify,
+                        topology=args.topology, topo_gpus=args.topo_gpus,
+                        backends=args.backends)
     workers = (args.workers if args.workers is not None
                else default_workers())
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    hosts = (tuple(h.strip() for h in args.hosts.split(",") if h.strip())
-             if args.hosts else None)
 
     on_event = None
     if args.progress:
@@ -184,14 +191,16 @@ def _cmd_run(args) -> int:
 
     report = run_specs(suite.specs, workers=workers, cache=cache,
                        timeout=args.timeout, executor=args.executor,
-                       hosts=hosts, on_event=on_event)
+                       hosts=args.hosts, on_event=on_event)
 
     print(suite.assemble(report.results))
+    violations = suite.violations(report.results)
+    for line in violations:
+        print(line)
     print(f"engine: {report.summary()}")
 
     digest = canonical_digest(report.results)
-    if not args.no_json:
-        path = args.json or str(repo_root() / "BENCH_sweep.json")
+    if args.json:
         record = {
             "bench": "sweep",
             "suite": args.suite,
@@ -211,10 +220,10 @@ def _cmd_run(args) -> int:
             "results_digest": digest,
             "source_fingerprint": source_fingerprint()[:16],
         }
-        with open(path, "w") as f:
+        with open(args.json, "w") as f:
             json.dump(record, f, indent=2, sort_keys=True)
             f.write("\n")
-        print(f"record: {path}")
+        print(f"record: {args.json}")
     print(f"results digest: {digest[:16]}")
 
     if args.require_cached:
@@ -226,7 +235,7 @@ def _cmd_run(args) -> int:
                   file=sys.stderr)
             return EXIT_NOT_CACHED
         print(f"require-cached: ok ({served}/{cacheable})")
-    return 0
+    return 1 if violations else 0
 
 
 def _cmd_worker(args) -> int:
@@ -316,7 +325,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "status":
             return _cmd_status(args)
         return _cmd_cache(args)
-    except DCudaError as exc:  # pragma: no cover - CLI error surface
+    except DCudaError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 1
 

@@ -37,7 +37,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -118,13 +117,10 @@ class ResultCache:
         return Path(self._gen)
 
     def _entry_path(self, key: str) -> str:
-        """Where *key*'s entry lives: the shard its hex prefix picks (a
-        crc32 of the key for a non-hex one)."""
-        try:
-            idx = int(key[:2], 16)
-        except ValueError:
-            idx = zlib.crc32(key.encode())
-        return self._shard_dirs[idx % DEFAULT_SHARDS] + key + ".pkl"
+        """Where *key* — a hex content hash — lives: the shard its
+        prefix picks."""
+        return (self._shard_dirs[int(key[:2], 16) % DEFAULT_SHARDS]
+                + key + ".pkl")
 
     # ----------------------------------------------------------- I/O -----
     @staticmethod

@@ -1,14 +1,18 @@
-"""Named sweep suites: spec lists + table assembly for the CLIs.
+"""Named sweep suites: spec lists + table assembly for ``python -m
+repro.exec run``.
 
-A *suite* bundles what ``python -m repro.exec run <name>`` and
-``python -m repro.bench <figure> --workers N`` both need: the list of
-:class:`~repro.exec.spec.RunSpec` tasks and a function that assembles
-the engine's result list back into the figure's
-:class:`~repro.bench.table.Table`.  Building a suite is pure data: no
-builder simulates anything or ships a payload beside its specs.
-Keeping the builders here — rather than in either CLI — means the
-pytest benchmarks, the figure runner, and the sweep runner all execute
-the *same* specs, so their cached results are interchangeable.
+A *suite* bundles what the sweep CLI needs to regenerate one figure or
+report: the list of :class:`~repro.exec.spec.RunSpec` tasks, a function
+that assembles the engine's result list back into the figure's
+:class:`~repro.bench.table.Table`, and the results that break the
+suite's contract.  Building a suite is pure data: no builder simulates
+anything or ships a payload beside its specs.  The pytest benchmarks and
+the CLI build their specs here, so their cached results are
+interchangeable.
+
+Each suite reads a fixed set of knobs (:data:`_SUITES`), each with a
+per-suite default; :func:`build_suite` refuses a knob the suite would
+ignore rather than run a sweep the caller did not ask for.
 
 The assembly functions are pure reshaping: all simulation work happens
 inside entrypoints (:mod:`repro.exec.points`), all scheduling inside the
@@ -21,14 +25,14 @@ bit-identity witness across serial, local and HTTP runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Sequence
 
 from ..errors import DCudaUsageError
 from .spec import RunSpec
 
 __all__ = ["Suite", "build_suite", "SUITE_NAMES"]
 
-#: Fig. 6 packet sizes (1 B .. 4 MB) — matches the benchmark module.
+#: Fig. 6 packet sizes (1 B .. 4 MB).
 _FIG6_SIZES = tuple(4 ** k for k in range(0, 12))
 #: Fig. 7/8 compute-iteration sweep — matches the benchmark modules.
 _OVERLAP_ITERS = (0, 16, 64, 128, 256, 512)
@@ -41,22 +45,28 @@ class Suite:
     name: str
     specs: List[RunSpec]
     #: ``assemble(results) -> str`` — render the merged results.
-    assemble: Callable[[List[Any]], str] = lambda results: repr(results)
+    assemble: Callable[[List[Any]], str]
+    #: ``violations(results) -> lines`` — one line per result that breaks
+    #: the suite's contract; ``run`` prints them and exits 1.
+    violations: Callable[[List[Any]], List[str]] = lambda results: []
 
 
-def _chaos_suite(seeds: Sequence[int], nodes: int, ranks: int,
+def _chaos_suite(name: str, seeds: int, nodes: int, ranks: int,
                  steps: int) -> Suite:
-    from ..faults.report import chaos_specs, sweep_table
+    from ..faults.report import chaos_specs, outcome_line, sweep_table
 
-    specs, _ = chaos_specs(seeds, nodes, ranks, steps)
+    specs, _ = chaos_specs(range(seeds), nodes, ranks, steps)
 
     def assemble(outcomes):
         return sweep_table(outcomes).render()
 
-    return Suite("chaos", specs, assemble=assemble)
+    def violations(outcomes):
+        return [outcome_line(o) for o in outcomes if not o.clean]
+
+    return Suite(name, specs, assemble=assemble, violations=violations)
 
 
-def _fig6_suite(iterations: int) -> Suite:
+def _fig6_suite(name: str, iterations: int) -> Suite:
     from ..bench.table import Table
 
     specs = [RunSpec("pingpong_point",
@@ -77,7 +87,7 @@ def _fig6_suite(iterations: int) -> Suite:
                           d.latency * 1e6)
         return table.render()
 
-    return Suite("fig6", specs, assemble=assemble)
+    return Suite(name, specs, assemble=assemble)
 
 
 def overlap_sweep_specs(mode: str, steps: int, nodes: int,
@@ -122,10 +132,20 @@ def overlap_sweep_specs(mode: str, steps: int, nodes: int,
     return specs, reassemble
 
 
-def _overlap_suite(name: str, mode: str, title: str, col0: str,
-                   steps: int, nodes: int) -> Suite:
+#: Overlap figure -> (kernel mode, table title, first column).
+_OVERLAP_FIGS = {
+    "fig7": ("newton",
+             "Fig. 7 - overlap for square root calculation (Newton-Raphson)",
+             "newton iters/exchange"),
+    "fig8": ("copy", "Fig. 8 - overlap for memory-to-memory copy",
+             "copy iters/exchange"),
+}
+
+
+def _overlap_suite(name: str, nodes: int, steps: int) -> Suite:
     from ..bench.table import Table
 
+    mode, title, col0 = _OVERLAP_FIGS[name]
     specs, reassemble = overlap_sweep_specs(mode, steps, nodes, 52)
 
     def assemble(results):
@@ -138,16 +158,29 @@ def _overlap_suite(name: str, mode: str, title: str, col0: str,
     return Suite(name, specs, assemble=assemble)
 
 
-def _weak_scaling_suite(name: str, app: str, node_counts: Sequence[int],
+#: Weak-scaling figure -> the mini-app it scales.
+_SCALING_APPS = {"fig9": "particles", "fig10": "stencil", "fig11": "spmv"}
+
+
+def _weak_scaling_suite(name: str, nodes: Sequence[int],
                         verify: bool) -> Suite:
     from ..bench.weak_scaling import weak_scaling_specs, weak_scaling_table
 
-    specs, wl = weak_scaling_specs(app, node_counts, verify=verify)
+    app = _SCALING_APPS[name]
+    specs, wl = weak_scaling_specs(app, nodes, verify=verify)
 
     def assemble(rows):
         return weak_scaling_table(app, wl, rows).render()
 
     return Suite(name, specs, assemble=assemble)
+
+
+def _check(what: str, names: Sequence[str],
+           available: Sequence[str]) -> None:
+    for name in names:
+        if name not in available:
+            raise DCudaUsageError(f"unknown {what} {name!r}; available: "
+                                  f"{', '.join(available)}")
 
 
 #: Overlap-miniature shape for the topo suite's efficiency report.
@@ -171,10 +204,16 @@ def _topo_overlap_cfg(kind: str, nodes: int, gpus: int, backend: str):
     return greina(topology=topo, comm_backend=backend)
 
 
-def _topo_suite(kinds: Sequence[str], nodes: int, gpus: int,
-                iterations: int,
-                backends: Sequence[str] = ("proxy",)) -> Suite:
+def _topo_suite(name: str, topology: Sequence[str], nodes: int,
+                topo_gpus: int, iterations: int,
+                backends: Sequence[str]) -> Suite:
     from ..bench.table import Table
+    from ..hw.config import COMM_BACKENDS
+    from ..platform import INTERCONNECT_KINDS
+
+    kinds, gpus = tuple(topology or INTERCONNECT_KINDS), topo_gpus
+    _check("interconnect kind", kinds, INTERCONNECT_KINDS)
+    _check("comm backend", backends, COMM_BACKENDS)
 
     # "far" is the ring diameter (nodes//2), which is also the last node
     # of the other fat-tree leaf on larger machines.
@@ -236,7 +275,7 @@ def _topo_suite(kinds: Sequence[str], nodes: int, gpus: int,
                      " / exchange-only; 1.0 = full overlap")
         return table.render() + "\n\n" + eff.render()
 
-    return Suite("topo", specs, assemble=assemble)
+    return Suite(name, specs, assemble=assemble)
 
 
 #: ML-suite interconnect kinds — the two shapes the collectives story
@@ -250,10 +289,15 @@ _ML_ELEMS = 4096
 _ML_FEATURES = (64, 65536)
 
 
-def _ml_suite(kinds: Sequence[str], nodes: int, gpus: int,
-              backends: Sequence[str]) -> Suite:
+def _ml_suite(name: str, topology: Sequence[str], nodes: int,
+              topo_gpus: int, backends: Sequence[str]) -> Suite:
     from ..bench.table import Table
     from ..dcuda.collectives import ALGORITHMS
+    from ..hw.config import COMM_BACKENDS
+
+    kinds, gpus = tuple(topology), topo_gpus
+    _check("ml topology kind", kinds, _ML_KINDS)
+    _check("comm backend", backends, COMM_BACKENDS)
 
     # Streaming-GEMV scale: enough rows per worker that the tile
     # multiplies can actually hide the streaming (cf. Fig. 7/8).
@@ -329,104 +373,79 @@ def _ml_suite(kinds: Sequence[str], nodes: int, gpus: int,
         return (coll.render() + "\n\n" + gemm_t.render() + "\n\n"
                 + train.render())
 
-    return Suite("ml", specs, assemble=assemble)
+    return Suite(name, specs, assemble=assemble)
 
 
-def _simperf_suite(quick: bool, comm_backend: str = "proxy") -> Suite:
-    from ..bench.simperf import simperf_specs, simperf_table
+#: Suite name -> (builder, the knobs it reads with their defaults);
+#: ``build_suite`` calls ``builder(name, **knobs)``.  A ``nodes``
+#: default that is a tuple marks a suite that sweeps node counts; an
+#: int, one that builds one machine.  ``topology=None`` is every
+#: interconnect kind.
+_SUITES = {
+    "chaos": (_chaos_suite, dict(seeds=50, nodes=2, ranks=2, steps=2)),
+    "fig6": (_fig6_suite, dict(iterations=30)),
+    "fig7": (_overlap_suite, dict(nodes=8, steps=20)),
+    "fig8": (_overlap_suite, dict(nodes=8, steps=20)),
+    "fig9": (_weak_scaling_suite, dict(nodes=(1, 2, 4, 8), verify=True)),
+    "fig10": (_weak_scaling_suite, dict(nodes=(1, 2, 4, 8), verify=True)),
+    "fig11": (_weak_scaling_suite, dict(nodes=(1, 4, 9), verify=True)),
+    "topo": (_topo_suite, dict(topology=None, nodes=4, topo_gpus=2,
+                               iterations=30, backends=("proxy",))),
+    "ml": (_ml_suite, dict(topology=_ML_KINDS, nodes=4, topo_gpus=2,
+                           backends=("proxy",))),
+}
 
-    specs = simperf_specs(quick=quick, comm_backend=comm_backend)
-
-    def assemble(results):
-        return simperf_table(results).render()
-
-    return Suite("simperf", specs, assemble=assemble)
+SUITE_NAMES = tuple(_SUITES)
 
 
-SUITE_NAMES = ("chaos", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
-               "topo", "ml", "simperf")
-
-
-def build_suite(name: str, *, seeds: int = 50, nodes: int = 2,
-                ranks: int = 2, steps: int = 2, iterations: int = 30,
-                overlap_steps: int = 20, overlap_nodes: int = 8,
-                node_counts: Optional[Sequence[int]] = None,
-                verify: bool = True, full: bool = False,
-                topology: Optional[Sequence[str]] = None,
-                topo_nodes: int = 4, topo_gpus: int = 2,
-                backends: Optional[Sequence[str]] = None) -> Suite:
-    """Construct a named suite with the given knobs.
+def build_suite(name: str, *, seeds=None, nodes=None, ranks=None,
+                steps=None, iterations=None, verify=None, topology=None,
+                topo_gpus=None, backends=None) -> Suite:
+    """Construct a named suite; a knob left ``None`` takes the suite's
+    default.
 
     Args:
         name: One of :data:`SUITE_NAMES`.
-        seeds: Chaos-sweep seed count (seeds ``0..N-1``).
-        nodes/ranks/steps: Chaos cluster size, over-subscription, and
-            diffusion iterations.
-        iterations: Fig. 6 ping-pong iterations per packet size.
-        overlap_steps/overlap_nodes: Fig. 7/8 sweep shape.
-        node_counts: Fig. 9-11 node counts (figure default when ``None``).
-        verify: Reference-verify the weak-scaling figures.
-        full: Figure-scale simperf workload instead of the quick probe.
-        topology: topo/ml: interconnect kinds to sweep (topo: all
-            three; ml: flat and fat_tree — when ``None``).
-        topo_nodes/topo_gpus: topo/ml: machine shape per kind.
-        backends: topo/ml/simperf: communication backends to sweep
-            (``("proxy",)`` when ``None``; simperf uses the first).
+        seeds: chaos: seed count (seeds ``0..N-1``).
+        nodes: Node count, or a sequence of them: fig9-11 sweep every
+            count given; chaos, fig7/8, topo and ml build one machine
+            and take one.
+        ranks/steps: chaos: ranks per device and diffusion steps; fig7/8
+            read ``steps`` as the overlap iterations per point.
+        iterations: fig6/topo: ping-pong iterations per point.
+        verify: fig9-11: check each point against the serial reference.
+        topology: topo/ml: interconnect kinds to sweep.
+        topo_gpus: topo/ml: GPUs per node.
+        backends: topo/ml: communication backends to sweep.
 
     Raises:
-        DCudaUsageError: Unknown suite name.
+        DCudaUsageError: Unknown suite name, a knob the suite does not
+            read, several node counts for a one-machine suite, or an
+            unknown backend or interconnect kind.
     """
-    if name == "chaos":
-        return _chaos_suite(range(seeds), nodes, ranks, steps)
-    if name == "fig6":
-        return _fig6_suite(iterations)
-    if name == "fig7":
-        return _overlap_suite(
-            "fig7", "newton",
-            "Fig. 7 - overlap for square root calculation (Newton-Raphson)",
-            "newton iters/exchange", overlap_steps, overlap_nodes)
-    if name == "fig8":
-        return _overlap_suite(
-            "fig8", "copy", "Fig. 8 - overlap for memory-to-memory copy",
-            "copy iters/exchange", overlap_steps, overlap_nodes)
-    if name == "fig9":
-        return _weak_scaling_suite("fig9", "particles",
-                                   node_counts or (1, 2, 4, 8), verify)
-    if name == "fig10":
-        return _weak_scaling_suite("fig10", "stencil",
-                                   node_counts or (1, 2, 4, 8), verify)
-    if name == "fig11":
-        return _weak_scaling_suite("fig11", "spmv",
-                                   node_counts or (1, 4, 9), verify)
-    backend_list = tuple(backends) if backends else ("proxy",)
-    from ..hw.config import COMM_BACKENDS
-
-    for backend in backend_list:
-        if backend not in COMM_BACKENDS:
+    if name not in _SUITES:
+        raise DCudaUsageError(
+            f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+    builder, defaults = _SUITES[name]
+    knobs = dict(defaults)
+    given = dict(seeds=seeds, nodes=nodes, ranks=ranks, steps=steps,
+                 iterations=iterations, verify=verify, topology=topology,
+                 topo_gpus=topo_gpus, backends=backends)
+    for knob, value in given.items():
+        if value is None:
+            continue
+        if knob not in defaults:
             raise DCudaUsageError(
-                f"unknown comm backend {backend!r}; available: "
-                f"{', '.join(COMM_BACKENDS)}")
-    if name == "topo":
-        from ..platform import INTERCONNECT_KINDS
-
-        kinds = tuple(topology) if topology else INTERCONNECT_KINDS
-        for kind in kinds:
-            if kind not in INTERCONNECT_KINDS:
+                f"suite {name!r} does not read the {knob!r} knob; it "
+                f"reads {', '.join(defaults)}")
+        knobs[knob] = value
+    if nodes is not None:
+        counts = (nodes,) if isinstance(nodes, int) else tuple(nodes)
+        if isinstance(defaults["nodes"], int):
+            if len(counts) != 1:
                 raise DCudaUsageError(
-                    f"unknown interconnect kind {kind!r}; available: "
-                    f"{', '.join(INTERCONNECT_KINDS)}")
-        return _topo_suite(kinds, topo_nodes, topo_gpus, iterations,
-                           backends=backend_list)
-    if name == "ml":
-        kinds = tuple(topology) if topology else _ML_KINDS
-        for kind in kinds:
-            if kind not in _ML_KINDS:
-                raise DCudaUsageError(
-                    f"unknown ml topology kind {kind!r}; available: "
-                    f"{', '.join(_ML_KINDS)}")
-        return _ml_suite(kinds, topo_nodes, topo_gpus, backend_list)
-    if name == "simperf":
-        return _simperf_suite(quick=not full,
-                              comm_backend=backend_list[0])
-    raise DCudaUsageError(
-        f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
+                    f"suite {name!r} builds one machine and takes one "
+                    f"'nodes' count, not {len(counts)}")
+            counts = counts[0]
+        knobs["nodes"] = counts
+    return builder(name, **knobs)

@@ -36,12 +36,11 @@ __all__ = [
     "FaultEvent", "FaultsConfig", "FAULT_KINDS", "default_faults",
     "force_faults",
     "FaultPlane",
-    "ChaosOutcome", "run_chaos_case", "chaos_specs", "chaos_sweep",
-    "fault_report",
+    "ChaosOutcome", "run_chaos_case", "chaos_specs", "fault_report",
 ]
 
 _REPORT_SYMBOLS = ("ChaosOutcome", "run_chaos_case", "chaos_specs",
-                   "chaos_sweep", "fault_report")
+                   "fault_report")
 
 
 def __getattr__(name):

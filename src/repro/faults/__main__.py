@@ -4,18 +4,16 @@ Usage::
 
     python -m repro.faults report                  # one seeded run + report
     python -m repro.faults report --seed 7
-    python -m repro.faults report --sweep 50       # chaos envelope
-    python -m repro.faults report --sweep 50 -j 4  # ... on 4 workers
     python -m repro.faults report --selftest       # CI smoke check
 
 ``report`` runs the diffusion mini-app under a deterministic seeded fault
 schedule and prints what was injected, which ranks recovered, and the
-error-code table.  ``--sweep N`` sweeps seeds ``0..N-1`` and prints the
-completion/diagnosed-failure envelope; ``--selftest`` additionally checks
-the zero-perturbation contract (an inert plane gives the no-plane run:
-timing, numerics and scheduled entries, and a rank that waits 10 ms for
-a slow peer finishes at its no-plane time) and exits non-zero on any
-violation.
+error-code table.  The completion/diagnosed-failure envelope over many
+seeds is a sweep, ``python -m repro.exec run chaos --seeds N``.
+``--selftest`` checks the zero-perturbation contract (an inert plane
+gives the no-plane run: timing, numerics and scheduled entries, and a
+rank that waits 10 ms for a slow peer finishes at its no-plane time) and
+exits non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -28,25 +26,13 @@ from .config import FaultsConfig
 from .report import (
     ChaosOutcome,
     baseline_field,
-    chaos_sweep,
     chaos_workload,
     fault_report,
+    outcome_line,
     run_chaos_case,
-    sweep_table,
 )
 
 __all__ = ["main"]
-
-
-def _outcome_line(outcome: ChaosOutcome) -> str:
-    if outcome.status == "completed":
-        verdict = ("numerics identical" if outcome.numerics_equal
-                   else "NUMERICS DIVERGED")
-        return (f"seed={outcome.seed}: completed in "
-                f"{outcome.elapsed:.3e}s simulated, "
-                f"{outcome.injections} injections, {verdict}")
-    return (f"seed={outcome.seed}: {outcome.status} [{outcome.error_code}] "
-            f"after {outcome.injections} injections — {outcome.error}")
 
 
 def _run_report(args: argparse.Namespace) -> int:
@@ -79,19 +65,8 @@ def _run_report(args: argparse.Namespace) -> int:
             error_code=getattr(exc, "code", ""))
     print(fault_report(cluster.faults, runtime, cluster.obs))
     print()
-    print(_outcome_line(outcome))
+    print(outcome_line(outcome))
     return 0 if outcome.clean else 1
-
-
-def _run_sweep(args: argparse.Namespace) -> int:
-    outcomes = chaos_sweep(range(args.sweep), args.nodes, args.ranks,
-                           args.steps, workers=args.workers,
-                           cache=args.cache_dir, executor=args.executor)
-    print(sweep_table(outcomes).render())
-    dirty = [o for o in outcomes if not o.clean]
-    for o in dirty:
-        print(_outcome_line(o))
-    return 0 if not dirty else 1
 
 
 def _late_put_kernel(rank):
@@ -161,7 +136,7 @@ def _run_selftest(args: argparse.Namespace) -> int:
     for name, ok in checks:
         print(f"{'ok' if ok else 'FAIL'}: {name}")
         failed += 0 if ok else 1
-    print(_outcome_line(outcome))
+    print(outcome_line(outcome))
     print(f"selftest: {len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
@@ -177,9 +152,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                         "and print the fault report")
     rep.add_argument("--seed", type=int, default=1,
                      help="fault-plan seed (default: 1)")
-    rep.add_argument("--sweep", type=int, metavar="N",
-                     help="instead: sweep seeds 0..N-1 and print the "
-                          "chaos envelope")
     rep.add_argument("--selftest", action="store_true",
                      help="zero-perturbation + chaos-contract smoke check "
                           "(non-zero exit on violation)")
@@ -189,22 +161,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="ranks per device (default: 2)")
     rep.add_argument("--steps", type=int, default=2,
                      help="diffusion iterations (default: 2)")
-    rep.add_argument("--workers", "-j", type=int, default=None,
-                     help="sweep engine worker processes (default: "
-                          "$REPRO_EXEC_WORKERS or 1; --sweep only)")
-    rep.add_argument("--executor", type=str, default=None,
-                     help="sweep executor transport (default: "
-                          "$REPRO_EXEC_EXECUTOR or by worker count; "
-                          "--sweep only)")
-    rep.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                     help="result-cache directory for --sweep (default: "
-                          "no caching)")
 
     args = parser.parse_args(argv)
     if args.selftest:
         return _run_selftest(args)
-    if args.sweep:
-        return _run_sweep(args)
     return _run_report(args)
 
 

@@ -5,10 +5,12 @@ mini-app either completes with numerics bit-identical to a fault-free
 run, or raises a typed :class:`~repro.errors.DCudaFaultError` /
 :class:`~repro.errors.DCudaTimeoutError` carrying rank and simulated-time
 context — never a hang.  :func:`run_chaos_case` executes one such run and
-classifies it; :func:`chaos_sweep` sweeps many seeds and aggregates the
-envelope reported in ``EXPERIMENTS.md``; :func:`fault_report` renders what
-a plane injected plus the per-rank hardening counters, next to the obs
-metrics registry when one is attached.
+classifies it; :func:`chaos_specs` describes a sweep over many seeds,
+which ``python -m repro.exec run chaos`` runs and :func:`sweep_table`
+aggregates into the envelope reported in ``EXPERIMENTS.md``;
+:func:`fault_report` renders what a plane injected plus the per-rank
+hardening counters, next to the obs metrics registry when one is
+attached.
 
 :func:`chaos_specs` describes a sweep as pure data: each spec carries the
 workload's parameters (``steps`` beside ``num_nodes`` and
@@ -34,7 +36,7 @@ from ..errors import ERROR_TABLE, DCudaFaultError, DCudaTimeoutError
 from .config import FaultsConfig
 from .plane import FaultPlane
 
-__all__ = ["ChaosOutcome", "run_chaos_case", "chaos_specs", "chaos_sweep",
+__all__ = ["ChaosOutcome", "run_chaos_case", "chaos_specs", "outcome_line",
            "fault_report", "injection_table", "hardening_table",
            "baseline_field", "chaos_workload", "sweep_table"]
 
@@ -178,10 +180,11 @@ def chaos_specs(seeds: Sequence[int], num_nodes: int = 2,
     Simulates nothing and loads no simulator: each spec names the
     workload by its parameters, and every worker builds it and its
     fault-free baseline itself (:func:`run_chaos_case`, cached per
-    process).  :func:`chaos_sweep`, the ``chaos`` suite of ``python -m
-    repro.exec`` and ``python -m repro.faults report --sweep`` all build
-    specs through this helper, so their cache keys, and so their cached
-    outcomes, are interchangeable.
+    process).  The ``chaos`` suite of ``python -m repro.exec`` and every
+    library sweep build specs through this helper, so their cache keys,
+    and so their cached outcomes, are interchangeable.  Run them with
+    :func:`~repro.exec.engine.run_specs`: outcomes come back in seed
+    order, bit-identical for any worker count and executor.
 
     Returns:
         ``(specs, {})`` — one ``chaos_case``
@@ -201,37 +204,16 @@ def chaos_specs(seeds: Sequence[int], num_nodes: int = 2,
     return specs, {}
 
 
-def chaos_sweep(seeds: Sequence[int], num_nodes: int = 2,
-                ranks_per_device: int = 2, steps: int = 2, workers=None,
-                cache=None,
-                comm_backend: str = "proxy",
-                executor=None) -> List[ChaosOutcome]:
-    """Run :func:`run_chaos_case` for every seed; returns all outcomes.
-
-    Fans the seeds out through the sweep service: outcomes are returned
-    in seed order and are bit-identical for any *workers* count and any
-    *executor* transport (see :mod:`repro.exec.engine`).
-
-    Args:
-        seeds: Fault-plan seeds, one independent run each.
-        num_nodes/ranks_per_device/steps: Cluster and workload shape, as
-            in :func:`run_chaos_case`.
-        workers: Engine worker processes (``None`` = serial or
-            ``$REPRO_EXEC_WORKERS``).
-        cache: Optional :class:`~repro.exec.cache.ResultCache` or cache
-            directory path.  A key is the spec's content hash under the
-            source fingerprint; the baseline is a function of both, so
-            it needs no salt of its own.
-        executor: Transport name or :class:`~repro.exec.executors.
-            Executor` instance (``None`` = ``$REPRO_EXEC_EXECUTOR`` or
-            by worker count).
-    """
-    from ..exec import run_specs
-
-    specs, _ = chaos_specs(seeds, num_nodes, ranks_per_device, steps,
-                           comm_backend=comm_backend)
-    return run_specs(specs, workers=workers, cache=cache,
-                     executor=executor).results
+def outcome_line(outcome: ChaosOutcome) -> str:
+    """One line per outcome: what happened, and whether numerics held."""
+    if outcome.status == "completed":
+        verdict = ("numerics identical" if outcome.numerics_equal
+                   else "NUMERICS DIVERGED")
+        return (f"seed={outcome.seed}: completed in "
+                f"{outcome.elapsed:.3e}s simulated, "
+                f"{outcome.injections} injections, {verdict}")
+    return (f"seed={outcome.seed}: {outcome.status} [{outcome.error_code}] "
+            f"after {outcome.injections} injections — {outcome.error}")
 
 
 def sweep_table(outcomes: Sequence[ChaosOutcome]) -> Table:

@@ -1,47 +1,39 @@
-"""Tests for the ``python -m repro.bench`` figure runner."""
+"""Tests for regenerating the paper's figures from the command line,
+``python -m repro.exec run <figure>``."""
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import main
+from repro.exec.__main__ import main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+PAPER_FIGURES = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11")
 
 
-def test_cli_fig6_small(capsys, tmp_path):
-    rc = main(["fig6", "--iterations", "3", "-o", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "Fig. 6" in out
-    assert (tmp_path / "fig6.txt").exists()
+def test_cli_rejects_unknown_figure(capsys):
+    """An unknown figure exits 2 and the message names every figure
+    that can be run."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "fig99"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'fig99'" in err
+    for figure in PAPER_FIGURES:
+        assert f"'{figure}'" in err
 
 
-def test_cli_fig10_custom_nodes(capsys):
-    # Tiny workload via small node list + no-verify for speed is not
-    # supported per-workload from the CLI; use 1-2 nodes and verify.
-    rc = main(["fig10", "--nodes", "1", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "Fig. 10" in out
-    assert " 1 " in out and " 2 " in out
-
-
-def test_cli_rejects_unknown_figure():
-    with pytest.raises(SystemExit):
-        main(["fig99"])
-
-
-def test_cli_subprocess_entry():
+def test_cli_subprocess_entry(tmp_path):
+    """``python -m repro.exec run fig6`` prints the figure's table and
+    leaves nothing in its working directory."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.bench", "fig6",
-         "--iterations", "2"],
-        capture_output=True, text=True, timeout=240)
+        [sys.executable, "-m", "repro.exec", "run", "fig6",
+         "--iterations", "2", "--no-cache"],
+        capture_output=True, text=True, timeout=240, cwd=tmp_path,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr[-1000:]
-    assert "Fig. 6" in proc.stdout
-
-
-def test_cli_deduplicates_figures(capsys):
-    rc = main(["fig6", "fig6", "--iterations", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.count("Fig. 6 - put bandwidth") == 1
+    assert "Fig. 6 - put bandwidth vs packet size" in proc.stdout
+    assert list(tmp_path.iterdir()) == []

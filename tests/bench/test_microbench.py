@@ -6,7 +6,6 @@ import pytest
 from repro.bench import (
     OverlapPoint,
     PingPongResult,
-    pingpong_sweep,
     run_overlap,
     run_pingpong,
 )
@@ -32,8 +31,8 @@ def test_pingpong_bandwidth_grows_with_packet():
 
 
 def test_pingpong_sweep_shapes():
-    sweep = pingpong_sweep(True, packet_sizes=[16, 256, 4096],
-                           iterations=5)
+    sweep = [run_pingpong(True, size, iterations=5)
+             for size in (16, 256, 4096)]
     assert [p.packet_bytes for p in sweep] == [16, 256, 4096]
     bws = [p.bandwidth for p in sweep]
     assert bws == sorted(bws)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Measurement, Table, ascii_series, format_value
+from repro.bench import Measurement, Table, format_value
 from repro.bench.stats import median, median_ci, summarize
 
 
@@ -93,19 +93,3 @@ def test_table_column_accessor():
     assert t.column("y") == [10, 20]
     with pytest.raises(ValueError):
         t.column("z")
-
-
-def test_ascii_series_renders():
-    art = ascii_series([0, 1, 2, 3], [0.0, 1.0, 4.0, 9.0], width=20,
-                       height=5, label="quad")
-    lines = art.splitlines()
-    assert lines[0].startswith("quad")
-    assert len(lines) == 6
-    assert any("*" in line for line in lines[1:])
-
-
-def test_ascii_series_validation():
-    with pytest.raises(ValueError):
-        ascii_series([1], [1, 2])
-    with pytest.raises(ValueError):
-        ascii_series([], [])

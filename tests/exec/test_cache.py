@@ -1,6 +1,8 @@
 """Tests for the content-addressed result cache (corruption, fingerprints,
 gc)."""
 
+import hashlib
+
 import pytest
 
 from repro.exec import ResultCache, RunSpec, run_specs
@@ -15,23 +17,28 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache", fingerprint=FP_A)
 
 
+def key(name):
+    """A task key as the program makes them: a sha256 hex digest."""
+    return hashlib.sha256(name.encode()).hexdigest()
+
+
 def _entry_files(cache):
     return sorted(cache.root.rglob("*.pkl"))
 
 
 class TestRoundTrip:
     def test_put_get(self, cache):
-        cache.put("k1", {"value": 42}, label="t")
-        hit, result = cache.get("k1")
+        cache.put(key("k1"), {"value": 42}, label="t")
+        hit, result = cache.get(key("k1"))
         assert hit and result == {"value": 42}
 
     def test_absent_key_misses(self, cache):
-        hit, result = cache.get("missing")
+        hit, result = cache.get(key("missing"))
         assert not hit and result is None
 
     def test_unpicklable_result_silently_not_cached(self, cache):
-        cache.put("k", lambda: None)
-        hit, _ = cache.get("k")
+        cache.put(key("k"), lambda: None)
+        hit, _ = cache.get(key("k"))
         assert not hit
 
 
@@ -39,14 +46,14 @@ class TestCorruptionRecovery:
     """Any on-disk deviation is a miss plus best-effort deletion."""
 
     def _one_entry(self, cache):
-        cache.put("k", [1, 2, 3])
+        cache.put(key("k"), [1, 2, 3])
         (path,) = _entry_files(cache)
         return path
 
     def test_truncated_entry_is_miss_and_deleted(self, cache):
         path = self._one_entry(cache)
         path.write_bytes(path.read_bytes()[:20])
-        hit, _ = cache.get("k")
+        hit, _ = cache.get(key("k"))
         assert not hit
         assert not path.exists()
 
@@ -55,14 +62,14 @@ class TestCorruptionRecovery:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        hit, _ = cache.get("k")
+        hit, _ = cache.get(key("k"))
         assert not hit
         assert not path.exists()
 
     def test_bad_magic_is_miss(self, cache):
         path = self._one_entry(cache)
         path.write_bytes(b"not-a-cache-entry\njunk\njunk")
-        hit, _ = cache.get("k")
+        hit, _ = cache.get(key("k"))
         assert not hit
 
     def test_engine_reruns_after_corruption(self, cache):
@@ -82,12 +89,12 @@ class TestCorruptionRecovery:
 class TestFingerprintInvalidation:
     def test_different_fingerprints_do_not_share(self, tmp_path):
         old = ResultCache(tmp_path / "cache", fingerprint=FP_A)
-        old.put("k", "result-from-old-code")
+        old.put(key("k"), "result-from-old-code")
         new = ResultCache(tmp_path / "cache", fingerprint=FP_B)
-        hit, _ = new.get("k")
+        hit, _ = new.get(key("k"))
         assert not hit
         # The old generation is untouched (no destructive invalidation).
-        hit, result = old.get("k")
+        hit, result = old.get(key("k"))
         assert hit and result == "result-from-old-code"
 
     def test_source_fingerprint_tracks_content(self, tmp_path):
@@ -116,10 +123,10 @@ class TestFingerprintInvalidation:
 class TestMaintenance:
     def test_stats_and_gc(self, tmp_path):
         stale = ResultCache(tmp_path / "cache", fingerprint=FP_B)
-        stale.put("old1", 1)
-        stale.put("old2", 2)
+        stale.put(key("old1"), 1)
+        stale.put(key("old2"), 2)
         live = ResultCache(tmp_path / "cache", fingerprint=FP_A)
-        live.put("new", 3)
+        live.put(key("new"), 3)
 
         stats = live.stats()
         assert stats.entries == 1 and stats.stale_entries == 2
@@ -130,13 +137,13 @@ class TestMaintenance:
         assert removed == 2 and freed > 0
         after = live.stats()
         assert after.stale_entries == 0 and after.entries == 1
-        hit, _ = live.get("new")
+        hit, _ = live.get(key("new"))
         assert hit
 
     def test_clear_removes_everything(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint=FP_A)
-        cache.put("k1", 1)
-        cache.put("k2", 2)
+        cache.put(key("k1"), 1)
+        cache.put(key("k2"), 2)
         removed, _ = cache.clear()
         assert removed == 2
         assert cache.stats().entries == 0

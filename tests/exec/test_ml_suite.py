@@ -92,7 +92,7 @@ class TestEntrypoints:
 
 
 def test_cli_runs_tiny_ml_suite(tmp_path, capsys):
-    rc = main(["run", "ml", "--topology", "flat", "--topo-nodes", "2",
+    rc = main(["run", "ml", "--topology", "flat", "--nodes", "2",
                "--topo-gpus", "1",
                "--cache-dir", str(tmp_path / "cache"),
                "--json", str(tmp_path / "sweep.json")])
@@ -107,7 +107,7 @@ def test_cli_runs_tiny_ml_suite(tmp_path, capsys):
 
 
 def test_ml_results_are_cacheable(tmp_path, capsys):
-    args = ["run", "ml", "--topology", "flat", "--topo-nodes", "2",
+    args = ["run", "ml", "--topology", "flat", "--nodes", "2",
             "--topo-gpus", "1",
             "--cache-dir", str(tmp_path / "cache"),
             "--json", str(tmp_path / "sweep.json")]

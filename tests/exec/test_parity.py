@@ -13,14 +13,15 @@ import pytest
 from repro.apps.diffusion import DiffusionWorkload
 from repro.bench.weak_scaling import weak_scaling_specs
 from repro.exec import run_specs
-from repro.faults.report import chaos_specs, chaos_sweep
+from repro.faults.report import chaos_specs
 
 SEEDS = range(4)
 
 
 class TestChaosParity:
     def test_serial_engine_matches_historical_loop(self):
-        """The engine-backed chaos_sweep reproduces per-case execution."""
+        """A chaos sweep through the engine reproduces per-case
+        execution."""
         from repro.faults.report import run_chaos_case
 
         specs, _ = chaos_specs(SEEDS)
@@ -29,12 +30,12 @@ class TestChaosParity:
         assert via_engine == inline
 
     def test_front_ends_share_cache_keys(self, tmp_path, capsys):
-        """chaos_specs, the chaos suite and ``python -m repro.faults
-        report --sweep`` key one shape identically, so their cached
-        outcomes are interchangeable."""
+        """chaos_specs, the chaos suite and ``python -m repro.exec run
+        chaos`` key one shape identically, so their cached outcomes are
+        interchangeable."""
         from repro.exec import ResultCache
+        from repro.exec.__main__ import main
         from repro.exec.suites import build_suite
-        from repro.faults.__main__ import main
 
         cache = ResultCache(tmp_path / "cache")
         specs, _ = chaos_specs(SEEDS, num_nodes=2, ranks_per_device=2,
@@ -43,8 +44,8 @@ class TestChaosParity:
         suite = build_suite("chaos", seeds=len(SEEDS), nodes=2, ranks=2,
                             steps=2)
         assert [cache.key_for(spec) for spec in suite.specs] == keys
-        assert main(["report", "--sweep", str(len(SEEDS)), "--nodes", "2",
-                     "--ranks", "2", "--steps", "2",
+        assert main(["run", "chaos", "--seeds", str(len(SEEDS)),
+                     "--nodes", "2", "--ranks", "2", "--steps", "2",
                      "--cache-dir", str(cache.root)]) == 0
         capsys.readouterr()
         # The CLI's sweep stored exactly the entries those keys address.
@@ -53,8 +54,9 @@ class TestChaosParity:
 
     @pytest.mark.slow
     def test_parallel_sweep_bit_identical_to_serial(self):
-        serial = chaos_sweep(SEEDS)
-        parallel = chaos_sweep(SEEDS, workers=2)
+        specs, _ = chaos_specs(SEEDS)
+        serial = run_specs(specs).results
+        parallel = run_specs(specs, workers=2).results
         # ChaosOutcome is a frozen dataclass: == compares every field,
         # including the float simulated times, exactly.
         assert parallel == serial

@@ -44,14 +44,14 @@ class TestBuildSuite:
             build_suite("topo", topology=("torus",))
 
     def test_far_pair_is_ring_diameter(self):
-        suite = build_suite("topo", topo_nodes=6, topo_gpus=1)
+        suite = build_suite("topo", nodes=6, topo_gpus=1)
         far = [s for s in suite.specs
                if s.label == "topo:proxy:ring:far"][0]
         assert far.params["b"] == (3, 0)
 
 
 def test_cli_runs_one_kind(tmp_path, capsys):
-    rc = main(["run", "topo", "--topology", "ring", "--topo-nodes", "4",
+    rc = main(["run", "topo", "--topology", "ring", "--nodes", "4",
                "--topo-gpus", "1", "--iterations", "3",
                "--cache-dir", str(tmp_path / "cache"),
                "--json", str(tmp_path / "sweep.json")])
@@ -64,7 +64,7 @@ def test_cli_runs_one_kind(tmp_path, capsys):
 
 
 def test_topology_results_are_cacheable(tmp_path, capsys):
-    args = ["run", "topo", "--topology", "flat", "--topo-nodes", "2",
+    args = ["run", "topo", "--topology", "flat", "--nodes", "2",
             "--topo-gpus", "1", "--iterations", "3",
             "--cache-dir", str(tmp_path / "cache"),
             "--json", str(tmp_path / "sweep.json")]

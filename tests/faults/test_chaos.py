@@ -23,11 +23,12 @@ from repro.errors import (
     DCudaTimeoutError,
     DCudaUsageError,
 )
+from repro.exec import run_specs
 from repro.faults import (
     ChaosOutcome,
     FaultEvent,
     FaultsConfig,
-    chaos_sweep,
+    chaos_specs,
     fault_report,
     run_chaos_case,
 )
@@ -39,7 +40,8 @@ SEEDS = range(50)
 
 @pytest.fixture(scope="module")
 def sweep():
-    return chaos_sweep(SEEDS, num_nodes=2, ranks_per_device=2, steps=1)
+    specs, _ = chaos_specs(SEEDS, num_nodes=2, ranks_per_device=2, steps=1)
+    return run_specs(specs).results
 
 
 def test_sweep_covers_fifty_seeds(sweep):
