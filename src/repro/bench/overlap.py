@@ -11,19 +11,21 @@ Expected shape: full execution time between ``max(compute, exchange)``
 (perfect overlap) and ``compute + exchange`` (no overlap); the paper
 measures perfect overlap for copy and good-but-imperfect overlap for
 Newton (notification matching is itself compute heavy).
+
+numpy and the simulator load inside the functions that simulate, so a
+sweep coordinator unpickles an :class:`OverlapPoint` without either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-import numpy as np
-
-from ..dcuda import launch
-from ..hw import Cluster, greina
-from ..hw.config import MachineConfig
 from .stats import median
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..hw import Cluster
+    from ..hw.config import MachineConfig
 
 __all__ = ["OverlapPoint", "run_overlap",
            "NEWTON_FLOPS_PER_ITER", "COPY_BYTES_PER_ITER"]
@@ -52,6 +54,8 @@ class OverlapPoint:
 def _overlap_kernel(rank, mode: str, compute_iters: int, steps: int,
                     do_compute: bool, do_exchange: bool,
                     halo_bytes: int, loop_time: Dict[int, float]):
+    import numpy as np
+
     size = rank.comm_size()
     r = rank.world_rank
     buf = np.zeros(2 * halo_bytes, dtype=np.uint8)
@@ -98,6 +102,9 @@ def run_overlap(mode: str, compute_iters: int, do_compute: bool = True,
     Pass a pre-built *cluster* to keep access to its tracer/metrics after
     the run (the observability CLI does); it overrides cfg/num_nodes.
     """
+    from ..dcuda import launch
+    from ..hw import Cluster, greina
+
     if cluster is None:
         cluster = Cluster((cfg or greina()).with_nodes(num_nodes))
     loop_time: Dict[int, float] = {}

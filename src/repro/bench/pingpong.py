@@ -4,16 +4,14 @@ Two ranks bounce a data packet using notified puts; latency is half of one
 iteration, bandwidth is packet size over latency.  Ranks are placed either
 on the same device (shared memory) or on two nodes (distributed memory).
 
-The simulator loads inside the functions that simulate, so a sweep
-coordinator unpickles a :class:`PingPongResult` without it.
+numpy and the simulator load inside the functions that simulate, so a
+sweep coordinator unpickles a :class:`PingPongResult` without either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, Tuple
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..hw import Cluster
@@ -82,6 +80,8 @@ def run_pingpong_pair(cfg: MachineConfig, a: Tuple[int, int] = (0, 0),
 def _timed_pingpong(cluster: Cluster, ranks_per_device: int,
                     packet_bytes: int, iterations: int) -> float:
     """Launch the two-rank bounce kernel; returns the half-round-trip."""
+    import numpy as np
+
     from ..dcuda import launch
 
     buffers = {r: np.zeros(max(packet_bytes, 1), dtype=np.uint8)

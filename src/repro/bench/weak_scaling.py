@@ -10,35 +10,22 @@ Every node count is an *independent* simulation: :func:`scaling_point`
 measures one, :func:`weak_scaling_specs` describes a figure as sweep
 specs for :func:`~repro.exec.engine.run_specs` (or ``python -m
 repro.exec run fig9``), and :func:`weak_scaling_table` assembles the
-rows.  Each figure is defined once, in :data:`_FIGS`.
+rows.  Each figure is defined once, in :data:`_FIGS`, as plain data: its
+default workload is a mapping of the app dataclass's field values, which
+the specs carry and :func:`scaling_point` turns into the dataclass.
+numpy, the apps and the hw layer load inside :func:`scaling_point`, so a
+sweep coordinator builds a figure's specs, unpickles its
+:class:`ScalingRow` results and renders the table without loading numpy,
+scipy or the simulator.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..apps.diffusion import (
-    DiffusionWorkload,
-    reference as diffusion_reference,
-    run_dcuda_diffusion,
-    run_mpicuda_diffusion,
-)
-from ..apps.particles import (
-    ParticleWorkload,
-    reference as particles_reference,
-    run_dcuda_particles,
-    run_mpicuda_particles,
-)
-from ..apps.spmv import (
-    SpmvWorkload,
-    reference as spmv_reference,
-    run_dcuda_spmv,
-    run_mpicuda_spmv,
-)
-from ..hw import Cluster, greina
 from .table import Table
 
 __all__ = ["ScalingRow", "scaling_point", "weak_scaling_specs",
@@ -53,38 +40,39 @@ class ScalingRow:
     comm_time: float
 
 
-#: Per-figure definition: title, comm-column label, default workload and
-#: dCUDA over-subscription, the two variants and the serial reference,
-#: the MPI-CUDA stat the comm column reports, the verification's
-#: absolute tolerance, and the note renderer.
+#: Per-figure definition: title, comm-column label, the app module
+#: (``repro.apps.<module>``, whose ``reference`` is the serial reference)
+#: with its workload class and two variants, the default workload's field
+#: values and dCUDA over-subscription, the MPI-CUDA stat the comm column
+#: reports, the verification's absolute tolerance, and the table note (a
+#: format string over the workload's fields).
 _FIGS = {
     "particles": dict(
         title="Fig. 9 - particle simulation weak scaling",
-        comm="halo exchange", rpd=26,
-        wl=ParticleWorkload(cells_per_node=104, particles_per_node=10400,
-                            steps=10),
-        run=(run_dcuda_particles, run_mpicuda_particles),
-        reference=particles_reference, comm_key="halo_time", atol=1e-9,
-        note=lambda wl: (f"{wl.cells_per_node} cells and "
-                         f"{wl.particles_per_node} particles per node, "
-                         f"{wl.steps} iterations")),
+        comm="halo exchange", module="particles",
+        workload="ParticleWorkload",
+        run=("run_dcuda_particles", "run_mpicuda_particles"), rpd=26,
+        wl=dict(cells_per_node=104, particles_per_node=10400, steps=10),
+        comm_key="halo_time", atol=1e-9,
+        note="{cells_per_node} cells and {particles_per_node} particles "
+             "per node, {steps} iterations"),
     "stencil": dict(
         title="Fig. 10 - stencil program weak scaling",
-        comm="halo exchange", rpd=208,
-        wl=DiffusionWorkload(ni=128, nj_per_device=416, nk=26, steps=10),
-        run=(run_dcuda_diffusion, run_mpicuda_diffusion),
-        reference=diffusion_reference, comm_key="halo_time", atol=0.0,
-        note=lambda wl: (f"{wl.ni}x{wl.nj_per_device}x{wl.nk} grid points "
-                         f"per device, {wl.steps} iterations")),
+        comm="halo exchange", module="diffusion",
+        workload="DiffusionWorkload",
+        run=("run_dcuda_diffusion", "run_mpicuda_diffusion"), rpd=208,
+        wl=dict(ni=128, nj_per_device=416, nk=26, steps=10),
+        comm_key="halo_time", atol=0.0,
+        note="{ni}x{nj_per_device}x{nk} grid points per device, "
+             "{steps} iterations"),
     "spmv": dict(
         title="Fig. 11 - sparse matrix-vector weak scaling",
-        comm="communication", rpd=208,
-        wl=SpmvWorkload(n_per_device=10486, density=0.03, iters=10),
-        run=(run_dcuda_spmv, run_mpicuda_spmv),
-        reference=spmv_reference, comm_key="comm_time", atol=0.0,
-        note=lambda wl: (f"{wl.n_per_device}^2 elements per device, "
-                         f"{wl.density:.1%} populated, {wl.iters} "
-                         "iterations")),
+        comm="communication", module="spmv", workload="SpmvWorkload",
+        run=("run_dcuda_spmv", "run_mpicuda_spmv"), rpd=208,
+        wl=dict(n_per_device=10486, density=0.03, iters=10),
+        comm_key="comm_time", atol=0.0,
+        note="{n_per_device}^2 elements per device, {density:.1%} "
+             "populated, {iters} iterations"),
 }
 #: MPI-CUDA launch width of every figure.
 _NBLOCKS = 208
@@ -100,7 +88,7 @@ def _resolve(app: str, wl, ranks_per_device: Optional[int],
     fig = _FIGS.get(app)
     if fig is None:
         raise ValueError(f"unknown weak-scaling app {app!r}")
-    return (fig, wl or fig["wl"],
+    return (fig, dict(fig["wl"]) if wl is None else wl,
             fig["rpd"] if ranks_per_device is None else ranks_per_device,
             _NBLOCKS if nblocks is None else nblocks)
 
@@ -115,7 +103,8 @@ def scaling_point(app: str, nodes: int, wl=None,
         app: ``"particles"`` (Fig. 9), ``"stencil"`` (Fig. 10), or
             ``"spmv"`` (Fig. 11).
         nodes: Cluster size for this point.
-        wl: Workload dataclass; the figure's default when ``None``.
+        wl: The app's workload dataclass, or a mapping of its field
+            values; the figure's default when ``None``.
         ranks_per_device: dCUDA over-subscription (figure default when
             ``None``).
         nblocks: MPI-CUDA launch width (figure default when ``None``).
@@ -127,12 +116,19 @@ def scaling_point(app: str, nodes: int, wl=None,
     Raises:
         ValueError: Unknown *app*.
     """
+    import numpy as np
+
+    from ..hw import Cluster, greina
+
     fig, wl, rpd, nb = _resolve(app, wl, ranks_per_device, nblocks)
-    run_d, run_m = fig["run"]
+    mod = importlib.import_module(f"..apps.{fig['module']}", __package__)
+    if isinstance(wl, Mapping):
+        wl = getattr(mod, fig["workload"])(**wl)
+    run_d, run_m = (getattr(mod, name) for name in fig["run"])
     t_d, out_d, _ = run_d(Cluster(greina(nodes)), wl, rpd)
     t_m, out_m, stats = run_m(Cluster(greina(nodes)), wl, nblocks=nb)
     if verify:
-        ref = fig["reference"](wl, nodes)
+        ref = mod.reference(wl, nodes)
         np.testing.assert_allclose(out_d, ref, rtol=1e-9, atol=fig["atol"])
         np.testing.assert_allclose(out_m, ref, rtol=1e-9, atol=fig["atol"])
     comm = max(s[fig["comm_key"]] for s in stats.values())
@@ -148,7 +144,8 @@ def weak_scaling_specs(app: str, node_counts: Sequence[int], wl=None,
     Returns:
         ``(specs, wl)`` — one ``weak_scaling_point``
         :class:`~repro.exec.spec.RunSpec` per node count, plus the
-        resolved workload (needed for the table note).
+        resolved workload (needed for the table note): *wl* as given, or
+        the figure's default field values.
 
     Raises:
         ValueError: Unknown *app*.
@@ -177,5 +174,6 @@ def weak_scaling_table(app: str, wl, rows: List[ScalingRow]) -> Table:
     for row in rows:
         table.add_row(row.nodes, row.dcuda_time * 1e3,
                       row.mpicuda_time * 1e3, row.comm_time * 1e3)
-    table.add_note(fig["note"](wl))
+    fields = wl if isinstance(wl, Mapping) else dataclasses.asdict(wl)
+    table.add_note(fig["note"].format(**fields))
     return table

@@ -158,8 +158,9 @@ def weak_scaling_point(params: Mapping[str, Any]):
     """One node count of a Fig. 9/10/11 weak-scaling sweep.
 
     Params: ``app`` (``"particles"`` | ``"stencil"`` | ``"spmv"``),
-    ``nodes``, optional ``wl``, ``ranks_per_device``, ``nblocks``,
-    ``verify``.
+    ``nodes``, optional ``wl`` (the app's workload dataclass, or its
+    field values as the figure's default is), ``ranks_per_device``,
+    ``nblocks``, ``verify``.
 
     Returns:
         A :class:`~repro.bench.weak_scaling.ScalingRow`.

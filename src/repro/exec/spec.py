@@ -16,7 +16,12 @@ use — primitives, tuples/lists, string-keyed dicts, (nested, frozen)
 dataclasses such as :class:`~repro.hw.config.MachineConfig`, and numpy
 arrays — and deliberately rejects everything else: an unhashable
 parameter would silently break cache addressing, so it raises
-:class:`~repro.errors.DCudaUsageError` instead.
+:class:`~repro.errors.DCudaUsageError` instead.  The serializer looks
+numpy up in :data:`sys.modules` and never imports it: an array, a numpy
+scalar or a class deriving from one exists only once numpy is loaded,
+so every token is the same as if it had imported numpy, and a sweep
+coordinator, which keys specs and digests results that hold no array,
+never loads it.
 
 Entrypoints are plain functions ``fn(params) -> result`` registered
 by name via :func:`entrypoint`; the registry is populated by importing
@@ -30,10 +35,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping
-
-import numpy as np
 
 from ..errors import DCudaUsageError
 
@@ -49,10 +53,10 @@ __all__ = [
 #: serialization itself invalidates all previously cached results.
 _HASH_VERSION = b"runspec-v1"
 
-#: A dataclass that also derives from one of these is serialized as that
+#: A dataclass that also derives from one of these, or from numpy's
+#: ``ndarray`` or ``generic`` once numpy is loaded, is serialized as that
 #: type, by the isinstance chain, not field by field.
-_CLAIMED = (int, float, str, bytes, tuple, list, Mapping, np.ndarray,
-            np.generic)
+_CLAIMED = (int, float, str, bytes, tuple, list, Mapping)
 
 #: Per class: ``False``, or for a dataclass the fast path covers, its
 #: token prefix (class tag and field count) and ``(field name, name
@@ -64,7 +68,10 @@ def _dataclass_tags(cls: type):
     tags = _CLASS_TAGS.get(cls)
     if tags is None:
         tags = False
-        if dataclasses.is_dataclass(cls) and not issubclass(cls, _CLAIMED):
+        np = sys.modules.get("numpy")
+        claimed = _CLAIMED if np is None else (
+            _CLAIMED + (np.ndarray, np.generic))
+        if dataclasses.is_dataclass(cls) and not issubclass(cls, claimed):
             out: List[bytes] = []
             _tokens(f"{cls.__module__}.{cls.__qualname__}", out)
             names = sorted(f.name for f in dataclasses.fields(cls))
@@ -145,13 +152,24 @@ def _tokens(obj: Any, out: List[bytes]) -> None:
         for k in sorted(keys):
             _tokens(k, out)
             _tokens(obj[k], out)
-    elif isinstance(obj, np.ndarray):
+    else:
+        _numpy_tokens(obj, out)
+
+
+def _numpy_tokens(obj: Any, out: List[bytes]) -> None:
+    """Append the tokens of a numpy array or scalar; reject anything else.
+
+    numpy is looked up, not imported: when it is not loaded, *obj*
+    cannot be one of its values.
+    """
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(obj, np.ndarray):
         data = np.ascontiguousarray(obj)
         out.append(b"A")
         _tokens(data.dtype.str, out)
         _tokens(list(data.shape), out)
         out.append(hashlib.sha256(data.tobytes()).digest())
-    elif isinstance(obj, np.generic):
+    elif np is not None and isinstance(obj, np.generic):
         out.append(b"G")
         _tokens(obj.dtype.str, out)
         out.append(obj.tobytes())

@@ -281,6 +281,10 @@ def _topo_suite(name: str, topology: Sequence[str], nodes: int,
 #: ML-suite interconnect kinds — the two shapes the collectives story
 #: contrasts (ring's flat fabric vs hierarchical's dense fat tree).
 _ML_KINDS = ("flat", "fat_tree")
+#: The allreduce families the latency table compares, in
+#: ``repro.dcuda.collectives.ALGORITHMS`` order (a test pins the two
+#: equal): naming them here keeps dCUDA and numpy out of the build.
+_ML_ALGORITHMS = ("ring", "tree", "hierarchical")
 #: Allreduce message length (float64 elements) for the latency table.
 _ML_ELEMS = 4096
 #: Gradient sizes for the autotuned SGD rows: small enough that the
@@ -292,7 +296,6 @@ _ML_FEATURES = (64, 65536)
 def _ml_suite(name: str, topology: Sequence[str], nodes: int,
               topo_gpus: int, backends: Sequence[str]) -> Suite:
     from ..bench.table import Table
-    from ..dcuda.collectives import ALGORITHMS
     from ..hw.config import COMM_BACKENDS
 
     kinds, gpus = tuple(topology), topo_gpus
@@ -308,7 +311,7 @@ def _ml_suite(name: str, topology: Sequence[str], nodes: int,
         for kind in kinds:
             shape = dict(kind=kind, num_nodes=nodes, gpus_per_node=gpus,
                          comm_backend=backend)
-            for alg in ALGORITHMS:
+            for alg in _ML_ALGORITHMS:
                 specs.append(RunSpec(
                     "collective_point",
                     dict(shape, op="allreduce", algorithm=alg,
@@ -341,7 +344,7 @@ def _ml_suite(name: str, topology: Sequence[str], nodes: int,
         i = 0
         for backend in backends:
             for kind in kinds:
-                for alg in ALGORITHMS:
+                for alg in _ML_ALGORITHMS:
                     r = results[i]
                     i += 1
                     coll.add_row(backend, kind, alg,

@@ -15,26 +15,28 @@ attached.
 :func:`chaos_specs` describes a sweep as pure data: each spec carries the
 workload's parameters (``steps`` beside ``num_nodes`` and
 ``ranks_per_device``), and :func:`run_chaos_case` builds the workload
-(:func:`chaos_workload`) and its fault-free baseline where it runs.  The
-hw and apps layers load inside the functions that simulate, so a sweep
-coordinator imports this module, builds its specs and unpickles its
-outcomes without loading the simulator.  The module still loads lazily
-from :mod:`repro.faults` (PEP 562): ``repro.hw.config`` imports that
-package and should not pay for the report.
+(:func:`chaos_workload`) and its fault-free baseline where it runs.
+numpy and the hw and apps layers load inside the functions that
+simulate, so a sweep coordinator imports this module, builds its specs
+and unpickles its outcomes without loading numpy or the simulator.  The
+module still loads lazily from :mod:`repro.faults` (PEP 562):
+``repro.hw.config`` imports that package and should not pay for the
+report.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.table import Table
 from ..errors import ERROR_TABLE, DCudaFaultError, DCudaTimeoutError
 from .config import FaultsConfig
 from .plane import FaultPlane
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["ChaosOutcome", "run_chaos_case", "chaos_specs", "outcome_line",
            "fault_report", "injection_table", "hardening_table",
@@ -147,6 +149,8 @@ def run_chaos_case(seed: Optional[int] = None, num_nodes: int = 2,
         bug (a deadlock no injection caused is a
         :class:`~repro.errors.DCudaUsageError`).
     """
+    import numpy as np
+
     from ..apps.diffusion import run_dcuda_diffusion
     from ..hw import Cluster, greina
 

@@ -50,16 +50,36 @@ def test_spmv_driver_produces_table():
 
 def test_driver_verification_catches_corruption(monkeypatch):
     """verify=True really compares against the reference: the one that
-    :func:`scaling_point` looks up in the figure's definition."""
-    import repro.bench.weak_scaling as ws
+    :func:`scaling_point` looks up in the figure's app module."""
+    import repro.apps.diffusion as diffusion
 
     wl = DiffusionWorkload(ni=8, nj_per_device=6, nk=2, steps=2)
 
-    original = ws._FIGS["stencil"]["reference"]
-    monkeypatch.setitem(ws._FIGS["stencil"], "reference",
+    original = diffusion.reference
+    monkeypatch.setattr(diffusion, "reference",
                         lambda *a, **k: original(*a, **k) + 1.0)
     with pytest.raises(AssertionError):
         scaling_point("stencil", 1, wl=wl, ranks_per_device=2, nblocks=4)
+
+
+def test_default_workload_is_plain_field_values():
+    """A figure's specs carry its default workload as the dataclass's
+    field values, so building them loads no app."""
+    specs, wl = weak_scaling_specs("stencil", (1, 2))
+    assert wl == dict(ni=128, nj_per_device=416, nk=26, steps=10)
+    assert all(spec.params["wl"] == wl for spec in specs)
+    table = weak_scaling_table("stencil", wl, [])
+    assert table.notes == ["128x416x26 grid points per device, "
+                           "10 iterations"]
+
+
+def test_field_values_run_as_the_dataclass():
+    """Field values and the dataclass they name give one row."""
+    fields = dict(ni=8, nj_per_device=6, nk=2, steps=2)
+    point = dict(ranks_per_device=2, nblocks=4, verify=False)
+    assert (scaling_point("stencil", 2, wl=fields, **point)
+            == scaling_point("stencil", 2, wl=DiffusionWorkload(**fields),
+                             **point))
 
 
 def test_driver_verify_false_skips_reference():

@@ -5,8 +5,11 @@ witnesses every sweep's results.  Its serialization must therefore never drift. 
 keeps a frozen copy of the streaming ``h.update`` implementation it
 replaced (:func:`_reference_feed`) and asserts byte-identical digests,
 and the same typed errors, on a generated corpus that covers both the
-exact-type fast path and the general isinstance chain.  The committed
-fig6 sweep record pins the whole chain end to end.
+exact-type fast path and the general isinstance chain.  The serializer
+looks numpy up instead of importing it, so a fresh interpreter that
+digests before numpy loads, and again after, must give the reference's
+digests too.  The committed fig6 sweep record pins the whole chain end
+to end.
 """
 
 import collections
@@ -15,6 +18,8 @@ import dataclasses
 import enum
 import hashlib
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 from typing import Any, Mapping
@@ -232,6 +237,106 @@ class TestDigestParity:
         outcome = _outcome(canonical_digest, obj)
         assert outcome[0] == "usage-error"
         assert outcome == _outcome(reference_digest, obj)
+
+
+# ------------------------------------------ numpy loaded after the digest -----
+#: Run as ``__main__`` both in a fresh interpreter and here, so the
+#: dataclass names, and so the digests, agree.
+_LATE_CORPUS = """
+import collections
+import dataclasses
+
+
+@dataclasses.dataclass(frozen=True)
+class Point:
+    x: object = 0
+    y: object = "y"
+
+
+@dataclasses.dataclass(frozen=True)
+class Nested:
+    point: Point = Point()
+    items: tuple = ()
+
+
+# Values that exist without numpy, unsupported ones included.
+def before():
+    return [None, True, 0, -(10 ** 40), 2.5, -0.0, float("nan"), "e\u0301",
+            b"\\x00", (1, "a"), [1.0, [2, (3,)]], {"b": 1, "a": [None]},
+            collections.OrderedDict(z=1, a=2), Point(),
+            Nested(Point(1, (2,)), (Point(),)),
+            {"cfg": Nested(), "seeds": list(range(3))},
+            {1: "a"}, {"deep": [set()]}, frozenset({1}), 1j,
+            bytearray(b"x"), Point(set())]
+
+
+# numpy's values, and dataclasses deriving from its types.
+def after():
+    import numpy as np
+
+    @dataclasses.dataclass(init=False, eq=False)
+    class ArrayRecord(np.ndarray):
+        pass
+
+    @dataclasses.dataclass(init=False, eq=False)
+    class ScalarRecord(np.float32):
+        pass
+
+    grid = np.arange(24.0).reshape(4, 6)
+    return [grid, grid[::2, 1::3], grid.T, np.array(2.5), np.int32(-7),
+            np.float32(1.5), np.float64(0.1), np.bool_(True),
+            np.int64(2 ** 40), {"field": grid, "scalar": np.uint8(3)},
+            Point(np.arange(3), np.float32(2)),
+            np.arange(6).view(ArrayRecord), ScalarRecord(1.5)]
+"""
+
+_LATE_SCRIPT = """
+import json
+import sys
+
+from repro.errors import DCudaUsageError
+from repro.exec.spec import canonical_digest
+
+exec(sys.argv[1])
+
+
+def outcome(obj):
+    try:
+        return ["ok", canonical_digest(obj)]
+    except DCudaUsageError as exc:
+        return ["usage-error", str(exc)]
+
+
+assert "numpy" not in sys.modules, "importing the digest loaded numpy"
+early = [outcome(value) for value in before()]
+assert "numpy" not in sys.modules, "digesting loaded numpy"
+late = [outcome(value) for value in after()]
+again = [outcome(value) for value in before()]
+print(json.dumps({"early": early, "late": late, "again": again}))
+"""
+
+
+def test_digests_match_reference_when_numpy_loads_late():
+    """Before numpy loads, after it loads, and for values built before it
+    loaded: every digest and typed error equals the reference's, which
+    runs here with numpy imported first."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LATE_SCRIPT, _LATE_CORPUS],
+        capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    corpus = {"__name__": "__main__"}
+    exec(_LATE_CORPUS, corpus)
+
+    def reference(values):
+        return [list(_outcome(reference_digest, v)) for v in values]
+
+    early = reference(corpus["before"]())
+    assert [kind for kind, _ in early].count("usage-error") == 6
+    assert got["early"] == early
+    assert got["again"] == early
+    assert got["late"] == reference(corpus["after"]())
 
 
 def test_fig6_results_digest_matches_committed_record():

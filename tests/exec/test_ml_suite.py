@@ -44,6 +44,14 @@ class TestBuildSuite:
         with pytest.raises(DCudaUsageError, match="comm backend"):
             build_suite("ml", backends=("pigeon",))
 
+    def test_families_are_the_collectives(self):
+        """The suite names the families so its build loads no dCUDA; the
+        names must stay the collectives' own, in their order."""
+        from repro.dcuda.collectives import ALGORITHMS
+        from repro.exec.suites import _ML_ALGORITHMS
+
+        assert _ML_ALGORITHMS == ALGORITHMS
+
 
 class TestEntrypoints:
     @pytest.mark.parametrize("op", ("allreduce", "reduce_scatter",

@@ -1,5 +1,5 @@
 """Import budget: a sweep worker and the report modules never load scipy,
-and a sweep coordinator never loads the simulator.
+and a sweep coordinator loads neither numpy nor the simulator.
 
 Every Fig. 6 point and chaos seed runs in a fresh interpreter (a
 ``local`` or HTTP worker, or a ``python -m repro.*`` command), so what
@@ -16,10 +16,14 @@ resolves.  Module counts are not compared: they move with numpy
 versions; scipy is the dependency worth pinning.
 
 The coordinator side holds a stricter rule.  Building a sweep is pure
-data, and its results unpickle without the simulator, so a coordinator
-that builds the benchmark's sweep inputs (the Fig. 6 suite plus chaos
-specs) and runs them cold on two workers and then warm from the store
-loads no module of the simulator's layers.
+data, its results unpickle without numpy or the simulator, and the
+canonical digest looks numpy up instead of importing it, so a
+coordinator that builds the benchmark's sweep inputs (the Fig. 6 suite
+plus chaos specs) and runs them cold on two workers and then warm from
+the store loads neither numpy nor any module of the simulator's layers.
+Every suite builds with its defaults, and the ``status`` and ``cache
+stats`` commands run, without numpy or scipy; only the topo and ml
+suites load ``hw`` and ``platform``, for their machine configs.
 """
 
 import subprocess
@@ -27,6 +31,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.exec.suites import SUITE_NAMES
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -77,8 +83,10 @@ except AttributeError:
     pass
 else:
     raise AssertionError("unknown names must raise AttributeError")
-assert "scipy" not in sys.modules
 assert repro.bench.ScalingRow.__name__ == "ScalingRow"
+assert "scipy" not in sys.modules
+import repro.apps.spmv
+
 assert "scipy.sparse" in sys.modules
 print("ok")
 """
@@ -105,33 +113,87 @@ SIMULATOR = {"sim", "hw", "net", "platform", "runtime", "mpi", "comm",
              "dcuda", "mpicuda", "apps"}
 
 
-def simulator_modules():
+def forbidden_modules():
     return sorted(m for m in sys.modules
-                  if m.startswith("repro.") and m.split(".")[1] in SIMULATOR)
+                  if m.split(".")[0] == "numpy"
+                  or m.startswith("repro.") and m.split(".")[1] in SIMULATOR)
 
 
 chaos, shared = chaos_specs(range(4), num_nodes=2, ranks_per_device=2)
 specs = build_suite("fig6", iterations=2).specs + chaos
-assert not simulator_modules(), f"set-up loaded {simulator_modules()[:5]}"
+assert not forbidden_modules(), f"set-up loaded {forbidden_modules()[:5]}"
 cold = run_specs(specs, workers=2, cache=ResultCache(sys.argv[1]),
                  shared=shared)
+assert cold.executor == "local", cold.executor
+assert cold.executed == len(specs)
+assert not forbidden_modules(), f"cold pass loaded {forbidden_modules()[:5]}"
 warm = run_specs(specs, workers=2, cache=ResultCache(sys.argv[1]),
                  shared=shared)
-assert cold.executor == "local", cold.executor
-assert cold.executed == len(specs) and warm.executed == 0
+assert warm.executed == 0
 assert canonical_digest(cold.results) == canonical_digest(warm.results)
 assert all(outcome.clean for outcome in cold.results[-len(chaos):])
-loaded = simulator_modules()
-assert not loaded, f"simulator loaded: {loaded[:5]}"
+loaded = forbidden_modules()
+assert not loaded, f"warm pass loaded {loaded[:5]}"
 print("ok")
 """
 
 
 @pytest.mark.slow
 def test_sweep_coordinator_loads_no_simulator(tmp_path):
+    """Set-up, the cold pass and the warm pass load no numpy and no
+    simulator layer."""
     proc = subprocess.run(
         [sys.executable, "-c", _SWEEP_SCRIPT, str(tmp_path / "store")],
         capture_output=True, text=True, timeout=120,
         env={"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+_SUITE_SCRIPT = """
+import sys
+
+from repro.exec.__main__ import main
+from repro.exec.suites import build_suite
+
+suite = build_suite(sys.argv[1])
+assert suite.specs, "a default suite has tasks"
+import repro.bench.overlap      # every module a suite's results
+import repro.bench.pingpong     # unpickle from
+import repro.bench.weak_scaling
+import repro.faults.report
+
+assert main(["status", "--cache-dir", sys.argv[2]]) == 0
+assert main(["cache", "stats", "--cache-dir", sys.argv[2]]) == 0
+numeric = sorted(m for m in sys.modules
+                 if m.split(".")[0] in ("numpy", "scipy"))
+assert not numeric, f"loaded {numeric[:5]}"
+layers = sorted({m.split(".")[1] for m in sys.modules
+                 if m.startswith("repro.")})
+print(" ".join(layers))
+"""
+
+#: The repro packages a coordinator may load: the sweep service, the
+#: report and table modules, and the fault config its results name.
+_COORDINATOR_LAYERS = {"bench", "errors", "exec", "faults"}
+#: ``MachineConfig`` and ``COMM_BACKENDS`` (topo and ml) also load the
+#: config-side modules of these layers, never numpy.
+_CONFIG_LAYERS = {"hw", "net", "obs", "platform", "sim"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_coordinator_loads_no_numpy(name, tmp_path):
+    """A coordinator that builds a suite with its defaults, imports every
+    module a result unpickles from and reports on the store loads no
+    numpy or scipy, and for chaos and fig6-fig11 no simulator layer."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SUITE_SCRIPT, name, str(tmp_path / "store")],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": _SRC, "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
+    layers = set(proc.stdout.strip().splitlines()[-1].split())
+    allowed = _COORDINATOR_LAYERS
+    if name in ("topo", "ml"):
+        allowed = allowed | _CONFIG_LAYERS
+    assert layers <= allowed, sorted(layers - allowed)
