@@ -7,28 +7,32 @@ workload and on an end-to-end dCUDA diffusion run.  The event counts are
 deterministic (identical across runs of the same workload), so any
 change in them indicates a schedule change, not noise.
 
-Quick mode (the default, also used by the CI smoke job) keeps the run to
-a couple of seconds; set ``SIMPERF_FULL=1`` for the figure-scale
-workload.
+Quick mode (the default, also used by the CI job) keeps the run to a
+couple of seconds; set ``SIMPERF_FULL=1`` for the figure-scale
+workload.  The probes run in this process, best-of-N, like the
+``python -m repro.bench.simperf`` CLI: a wall-clock number never goes
+through the sweep engine or its cache.
 """
 
 import os
 
 from repro.bench.simperf import (
+    QUICK_REPEATS,
+    best_of,
     diffusion_throughput,
-    simperf_specs,
     simperf_table,
     synthetic_throughput,
+    throughput_probes,
 )
 
 FULL = os.environ.get("SIMPERF_FULL", "") == "1"
 
 
-def test_sim_throughput(benchmark, report, engine_sweep):
-    # The probes are cacheable=False specs: the engine always executes
-    # them, so the wall-clock numbers are real even with a warm cache.
+def test_sim_throughput(benchmark, report):
+    repeats = 1 if FULL else QUICK_REPEATS
     table = benchmark.pedantic(
-        lambda: simperf_table(engine_sweep(simperf_specs(quick=not FULL))),
+        lambda: simperf_table([best_of(probe, repeats) for probe in
+                               throughput_probes(quick=not FULL)]),
         rounds=1, iterations=1)
     report("sim_throughput", table.render())
     benchmark.extra_info["rows"] = [

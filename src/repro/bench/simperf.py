@@ -22,17 +22,19 @@ The *events* count is the number of heap entries ever scheduled
 same workload schedule the identical entry sequence, so events/sec
 differences are purely host-speed effects.
 
-The probes run through the sweep engine (:mod:`repro.exec`) as
-**non-cacheable** specs — a wall-clock number served from a disk cache
-would measure the disk, not the simulator — and the CLI records the
-machine-readable perf trajectory to ``BENCH_simperf.json`` at the repo
-root, so the events/sec trend is trackable across PRs.
+A probe is a zero-argument callable (:func:`throughput_probes`) that runs
+in the measuring process: a wall-clock number is not a sweep result, so
+it is never keyed, cached or deduplicated, and it is never measured
+beside a second probe competing for the same cores.  The CLI runs each
+probe best-of-N (:func:`best_of`) and records the machine-readable perf
+trajectory to ``BENCH_simperf.json`` at the repo root, so the
+events/sec trend is trackable across PRs.
 
 Run from the command line::
 
     PYTHONPATH=src python -m repro.bench.simperf            # quick probe
     PYTHONPATH=src python -m repro.bench.simperf --full     # figure scale
-    PYTHONPATH=src python -m repro.bench.simperf --workers 2
+    PYTHONPATH=src python -m repro.bench.simperf --backend all --gate
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from ..apps.diffusion import DiffusionWorkload, run_dcuda_diffusion
 from ..hw import Cluster, greina
+from ..hw.config import COMM_BACKENDS
 from ..sim import Environment, Semaphore, Store
 from .table import Table
 
@@ -53,7 +57,7 @@ __all__ = [
     "SimPerfResult",
     "synthetic_throughput",
     "diffusion_throughput",
-    "simperf_specs",
+    "throughput_probes",
     "simperf_table",
     "write_bench_json",
 ]
@@ -157,61 +161,36 @@ def best_of(fn, repeats: int) -> SimPerfResult:
 #: Steady-state repeats recorded for quick-mode rows (best-of-N).
 QUICK_REPEATS = 3
 
-#: All communication backends the diffusion probe can drive
-#: (``--backend all`` expands to these).
-ALL_BACKENDS = ("proxy", "device", "stream")
+#: Gate bands: a diffusion row must reach this fraction of its committed
+#: events/s for the same backend, the synthetic kernel probe (noisier
+#: run to run) the wider second one.
+GATE_THRESHOLD = 0.8
+SYNTHETIC_GATE_THRESHOLD = 0.7
 
 
-def _backend_list(comm_backend) -> List[str]:
-    """Normalize a backend selector: name, comma list, ``"all"``, or a
-    sequence of names."""
-    if isinstance(comm_backend, str):
-        if comm_backend == "all":
-            return list(ALL_BACKENDS)
-        return [b.strip() for b in comm_backend.split(",") if b.strip()]
-    return list(comm_backend)
+def throughput_probes(quick: bool = True,
+                      backends: Sequence[str] = ("proxy",)
+                      ) -> List[Callable[[], SimPerfResult]]:
+    """The probes as zero-argument callables, in table order.
 
-
-def simperf_specs(quick: bool = True, repeats: Optional[int] = None,
-                  comm_backend="proxy") -> list:
-    """The two probes as (non-cacheable) engine specs.
-
-    *quick* keeps the runtime to a couple of seconds (the CI smoke
-    setting); the full setting uses the figure-scale diffusion workload.
-    *repeats* overrides the steady-state best-of-N policy (default:
-    ``QUICK_REPEATS`` for quick mode, a single run at figure scale).
-    *comm_backend* selects the communication backend(s) for the
-    diffusion probe — a name, a comma-separated list, ``"all"``, or a
-    sequence; one diffusion spec is built per backend (the synthetic
-    probe runs below the runtime and has no backend).  Non-default
-    backends are reflected in the spec label.
+    The synthetic kernel probe comes first (it runs below the runtime
+    and has no backend), then one diffusion probe per name in
+    *backends*.  *quick* keeps the runtime to a couple of seconds (the
+    CI setting); the full setting uses the figure-scale diffusion
+    workload.  The CLI's measurement, its gate, its profile and the
+    throughput benchmark all run this one list.
     """
-    from ..exec import RunSpec
-
-    if repeats is None:
-        repeats = QUICK_REPEATS if quick else 1
-    backends = _backend_list(comm_backend)
     if quick:
-        probes = [dict(probe="synthetic", num_procs=32, hops=200)]
-        probes += [dict(probe="diffusion", comm_backend=b)
+        probes = [partial(synthetic_throughput, num_procs=32, hops=200)]
+        probes += [partial(diffusion_throughput, comm_backend=b)
                    for b in backends]
     else:
-        probes = [dict(probe="synthetic", num_procs=128, hops=2000)]
-        probes += [dict(probe="diffusion",
-                        wl=DiffusionWorkload(ni=128, nj_per_device=416,
-                                             nk=26, steps=10),
-                        num_nodes=2, ranks_per_device=208,
-                        comm_backend=b)
+        wl = DiffusionWorkload(ni=128, nj_per_device=416, nk=26, steps=10)
+        probes = [partial(synthetic_throughput, num_procs=128, hops=2000)]
+        probes += [partial(diffusion_throughput, wl=wl, num_nodes=2,
+                           ranks_per_device=208, comm_backend=b)
                    for b in backends]
-    specs = []
-    for p in probes:
-        p["repeats"] = repeats
-        label = f"simperf:{p['probe']}"
-        if p["probe"] == "diffusion" and p["comm_backend"] != "proxy":
-            label += f":{p['comm_backend']}"
-        specs.append(RunSpec("simperf_probe", p, label=label,
-                             cacheable=False))
-    return specs
+    return probes
 
 
 def simperf_table(results: List[SimPerfResult]) -> Table:
@@ -227,30 +206,25 @@ def simperf_table(results: List[SimPerfResult]) -> Table:
     return table
 
 
-def write_bench_json(results: List[SimPerfResult], workers: int,
-                     quick: bool, path=None,
-                     repeats: Optional[int] = None) -> str:
-    """Write the machine-readable perf trajectory (``BENCH_simperf.json``).
+def write_bench_json(results: List[SimPerfResult], quick: bool,
+                     repeats: int) -> str:
+    """Write the machine-readable perf trajectory, ``BENCH_simperf.json``
+    at the repo root; each row is the best of *repeats* runs.
 
     Returns:
-        The path written to (repo root by default), as a string.
+        The path written to, as a string.
     """
     from ..exec.fingerprint import repo_root, source_fingerprint
 
-    if repeats is None:
-        repeats = QUICK_REPEATS if quick else 1
-    path = path or (repo_root() / "BENCH_simperf.json")
+    path = repo_root() / "BENCH_simperf.json"
     payload = {
         "bench": "simperf",
         "mode": "quick" if quick else "full",
-        "workers": workers,
         # Steady-state policy: each row is the best of `repeats` runs
         # (see best_of) so the trajectory tracks the sustained rate, not
         # process start-up.  Rows recorded before this field existed were
         # single cold-start shots.
         "measurement": {"policy": "best-of", "repeats": repeats},
-        # Probes are never cacheable, so the hit rate is 0 by design.
-        "cache_hit_rate": 0.0,
         "source_fingerprint": source_fingerprint()[:16],
         "rows": [
             dict({"probe": r.label, "events": r.events,
@@ -268,13 +242,13 @@ def write_bench_json(results: List[SimPerfResult], workers: int,
 
 
 def profile_probes(quick: bool = True, top: int = 25,
-                   comm_backend="proxy") -> str:
-    """Run each probe under cProfile; return the top-*top* cumulative
-    tables as text (the ``--profile`` CLI mode).
+                   backends: Sequence[str] = ("proxy",)) -> str:
+    """Run each probe once under cProfile; return the top-*top*
+    cumulative tables as text (the ``--profile`` CLI mode).
 
-    *comm_backend* selects the diffusion probe's communication backend
-    (same selector forms as :func:`simperf_specs`), so a profile can be
-    attributed to the same backend the gate measures.
+    *backends* selects the diffusion probes, as for
+    :func:`throughput_probes`, so a profile can be attributed to the same
+    backend the gate measures.
 
     Profiling overhead inflates wall times several-fold, so the tables
     are for *attribution* — never record their events/s.
@@ -283,26 +257,22 @@ def profile_probes(quick: bool = True, top: int = 25,
     import io
     import pstats
 
-    from ..exec.spec import resolve_entrypoint
-
     sections = []
-    for spec in simperf_specs(quick=quick, repeats=1,
-                              comm_backend=comm_backend):
-        fn = resolve_entrypoint(spec.entrypoint)
+    for probe in throughput_probes(quick=quick, backends=backends):
         prof = cProfile.Profile()
-        result = prof.runcall(fn, spec.params)
+        result = prof.runcall(probe)
         buf = io.StringIO()
         stats = pstats.Stats(prof, stream=buf)
         stats.sort_stats("cumulative").print_stats(top)
+        backend = f" [{result.backend}]" if result.backend else ""
         sections.append(
-            f"=== {spec.label}: {result.events} events, "
+            f"=== {result.label}{backend}: {result.events} events, "
             f"{result.wall_s:.3f}s under profiler ===\n{buf.getvalue()}")
     return "\n".join(sections)
 
 
-def check_regression(results: List[SimPerfResult], baseline_path,
-                     threshold: float = 0.8,
-                     synthetic_threshold: float = 0.7) -> List[str]:
+def check_regression(results: List[SimPerfResult],
+                     baseline_path) -> List[str]:
     """Compare measured rows against a committed trajectory file.
 
     The blocking CI gate.  A failure message is returned when
@@ -310,10 +280,10 @@ def check_regression(results: List[SimPerfResult], baseline_path,
     * a measured row has no committed row for the same probe and
       backend — a gate with nothing to compare against must not pass
       (fix by recording the trajectory with ``--backend all``);
-    * a diffusion row's events/s falls below ``threshold`` (default
-      80%) of the committed row **for the same backend**;
-    * the synthetic probe falls below ``synthetic_threshold`` (default
-      70%).  The kernel microbenchmark has higher run-to-run variance
+    * a diffusion row's events/s falls below :data:`GATE_THRESHOLD`
+      (80%) of the committed row **for the same backend**;
+    * the synthetic probe falls below :data:`SYNTHETIC_GATE_THRESHOLD`
+      (70%).  The kernel microbenchmark has higher run-to-run variance
       than the full stack, hence the wider band, but a sub-70% reading
       means the scheduler itself regressed and now blocks rather than
       being merely informational.
@@ -334,7 +304,8 @@ def check_regression(results: List[SimPerfResult], baseline_path,
         ratio = r.events_per_sec / base
         line = (f"{r.label} {backend}{r.events_per_sec:,.0f} ev/s vs "
                 f"committed {base:,.0f} ev/s ({ratio:.2f}x)")
-        gate = synthetic_threshold if r.label == "synthetic" else threshold
+        gate = (SYNTHETIC_GATE_THRESHOLD if r.label == "synthetic"
+                else GATE_THRESHOLD)
         if ratio < gate:
             failures.append(f"REGRESSION {line} — below the {gate:.0%} gate")
         else:
@@ -342,28 +313,27 @@ def check_regression(results: List[SimPerfResult], baseline_path,
     return failures
 
 
-def main(argv=None) -> int:  # pragma: no cover - thin CLI
-    from ..exec import default_workers, run_specs
+def _backends(text: str) -> List[str]:
+    """``--backend``: ``all`` or a comma-separated list of names."""
+    if text == "all":
+        return list(COMM_BACKENDS)
+    return [name.strip() for name in text.split(",") if name.strip()]
 
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.simperf",
         description="Simulator-throughput probes (events/sec).")
     parser.add_argument("--full", action="store_true",
                         help="figure-scale workload instead of the quick "
                              "probe")
-    parser.add_argument("--workers", "-j", type=int, default=None,
-                        help="engine worker processes (default: "
-                             "$REPRO_EXEC_WORKERS or 1)")
-    parser.add_argument("--json", type=str, default=None, metavar="PATH",
-                        help="trajectory file path (default: "
-                             "BENCH_simperf.json at the repo root)")
     parser.add_argument("--no-json", action="store_true",
-                        help="skip writing the trajectory file")
+                        help="skip writing BENCH_simperf.json")
     parser.add_argument("--repeats", type=int, default=None, metavar="N",
                         help="best-of-N steady-state measurement "
                              "(default: 3 quick, 1 full)")
-    parser.add_argument("--backend", type=str, default="proxy",
-                        metavar="NAME",
+    parser.add_argument("--backend", type=_backends, default=["proxy"],
+                        metavar="NAMES",
                         help="communication backend(s) for the diffusion "
                              "probe: proxy, device, stream, a comma "
                              "list, or 'all' — one diffusion row per "
@@ -375,43 +345,32 @@ def main(argv=None) -> int:  # pragma: no cover - thin CLI
                         const="", default=None,
                         help="regression gate: compare against the "
                              "committed trajectory (default "
-                             "BENCH_simperf.json) and exit 1 if the "
-                             "diffusion probe regressed >20%% or a "
-                             "measured row has no committed row; does not "
-                             "overwrite the trajectory file")
-    parser.add_argument("--gate-threshold", type=float, default=0.8,
-                        help="allowed fraction of the committed diffusion "
-                             "events/s (default 0.8)")
-    parser.add_argument("--synthetic-gate-threshold", type=float,
-                        default=0.7,
-                        help="allowed fraction of the committed synthetic "
-                             "events/s before the gate blocks "
-                             "(default 0.7)")
+                             "BENCH_simperf.json) and exit 1 if a "
+                             "diffusion probe fell below 80%% or the "
+                             "synthetic probe below 70%% of its row, or "
+                             "a measured row has no committed row; does "
+                             "not overwrite the trajectory file")
     args = parser.parse_args(argv)
 
     quick = not args.full
     if args.profile:
-        print(profile_probes(quick=quick, comm_backend=args.backend))
+        print(profile_probes(quick=quick, backends=args.backend))
         return 0
-    workers = args.workers if args.workers is not None else default_workers()
-    report = run_specs(simperf_specs(quick=quick, repeats=args.repeats,
-                                     comm_backend=args.backend),
-                       workers=workers)
-    print(simperf_table(report.results).render())
-    print(f"engine: {report.summary()}")
+    repeats = (args.repeats if args.repeats is not None
+               else QUICK_REPEATS if quick else 1)
+    results = [best_of(probe, repeats)
+               for probe in throughput_probes(quick, args.backend)]
+    print(simperf_table(results).render())
     if args.gate is not None:
         from ..exec.fingerprint import repo_root
 
         baseline = args.gate or str(repo_root() / "BENCH_simperf.json")
-        failures = check_regression(
-            report.results, baseline, threshold=args.gate_threshold,
-            synthetic_threshold=args.synthetic_gate_threshold)
+        failures = check_regression(results, baseline)
         for msg in failures:
             print(msg, file=sys.stderr)
         return 1 if failures else 0
     if not args.no_json:
-        path = write_bench_json(report.results, workers, quick,
-                                path=args.json, repeats=args.repeats)
+        path = write_bench_json(results, quick, repeats)
         print(f"trajectory: {path}")
     return 0
 

@@ -1,7 +1,7 @@
-"""The sweep service: pluggable executors, sharded cache, coordinator.
+"""The sweep service: pluggable executors, result cache, coordinator.
 
 The paper's evaluation is a fleet of *independent* simulations — figure
-points, ablation cells, chaos seeds, throughput probes.  This package
+points, ablation cells, chaos seeds.  This package
 turns each of them into a picklable :class:`~repro.exec.spec.RunSpec`
 and executes whole sweeps through three cooperating layers:
 
@@ -11,8 +11,7 @@ and executes whole sweeps through three cooperating layers:
   one protocol and one worker program, so every transport is
   interchangeable.
 * **Store** (:mod:`repro.exec.cache`) — results memoized on disk keyed
-  by content hash + source-tree fingerprint, sharded by key prefix over
-  a constant fan-out so the directory scales to large campaigns.
+  by content hash + source-tree fingerprint, one file per result.
 * **Coordinator** (:mod:`repro.exec.coordinator`) — *what* runs when:
   the spec queue, cache probes, in-flight dedup, retry on worker loss,
   poisoned-spec quarantine, and streamed progress.
@@ -27,8 +26,7 @@ Command line::
     python -m repro.exec run chaos --seeds 50 --workers 4
     python -m repro.exec run fig6 --executor http --hosts 127.0.0.1:8791
     python -m repro.exec worker --port 8791
-    python -m repro.exec status
-    python -m repro.exec cache stats --shard
+    python -m repro.exec cache stats
     python -m repro.exec cache gc
 
 See ``docs/sweep_service.md`` for the architecture and

@@ -6,8 +6,7 @@ Subcommands::
                     ml) on any executor transport
     worker          serve jobs: --stdio (pipe fleet member) or
                     --port N (HTTP worker daemon)
-    status          census the result cache + live sweep progress
-    cache stats     census with optional per-shard breakdown
+    cache stats     census the result cache + the last sweep's progress
     cache gc        delete entries from stale source fingerprints
     cache clear     delete every cache entry
 
@@ -26,7 +25,7 @@ Each suite reads its own shape knobs (``--nodes``, ``--steps``, ...) with
 per-suite defaults, and refuses one it would ignore (exit 1).  A suite
 with a contract (chaos: complete with identical numerics or fail typed)
 prints each violating result and exits 1.  ``--require-cached`` exits
-with status 3 unless *every* cacheable task was served from the cache —
+with status 3 unless *every* task was served from the cache —
 CI uses it to assert that a warm replay does zero simulation work.
 
 Examples::
@@ -41,8 +40,7 @@ Examples::
     PYTHONPATH=src python -m repro.exec run fig6 --executor http \\
         --hosts 127.0.0.1:8791                               # terminal 2
     PYTHONPATH=src python -m repro.exec run fig6 --require-cached
-    PYTHONPATH=src python -m repro.exec status
-    PYTHONPATH=src python -m repro.exec cache stats --shard
+    PYTHONPATH=src python -m repro.exec cache stats
     PYTHONPATH=src python -m repro.exec cache gc
 """
 
@@ -79,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec",
         description="Deterministic sweep service with pluggable "
-                    "executors and a sharded content-addressed cache.")
+                    "executors and a content-addressed cache.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a named sweep")
@@ -109,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the sweep record to PATH (default: no "
                           "record)")
     run.add_argument("--require-cached", action="store_true",
-                     help=f"exit {EXIT_NOT_CACHED} unless every cacheable "
-                          "task was a cache hit")
+                     help=f"exit {EXIT_NOT_CACHED} unless every task "
+                          "was a cache hit")
     # Suite shape knobs: each suite reads its own subset and refuses
     # the rest; an unset knob takes the suite's default.
     run.add_argument("--seeds", type=int,
@@ -155,19 +153,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="HTTP bind address (default 127.0.0.1; "
                              "binding wider is an explicit decision)")
 
-    status = sub.add_parser("status",
-                            help="census the result cache + live sweep "
-                                 "progress")
-    status.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
-
     cache = sub.add_parser("cache", help="cache maintenance")
     cache.add_argument("action", choices=("stats", "gc", "clear"),
-                       help="stats: census; gc: drop stale generations; "
+                       help="stats: census and the last sweep's "
+                            "progress; gc: drop stale generations; "
                             "clear: drop everything")
     cache.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR)
-    cache.add_argument("--shard", action="store_true",
-                       help="stats: per-shard breakdown of the current "
-                            "generation")
 
     return parser
 
@@ -227,14 +218,12 @@ def _cmd_run(args) -> int:
     print(f"results digest: {digest[:16]}")
 
     if args.require_cached:
-        cacheable = sum(1 for s in suite.specs if s.cacheable)
         served = report.cache_hits + report.dedup_hits
-        if cache is None or served < cacheable:
-            print(f"require-cached: FAILED — {served}/"
-                  f"{cacheable} cacheable task(s) served from cache",
-                  file=sys.stderr)
+        if cache is None or served < report.tasks:
+            print(f"require-cached: FAILED — {served}/{report.tasks} "
+                  "task(s) served from cache", file=sys.stderr)
             return EXIT_NOT_CACHED
-        print(f"require-cached: ok ({served}/{cacheable})")
+        print(f"require-cached: ok ({served}/{report.tasks})")
     return 1 if violations else 0
 
 
@@ -273,36 +262,23 @@ def _progress_line(record: dict) -> str:
     return f"{state} [{executor}]: " + ", ".join(parts)
 
 
-def _print_census(cache: ResultCache, shard: bool = False) -> None:
+def _print_census(cache: ResultCache) -> None:
     stats = cache.stats()
     print(f"cache root:     {stats.root}")
     print(f"fingerprint:    {stats.fingerprint[:16]}")
     print(f"generations:    {stats.generations}")
-    print(f"shards:         {stats.shards or '(generation absent)'}")
     print(f"live entries:   {stats.entries} ({stats.bytes} bytes)")
     print(f"stale entries:  {stats.stale_entries} ({stats.stale_bytes} "
           "bytes, reclaimable via 'cache gc')")
     status = _read_status(cache.root)
     if status is not None:
         print(f"last sweep:     {_progress_line(status)}")
-    if shard:
-        if not stats.shard_breakdown:
-            print("shard breakdown: (no sharded entries yet)")
-        for row in stats.shard_breakdown:
-            print(f"  {row.name}: {row.entries} entr"
-                  f"{'y' if row.entries == 1 else 'ies'}, "
-                  f"{row.bytes} bytes")
-
-
-def _cmd_status(args) -> int:
-    _print_census(ResultCache(args.cache_dir))
-    return 0
 
 
 def _cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
-        _print_census(cache, shard=args.shard)
+        _print_census(cache)
     elif args.action == "gc":
         removed, freed = cache.gc()
         print(f"gc: removed {removed} stale entr{'y' if removed == 1 else 'ies'}, "
@@ -322,8 +298,6 @@ def main(argv: Optional[list] = None) -> int:
             return _cmd_run(args)
         if args.command == "worker":
             return _cmd_worker(args)
-        if args.command == "status":
-            return _cmd_status(args)
         return _cmd_cache(args)
     except DCudaError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

@@ -1,19 +1,17 @@
-"""Sharded content-addressed on-disk result store (``.repro-cache/``).
+"""Content-addressed on-disk result store (``.repro-cache/``).
 
 Layout: one directory per *source fingerprint generation* (first 16 hex
-chars of :func:`~repro.exec.fingerprint.source_fingerprint`), and inside
-it :data:`DEFAULT_SHARDS` ``shard-XXX`` directories addressed by the
-task-key prefix.  One file per result, named by the full task key — the
-spec's content hash.  A key never changes meaning: same code + same spec
-⇒ same file, same shard.  The fan-out is a constant: the fingerprint
-covers this module, so every reader and writer of one generation runs
-the same code and agrees on where every key lives, and a probe is one
-``open()`` of the entry's path.  Sharding keeps any one directory small
-enough to be cheap on network filesystems (a million-entry campaign is
-~60k files per shard) and lets independent workers publish concurrently
-without contending on a single directory's metadata.
+chars of :func:`~repro.exec.fingerprint.source_fingerprint`), holding
+one file per result, ``<gen>/<key>.pkl``, named by the full task key —
+the spec's content hash.  A key never changes meaning: same code + same
+spec ⇒ same file, and a probe is one ``open()`` of that path.  Only the
+sweep coordinator publishes, and a sweep holds tens to a few hundred
+entries, so one directory per generation stays small.  ``gc`` and
+``clear`` walk each generation recursively, so they also reclaim a
+generation written in the sharded layout of earlier versions
+(``<gen>/shard-XXX/<key>.pkl``).
 
-Entry format (self-verifying, unchanged from the unsharded store)::
+Entry format (self-verifying)::
 
     repro-cache-v1\\n
     <sha256 hex of payload>\\n
@@ -37,35 +35,21 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from ..errors import DCudaUsageError
 from .fingerprint import source_fingerprint
 from .spec import RunSpec
 
-__all__ = ["ResultCache", "CacheStats", "ShardStats", "DEFAULT_CACHE_DIR",
-           "DEFAULT_SHARDS"]
+__all__ = ["ResultCache", "CacheStats", "DEFAULT_CACHE_DIR"]
 
 #: Default cache location, relative to the invoking working directory
 #: (the repo root in every documented workflow).
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Shard fan-out of every generation: ``shard-000`` … ``shard-015``.
-#: Small enough that an ``ls`` of a fresh cache is still readable.
-DEFAULT_SHARDS = 16
-
 _MAGIC = b"repro-cache-v1"
-
-
-@dataclass(frozen=True)
-class ShardStats:
-    """Census of one shard directory within the current generation."""
-
-    name: str
-    entries: int
-    bytes: int
 
 
 @dataclass(frozen=True)
@@ -82,14 +66,10 @@ class CacheStats:
     stale_bytes: int
     #: Number of fingerprint generations present on disk.
     generations: int
-    #: Shard fan-out of the current generation (0 = generation absent).
-    shards: int = 0
-    #: Per-shard census of the current generation.
-    shard_breakdown: Tuple[ShardStats, ...] = field(default=())
 
 
 class ResultCache:
-    """Sharded content-addressed result store for the sweep service.
+    """Content-addressed result store for the sweep service.
 
     Args:
         root: Cache directory (created lazily on first write).
@@ -104,9 +84,7 @@ class ResultCache:
         self.fingerprint = fingerprint or source_fingerprint()
         if not self.fingerprint:
             raise DCudaUsageError("empty cache fingerprint")
-        self._gen = os.path.join(self.root, self.fingerprint[:16])
-        self._shard_dirs = [os.path.join(self._gen, f"shard-{i:03d}", "")
-                            for i in range(DEFAULT_SHARDS)]
+        self._gen = os.path.join(self.root, self.fingerprint[:16], "")
 
     # ---------------------------------------------------------- keys -----
     def key_for(self, spec: RunSpec) -> str:
@@ -117,10 +95,8 @@ class ResultCache:
         return Path(self._gen)
 
     def _entry_path(self, key: str) -> str:
-        """Where *key* — a hex content hash — lives: the shard its
-        prefix picks."""
-        return (self._shard_dirs[int(key[:2], 16) % DEFAULT_SHARDS]
-                + key + ".pkl")
+        """Where *key* — a hex content hash — lives."""
+        return self._gen + key + ".pkl"
 
     # ----------------------------------------------------------- I/O -----
     @staticmethod
@@ -136,11 +112,11 @@ class ResultCache:
     def get(self, key: str) -> Tuple[bool, Any]:
         """Look up *key*; returns ``(hit, result)``.
 
-        One ``open()`` of the key's path in its home shard.  A missing
-        entry (or store) is a miss; a corrupted, truncated (a short read
-        included), or unreadable one is a miss too and is deleted
-        best-effort — the caller re-runs the task and the subsequent
-        :meth:`put` repairs it.
+        One ``open()`` of the key's path.  A missing entry (or store) is
+        a miss; a corrupted, truncated (a short read included), or
+        unreadable one is a miss too and is deleted best-effort — the
+        caller re-runs the task and the subsequent :meth:`put` repairs
+        it.
         """
         path = self._entry_path(key)
         try:
@@ -160,7 +136,7 @@ class ResultCache:
             return False, None
 
     def put(self, key: str, result: Any, label: str = "") -> bool:
-        """Store *result* under *key*, atomically, in its home shard.
+        """Store *result* under *key*, atomically.
 
         Returns whether the entry was stored.  A result the pickle
         module cannot serialize, or a write the filesystem refuses, is
@@ -180,7 +156,8 @@ class ResultCache:
             try:
                 self._write_atomic(path, blob)
             except FileNotFoundError:
-                # First write to this shard, or the store was deleted.
+                # First write to this generation, or the store was
+                # deleted.
                 os.makedirs(os.path.dirname(path), exist_ok=True)
                 self._write_atomic(path, blob)
         except OSError:
@@ -205,17 +182,15 @@ class ResultCache:
 
     # ----------------------------------------------------- maintenance -----
     def stats(self) -> CacheStats:
-        """Census the cache directory (current vs. stale generations,
-        plus the current generation's per-shard breakdown)."""
+        """Census the cache directory (current vs. stale generations)."""
         current = self._generation_dir().name
         live = stale = live_b = stale_b = 0
-        gens = set()
-        per_shard: Dict[str, List[int]] = {}
+        gens = 0
         if self.root.is_dir():
             for gen in self.root.iterdir():
                 if not gen.is_dir():
                     continue
-                gens.add(gen.name)
+                gens += 1
                 for entry in gen.rglob("*.pkl"):
                     if entry.name.startswith(".tmp-"):
                         continue
@@ -223,21 +198,12 @@ class ResultCache:
                     if gen.name == current:
                         live += 1
                         live_b += size
-                        counts = per_shard.setdefault(entry.parent.name,
-                                                      [0, 0])
-                        counts[0] += 1
-                        counts[1] += size
                     else:
                         stale += 1
                         stale_b += size
-        breakdown = tuple(
-            ShardStats(name=name, entries=counts[0], bytes=counts[1])
-            for name, counts in sorted(per_shard.items()))
-        shards = DEFAULT_SHARDS if os.path.isdir(self._gen) else 0
         return CacheStats(root=str(self.root), fingerprint=self.fingerprint,
                           entries=live, bytes=live_b, stale_entries=stale,
-                          stale_bytes=stale_b, generations=len(gens),
-                          shards=shards, shard_breakdown=breakdown)
+                          stale_bytes=stale_b, generations=gens)
 
     def _remove_generations(self, keep: str = "") -> Tuple[int, int]:
         """Delete every generation directory except *keep*, recursively.

@@ -11,16 +11,15 @@ deliberately excludes —
   decides *when* a completion arrives, never *what* it contains, and a
   retried task re-runs the same pure function.
 * **Caching**: one probe and one publish per unique task key (the
-  spec's content hash) against the sharded
+  spec's content hash) against the
   :class:`~repro.exec.cache.ResultCache`.  A publish the store refuses
   (full disk, read-only or deleted cache) leaves that result uncached
   and is counted in :attr:`SweepReport.publish_failures`; it never
   fails the sweep.
-* **In-flight dedup**: identical cacheable specs submitted concurrently
-  execute once; every duplicate index receives the same result and is
-  counted as a ``dedup_hit``.  Non-cacheable specs (wall-clock probes)
-  are never deduplicated — collapsing two measurements into one would
-  be the same lie as caching them.
+* **In-flight dedup**: with a cache attached, identical specs submitted
+  together execute once; every duplicate index receives the same
+  result and is counted as a ``dedup_hit``.  Every entrypoint is a pure
+  function of its params, so a duplicate's result is the same bits.
 * **Retry on worker loss**: a task whose worker died is re-dispatched —
   the job, not the worker, is the unit of recovery — up to
   *max_attempts* times.  A spec that kills *distinct* workers on every
@@ -33,8 +32,9 @@ deliberately excludes —
 * **Progress streaming**: every state change emits a
   :class:`ProgressEvent` to the ``on_event`` callback and (when a cache
   is attached) to ``<cache-root>/status.json``, which ``python -m
-  repro.exec status`` renders as a live progress line.  A sweep with
-  nothing to execute writes the file once, with its final record.
+  repro.exec cache stats`` renders as its ``last sweep:`` line.  A
+  sweep with nothing to execute writes the file once, with its final
+  record.
 """
 
 from __future__ import annotations
@@ -246,15 +246,14 @@ class Coordinator:
         cache_hits = 0
 
         # Group indices by task key.  In-flight dedup is a property of
-        # the content-addressed store: it only applies to cacheable
-        # specs *with a cache attached* (the second submission would
-        # have been a cache hit moments later anyway).  Without a cache
-        # — or for non-cacheable wall-clock probes — every index runs
-        # on its own, exactly like the pre-service engine.
+        # the content-addressed store: it applies only *with a cache
+        # attached* (the second submission would have been a cache hit
+        # moments later anyway).  Without a cache every index runs on
+        # its own, exactly like the pre-service engine.
         groups: Dict[str, List[int]] = {}
         group_spec: Dict[str, RunSpec] = {}
         for idx, spec in enumerate(specs):
-            if spec.cacheable and self.cache is not None:
+            if self.cache is not None:
                 key = self.cache.key_for(spec)
             else:
                 key = f"!independent:{idx}"
@@ -267,7 +266,7 @@ class Coordinator:
         dedup_hits = 0
         for key, indices in groups.items():
             spec = group_spec[key]
-            if (self.cache is not None and spec.cacheable):
+            if self.cache is not None:
                 hit, value = self.cache.get(key)
                 if hit:
                     for idx in indices:
@@ -376,7 +375,7 @@ class Coordinator:
                 for idx in state.indices:
                     results[idx] = comp.value
                 done_indices += len(state.indices)
-                if self.cache is not None and state.spec.cacheable:
+                if self.cache is not None:
                     t_put = time.perf_counter()
                     if not self.cache.put(state.key, comp.value,
                                           label=state.spec.describe()):

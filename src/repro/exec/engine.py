@@ -37,8 +37,8 @@ inline loops.  ("Re-run serially" is a debugging aid, not the recovery
 path; recovery is the coordinator's retry/quarantine loop.)
 
 Caching: pass a :class:`~repro.exec.cache.ResultCache` (or a directory
-path) and every cacheable spec is first probed by content key against
-the sharded store; hits skip execution entirely, misses execute and are
+path) and every spec is first probed by content key against the
+store; hits skip execution entirely, misses execute and are
 published atomically, so an unchanged sweep replays near-instantly and
 an interrupted sweep resumes from its completed prefix.
 """

@@ -4,7 +4,7 @@ Each entrypoint turns one ``params`` mapping into one picklable result
 object and builds *all* of its simulation state internally — a fresh
 cluster from config data, nothing captured from the parent process —
 which is what makes a :class:`~repro.exec.spec.RunSpec` executable in a
-spawned worker and its result cacheable by content.  An input every
+spawned worker and its result addressable by content.  An input every
 spec needs (the chaos baseline) is rebuilt from the params and cached by
 each worker.
 
@@ -33,7 +33,6 @@ __all__ = [
     "train_point",
     "queue_burst_point",
     "staging_point",
-    "simperf_probe",
     "selftest_point",
 ]
 
@@ -447,46 +446,6 @@ def staging_point(params: Mapping[str, Any]):
     cluster.env.process(receiver(cluster.env))
     cluster.run()
     return out["dt"]
-
-
-@entrypoint("simperf_probe")
-def simperf_probe(params: Mapping[str, Any]):
-    """One simulator-throughput probe (wall-clock; never cacheable).
-
-    Params: ``probe`` = ``"synthetic"`` (``num_procs``, ``hops``) or
-    ``"diffusion"`` (optional ``wl``, ``num_nodes``,
-    ``ranks_per_device``, ``comm_backend``); both accept ``repeats``
-    (best-of-N steady-state measurement, default 1).  Specs built from this
-    entrypoint must set ``cacheable=False`` — replaying a cached
-    wall-clock measurement would report the disk's speed, not the
-    simulator's.
-
-    Returns:
-        A :class:`~repro.bench.simperf.SimPerfResult`.
-    """
-    from ..bench.simperf import (
-        best_of,
-        diffusion_throughput,
-        synthetic_throughput,
-    )
-
-    repeats = params.get("repeats", 1)
-    if params["probe"] == "synthetic":
-        return best_of(
-            lambda: synthetic_throughput(num_procs=params.get("num_procs", 64),
-                                         hops=params.get("hops", 500)),
-            repeats)
-    if params["probe"] == "diffusion":
-        return best_of(
-            lambda: diffusion_throughput(
-                wl=params.get("wl"),
-                num_nodes=params.get("num_nodes", 2),
-                ranks_per_device=params.get("ranks_per_device", 16),
-                comm_backend=params.get("comm_backend", "proxy")),
-            repeats)
-    from ..errors import DCudaUsageError
-
-    raise DCudaUsageError(f"unknown simperf probe {params['probe']!r}")
 
 
 @entrypoint("selftest_point")

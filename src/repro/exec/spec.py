@@ -1,7 +1,7 @@
 """The sweep task model: picklable :class:`RunSpec` + entrypoint registry.
 
 A *run spec* describes one independent simulation — a figure point, an
-ablation cell, a chaos seed, a throughput probe — as pure data: the name
+ablation cell or a chaos seed — as pure data: the name
 of a registered entrypoint function plus a mapping of picklable
 parameters.  Because the spec is data, the execution engine
 (:mod:`repro.exec.engine`) can ship it to a worker process spawned with a
@@ -207,22 +207,17 @@ class RunSpec:
             sweep needs is rebuilt from these params in the worker and
             cached there, as the chaos baseline is.
         label: Display name for progress/error messages; not hashed.
-        cacheable: Whether the result may be served from / stored into
-            the on-disk cache.  Wall-clock measurements (the simperf
-            probes) set this to ``False``: replaying a cached wall time
-            would be a lie.
     """
 
     entrypoint: str
     params: Mapping[str, Any] = field(default_factory=dict)
     label: str = ""
-    cacheable: bool = True
 
     def content_hash(self) -> str:
         """Stable content hash of ``(entrypoint, params)``.
 
-        ``label`` and ``cacheable`` are presentation/policy, not content,
-        and are deliberately excluded.
+        ``label`` is presentation, not content, and is deliberately
+        excluded.
         """
         return canonical_digest((self.entrypoint, dict(self.params)))
 

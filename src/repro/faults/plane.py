@@ -15,13 +15,17 @@ sequences at identical simulated times.
 
 Query hooks come in two flavours:
 
-* **window queries** (``degrade_factor``, ``block_stall_factor``,
-  ``credit_starved``, ``partition_hold``) — pure functions of
-  ``(site, now)``; asking twice gives the same answer;
-* **consuming queries** (``queue_drop``, ``queue_dup``, ``loss_retries``)
-  — each hit decrements the event's remaining ``count``, so a burst of
-  *n* losses hits exactly *n* operations.  Call sites query exactly once
-  per operation.
+* **window queries** (``slowdown``, ``credit_starved``,
+  ``partition_hold``) — pure functions of ``(site, now)``; asking twice
+  gives the same answer;
+* **consuming queries** (``queue_hit``, ``loss_retries``) — each hit
+  decrements the event's remaining ``count``, so a burst of *n* losses
+  hits exactly *n* operations.  Call sites query exactly once per
+  operation.
+
+A query that serves several fault kinds of one shape takes the kind:
+``slowdown("link_degrade", ...)`` and ``slowdown("block_stall", ...)``,
+``queue_hit("queue_drop", ...)`` and ``queue_hit("queue_dup", ...)``.
 
 Every injection is recorded: an ``injections[(kind, site)]`` counter and
 a bounded in-order log for the fault report.  When observability is on,
@@ -203,22 +207,16 @@ class FaultPlane:
     # ------------------------------------------------------------------
     # window queries (pure)
     # ------------------------------------------------------------------
-    def degrade_factor(self, name: str, now: float) -> float:
-        """Bandwidth-degradation multiplier for link ``name`` (1.0 = none)."""
+    def slowdown(self, kind: str, name: str, now: float) -> float:
+        """Product of the active *kind* windows' factors that select
+        component ``name`` (1.0 = none): a link's bandwidth degradation
+        (``link_degrade``) or a GPU block's issue-time stall
+        (``block_stall``)."""
         factor = 1.0
-        for w in self._by_kind.get("link_degrade", ()):
+        for w in self._by_kind.get(kind, ()):
             if w.active(now) and _matches(w.target, name):
                 factor *= w.factor
-                self.note("link_degrade", name)
-        return factor
-
-    def block_stall_factor(self, name: str, now: float) -> float:
-        """Issue-time multiplier for GPU block ``name`` (1.0 = none)."""
-        factor = 1.0
-        for w in self._by_kind.get("block_stall", ()):
-            if w.active(now) and _matches(w.target, name):
-                factor *= w.factor
-                self.note("block_stall", name)
+                self.note(kind, name)
         return factor
 
     def credit_starved(self, name: str, now: float) -> bool:
@@ -229,24 +227,17 @@ class FaultPlane:
                 return True
         return False
 
-    def partition_hold(self, src: int, dst: int, now: float) -> float:
-        """Simulated seconds the ``src -> dst`` wire must wait to heal."""
-        hold = 0.0
-        for w in self._by_kind.get("partition", ()):
-            if w.active(now) and _node_matches(w.target, src, dst):
-                hold = max(hold, w.end - now)
-                self.note("partition", f"{src}->{dst}")
-        return hold
-
-    def partition_hold_route(self, src: int, dst: int,
-                             route: Tuple[str, ...], now: float) -> float:
-        """Hold time for a routed transfer whose path is ``route``.
+    def partition_hold(self, src: int, dst: int,
+                       route: Tuple[str, ...], now: float) -> float:
+        """Simulated seconds the ``src -> dst`` transfer must wait for
+        the partition to heal.
 
         A partition window applies when it selects the endpoint node pair
-        (the flat-fabric semantics, kept so existing fault schedules mean
-        the same thing on routed interconnects) *or* when it names any
-        topology link the route crosses — cutting one spine uplink stalls
-        every message routed over it.
+        *or* when it names any topology link on ``route`` — cutting one
+        spine uplink stalls every message routed over it.  The flat wire
+        has no named links and passes ``()``, so only the node pair
+        applies there, and a schedule means the same thing on every
+        interconnect.
         """
         hold = 0.0
         for w in self._by_kind.get("partition", ()):
@@ -269,20 +260,13 @@ class FaultPlane:
                 self.note("burst_loss", f"{src}->{dst}")
         return retries
 
-    def queue_drop(self, name: str, now: float) -> bool:
-        """Should the next commit to queue ``name`` be dropped?"""
-        for w in self._by_kind.get("queue_drop", ()):
+    def queue_hit(self, kind: str, name: str, now: float) -> bool:
+        """Does an armed *kind* burst hit the next commit to queue
+        ``name``?  ``queue_drop`` drops it, ``queue_dup`` duplicates it;
+        a hit spends one unit of the burst."""
+        for w in self._by_kind.get(kind, ()):
             if w.armed(now) and _matches(w.target, name):
                 w.remaining -= 1
-                self.note("queue_drop", name)
-                return True
-        return False
-
-    def queue_dup(self, name: str, now: float) -> bool:
-        """Should the next commit to queue ``name`` be duplicated?"""
-        for w in self._by_kind.get("queue_dup", ()):
-            if w.armed(now) and _matches(w.target, name):
-                w.remaining -= 1
-                self.note("queue_dup", name)
+                self.note(kind, name)
                 return True
         return False

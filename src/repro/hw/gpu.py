@@ -154,8 +154,8 @@ class Device:
             if self._faults is not None:
                 # A stalled block holds its issue unit longer, so the
                 # slowdown also delays co-resident ranks on the same SM.
-                issue_time *= self._faults.block_stall_factor(
-                    block.name, self.env._now)
+                issue_time *= self._faults.slowdown(
+                    "block_stall", block.name, self.env._now)
             if issue_time > 0:
                 yield issue_time
         finally:

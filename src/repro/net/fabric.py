@@ -265,8 +265,8 @@ class Fabric:
                 # one full timeout-and-resend round per lost attempt.  The
                 # message itself is never dropped — link-level reliability
                 # re-establishes delivery, only later.
-                serialization *= faults.degrade_factor(
-                    f"fabric.nic{src}", self.env._now)
+                serialization *= faults.slowdown(
+                    "link_degrade", f"fabric.nic{src}", self.env._now)
                 retries = faults.loss_retries(src, dst, self.env._now)
                 if retries:
                     extra = retries * (serialization + rtt_latency)
@@ -286,7 +286,7 @@ class Fabric:
         faults = self._faults
         if faults is not None:
             # Partition window: the wire holds until the partition heals.
-            hold = faults.partition_hold(src, dst, self.env._now)
+            hold = faults.partition_hold(src, dst, (), self.env._now)
             if hold > 0.0:
                 yield hold
         extra_latency += yield from self._inject(src, dst, nbytes, mode,
@@ -324,7 +324,7 @@ class Fabric:
         if faults is not None:
             # A partition cutting ANY link on the route (or targeting the
             # node pair) holds the message until it heals.
-            hold = faults.partition_hold_route(src, dst, route, self.env._now)
+            hold = faults.partition_hold(src, dst, route, self.env._now)
             if hold > 0.0:
                 yield hold
         extra_latency += yield from self._inject(src, dst, nbytes, mode, rtt)

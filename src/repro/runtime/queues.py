@@ -320,7 +320,8 @@ class CircularQueue:
             # delivered — this is a stale duplicate; discard it.
             self.stats.duplicates_dropped += 1
             return
-        if attempt >= 0 and self._faults.queue_drop(self.name, now):
+        if attempt >= 0 and self._faults.queue_hit("queue_drop",
+                                                   self.name, now):
             # The posted write was lost in flight.  The gap it leaves in
             # the sequence numbers parks later slots until redelivery.
             self.stats.dropped_writes += 1
@@ -329,7 +330,8 @@ class CircularQueue:
         self._parked[seq] = entry
         if attempt > 0:
             self.stats.recovered += 1
-        duplicate = attempt >= 0 and self._faults.queue_dup(self.name, now)
+        duplicate = attempt >= 0 and self._faults.queue_hit(
+            "queue_dup", self.name, now)
         while self._next_deliver in self._parked:
             self._commit(self._next_deliver,
                          self._parked.pop(self._next_deliver))

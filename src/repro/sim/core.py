@@ -537,12 +537,6 @@ class Environment:
             heappush(self._heap,
                      (self._now + delay, priority, self._seq, event))
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        if self._due:
-            return self._now
-        return self._heap[0][0] if self._heap else _INF
-
     def step(self) -> None:
         """Process exactly one live schedule entry.
 

@@ -108,8 +108,8 @@ class FairShareLink:
         if self._faults is not None:
             # A degradation window multiplies the flow's service demand —
             # ``bytes_transferred`` still records the *actual* payload.
-            demand = nbytes * self._faults.degrade_factor(
-                self.name, self.env._now)
+            demand = nbytes * self._faults.slowdown(
+                "link_degrade", self.name, self.env._now)
         target = self._service + demand / weight
         self._flow_seq += 1
         heappush(self._heap, (target, self._flow_seq, _Flow(ev, weight)))

@@ -3,12 +3,8 @@
 import json
 from pathlib import Path
 
-from repro.bench.simperf import (
-    ALL_BACKENDS,
-    QUICK_REPEATS,
-    SimPerfResult,
-    check_regression,
-)
+from repro.bench.simperf import QUICK_REPEATS, SimPerfResult, check_regression
+from repro.hw.config import COMM_BACKENDS
 
 ROWS = [{"probe": "synthetic", "events_per_sec": 1000.0},
         {"probe": "diffusion", "backend": "proxy", "events_per_sec": 100.0}]
@@ -52,6 +48,6 @@ def test_committed_trajectory_covers_every_backend():
     committed = json.loads(path.read_text())
     keys = {(row["probe"], row.get("backend")) for row in committed["rows"]}
     assert keys == {("synthetic", None)} | {("diffusion", b)
-                                             for b in ALL_BACKENDS}
+                                             for b in COMM_BACKENDS}
     assert committed["measurement"] == {"policy": "best-of",
                                         "repeats": QUICK_REPEATS}

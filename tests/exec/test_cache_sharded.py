@@ -1,4 +1,5 @@
-"""Sharded-store regression tests: layout, corruption, failed writes.
+"""Store regression tests: layout, corruption, failed writes, and
+reclaiming generations written in the earlier sharded layout.
 
 The non-negotiable property under test: a damaged, full or vanished
 cache can cost *time* (a miss and a re-run) but never *correctness* (a
@@ -6,14 +7,13 @@ wrong or stale result served as a hit), and never crashes a sweep.
 """
 
 import errno
-import re
 import shutil
 import tempfile
 
 import pytest
 
 from repro.exec import ResultCache, RunSpec, run_specs
-from repro.exec.cache import DEFAULT_SHARDS
+from repro.exec.coordinator import STATUS_FILENAME
 
 FP = "a" * 64
 
@@ -23,46 +23,39 @@ def cache(tmp_path):
     return ResultCache(tmp_path / "cache", fingerprint=FP)
 
 
-def _home_shard(key):
-    return f"shard-{int(key[:2], 16) % DEFAULT_SHARDS:03d}"
+def _entry(cache, key):
+    """The flat path of *key*'s entry: ``<gen>/<key>.pkl``."""
+    return cache._generation_dir() / f"{key}.pkl"
 
 
-class TestShardedLayout:
-    def test_entries_land_in_shard_dirs(self, cache):
-        """A cold store holds shard directories and nothing else: no
-        entry outside them and no ``meta.json`` beside them."""
-        keys = [f"{i:02x}{'0' * 62}" for i in range(16)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
+def _shard(cache):
+    """Move a generation's entries into the earlier sharded layout,
+    ``<gen>/shard-XXX/<key>.pkl`` (16 shards picked by the key's first
+    byte), as a store written by an older version holds them."""
+    gen = cache._generation_dir()
+    for entry in list(gen.glob("*.pkl")):
+        shard = gen / f"shard-{int(entry.name[:2], 16) % 16:03d}"
+        shard.mkdir(exist_ok=True)
+        entry.rename(shard / entry.name)
+
+
+class TestFlatLayout:
+    def test_cold_store_holds_only_key_files(self, cache):
+        """A cold store is one directory per generation holding
+        ``<key>.pkl`` files and nothing else: no subdirectory and no
+        ``meta.json``.  A spec's key is its content hash, unsalted.
+        Beside the generation sits only the sweep's progress file."""
+        specs = [RunSpec("selftest_point", {"token": t}) for t in "abcd"]
+        run_specs(specs, cache=cache)
         gen = cache._generation_dir()
-        for key in keys:
-            assert (gen / _home_shard(key) / f"{key}.pkl").is_file()
-        assert all(re.fullmatch(r"shard-\d{3}", p.name) and p.is_dir()
-                   for p in gen.iterdir())
-        assert not (gen / "meta.json").exists()
-        assert len(list(gen.iterdir())) > 1  # keys actually spread out
-
-    def test_default_shard_count(self, cache):
-        cache.put("aa" + "0" * 62, 1)
-        assert cache.stats().shards == DEFAULT_SHARDS
-
-    def test_same_key_same_shard_across_instances(self, cache):
-        key = "0123456789abcdef" * 4
-        a = cache._entry_path(key)
-        b = ResultCache(cache.root, fingerprint=FP)._entry_path(key)
-        assert a == b
-
-    def test_spec_entry_is_its_content_hash_in_its_home_shard(self, cache):
-        """The task key is the spec's content hash, unsalted, and its
-        entry sits in the shard its first byte picks."""
-        spec = RunSpec("selftest_point", {"token": "home"})
-        run_specs([spec], cache=cache)
-        key = spec.content_hash()
-        assert cache.key_for(spec) == key
-        (entry,) = cache.root.rglob("*.pkl")
-        assert entry.name == f"{key}.pkl"
-        assert entry.parent.name == _home_shard(key)
-        assert entry.parent.parent == cache._generation_dir()
+        assert gen.name == FP[:16]
+        assert sorted(p.name for p in cache.root.iterdir()) == sorted(
+            [gen.name, STATUS_FILENAME])
+        assert all(p.is_file() for p in gen.iterdir())
+        assert sorted(p.name for p in gen.iterdir()) == sorted(
+            f"{spec.content_hash()}.pkl" for spec in specs)
+        assert all(cache.key_for(spec) == spec.content_hash()
+                   for spec in specs)
 
 
 class TestCorruptShardEntry:
@@ -70,8 +63,8 @@ class TestCorruptShardEntry:
         spec = RunSpec("selftest_point", {"token": "gold"})
         first = run_specs([spec], cache=cache)
         assert first.executed == 1
-        # Flip bytes in the (sharded) entry.
-        (entry,) = cache.root.rglob("*.pkl")
+        # Flip bytes in the entry.
+        entry = _entry(cache, spec.content_hash())
         entry.write_bytes(b"repro-cache-v1\nforged-digest\njunk")
         again = run_specs([spec], cache=cache)
         assert again.executed == 1 and again.cache_hits == 0
@@ -80,10 +73,11 @@ class TestCorruptShardEntry:
         assert warm.cache_hits == 1
 
     def test_truncated_shard_entry_deleted(self, cache):
-        cache.put("ab" + "0" * 62, [1, 2])
-        (entry,) = cache.root.rglob("*.pkl")
+        key = "ab" + "0" * 62
+        cache.put(key, [1, 2])
+        entry = _entry(cache, key)
         entry.write_bytes(entry.read_bytes()[:10])
-        hit, _ = cache.get("ab" + "0" * 62)
+        hit, _ = cache.get(key)
         assert not hit and not entry.exists()
 
 
@@ -105,6 +99,8 @@ class TestFailedPublish:
         assert report.results == expected
         assert report.executed == 3 and report.publish_failures == 3
         assert "3 not cached (publish failed)" in report.summary()
+        assert not any(_entry(cache, s.content_hash()).exists()
+                       for s in specs)
         assert not list(cache.root.rglob("*.pkl"))
 
     def test_put_reports_refused_write(self, cache, full_disk):
@@ -118,35 +114,35 @@ class TestFailedPublish:
         assert cache.get(key) == (False, None)
         assert cache.put(key, "again") is True
         assert cache.get(key) == (True, "again")
+        assert _entry(cache, key).is_file()
 
 
 class TestShardStats:
-    def test_breakdown_covers_all_entries(self, cache):
-        for i in range(12):
-            cache.put(f"{i:02x}{'5' * 62}", i)
-        stats = cache.stats()
-        assert stats.entries == 12 and stats.shards == DEFAULT_SHARDS
-        assert sum(s.entries for s in stats.shard_breakdown) == 12
-        assert sum(s.bytes for s in stats.shard_breakdown) == stats.bytes
-        assert all(s.name.startswith("shard-")
-                   for s in stats.shard_breakdown)
+    """A generation left in the earlier sharded layout still counts in
+    the census, and ``gc``/``clear`` still reclaim it."""
 
     def test_gc_reclaims_sharded_stale_generations(self, tmp_path):
         stale = ResultCache(tmp_path / "c", fingerprint="b" * 64)
         for i in range(4):
             stale.put(f"{i:02x}{'7' * 62}", i)
+        _shard(stale)
         live = ResultCache(tmp_path / "c", fingerprint=FP)
         live.put("aa" + "8" * 62, "keep")
+        assert live.stats().stale_entries == 4
         removed, freed = live.gc()
         assert removed == 4 and freed > 0
         assert live.stats().stale_entries == 0
+        assert not stale._generation_dir().exists()
         hit, _ = live.get("aa" + "8" * 62)
         assert hit
 
     def test_clear_reclaims_everything_including_legacy(self, cache):
         cache.put("aa" + "9" * 62, 1)
-        ResultCache(cache.root, fingerprint="b" * 64).put("bb" + "9" * 62, 2)
+        legacy = ResultCache(cache.root, fingerprint="b" * 64)
+        legacy.put("bb" + "9" * 62, 2)
+        _shard(legacy)
         removed, _ = cache.clear()
         assert removed == 2
         stats = cache.stats()
         assert stats.entries == 0 and stats.stale_entries == 0
+        assert not list(cache.root.iterdir())

@@ -207,13 +207,23 @@ class TestKnobs:
 
 
 class TestCacheMaintenance:
-    def test_status_reports_census(self, tmp_path, capsys):
+    def test_stats_reports_census(self, tmp_path, capsys):
         _run(tmp_path)
         capsys.readouterr()
-        assert main(["status", "--cache-dir",
+        assert main(["cache", "stats", "--cache-dir",
                      str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "live entries:   2" in out
+        assert "shard" not in out
+
+    @pytest.mark.parametrize("argv", [["status"],
+                                      ["cache", "stats", "--shard"]])
+    def test_one_census_command(self, argv):
+        """``cache stats`` is the only census: ``status`` and the
+        per-shard breakdown are gone."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
 
     def test_clear_empties_cache(self, tmp_path, capsys):
         _run(tmp_path)
@@ -228,19 +238,10 @@ class TestCacheMaintenance:
                      str(tmp_path / "empty")]) == 0
         assert "removed 0" in capsys.readouterr().out
 
-    def test_stats_shard_breakdown(self, tmp_path, capsys):
-        _run(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "stats", "--shard", "--cache-dir",
-                     str(tmp_path / "cache")]) == 0
-        out = capsys.readouterr().out
-        assert "shards:" in out
-        assert "shard-" in out  # per-shard rows printed
-
     def test_status_shows_last_sweep_progress(self, tmp_path, capsys):
         _run(tmp_path)
         capsys.readouterr()
-        assert main(["status", "--cache-dir",
+        assert main(["cache", "stats", "--cache-dir",
                      str(tmp_path / "cache")]) == 0
         out = capsys.readouterr().out
         assert "last sweep:" in out

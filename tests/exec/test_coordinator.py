@@ -130,13 +130,6 @@ class TestDedup:
         report = Coordinator(SerialExecutor()).run([spec] * 4)
         assert report.executed == 4 and report.dedup_hits == 0
 
-    def test_non_cacheable_specs_never_dedup(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", fingerprint="d" * 64)
-        spec = RunSpec("selftest_point", {"token": "wall-clock"},
-                       cacheable=False)
-        report = Coordinator(SerialExecutor(), cache=cache).run([spec] * 3)
-        assert report.executed == 3 and report.dedup_hits == 0
-
     def test_dedup_and_cache_compose(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", fingerprint="d" * 64)
         spec = RunSpec("selftest_point", {"token": "x"})

@@ -89,13 +89,6 @@ class TestCacheInterplay:
         warm = run_specs(FUZZ_SPECS[:2], cache=str(path))
         assert warm.cache_hits == 2
 
-    def test_non_cacheable_specs_always_execute(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.0},
-                       cacheable=False)
-        assert run_specs([spec], cache=cache).executed == 1
-        assert run_specs([spec], cache=cache).executed == 1
-
 
 def test_shared_takes_only_an_empty_mapping():
     """An entrypoint reads nothing but its params, so a non-empty

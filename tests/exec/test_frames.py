@@ -155,7 +155,7 @@ def test_pipe_forged_frame_is_never_credited(case, tmp_path,
                                              leaked_children):
     forger = RunSpec("selftest_point",
                      {"mode": "forge", "blob": PIPE_FORGERIES[case]},
-                     label="forger", cacheable=False)
+                     label="forger")
     healthy = [RunSpec("selftest_point",
                        {"token": i, "mode": "sleep", "seconds": 0.2},
                        label=f"healthy-{i}") for i in range(4)]

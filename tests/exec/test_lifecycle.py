@@ -22,8 +22,7 @@ from repro.exec.executors import _HttpWorkerClient
 HEALTHY = [RunSpec("selftest_point",
                    {"token": i, "mode": "sleep", "seconds": 0.05},
                    label=f"healthy-{i}") for i in range(12)]
-POISON = RunSpec("selftest_point", {"mode": "exit"}, label="poison-pill",
-                 cacheable=False)
+POISON = RunSpec("selftest_point", {"mode": "exit"}, label="poison-pill")
 
 
 @pytest.mark.slow
@@ -82,7 +81,7 @@ class TestNoHttpClientOutlivesASweep:
         # The client is mid long-poll when the coordinator gives up.
         host, _ = http_worker
         stuck = RunSpec("selftest_point", {"mode": "sleep", "seconds": 1.0},
-                        label="stuck", cacheable=False)
+                        label="stuck")
         with pytest.raises(DCudaTimeoutError, match="stuck"):
             run_specs([stuck], executor="http", hosts=[host], timeout=0.3)
         assert _live_http_clients() == []

@@ -1,5 +1,6 @@
 """Tests for the RunSpec task model and the canonical content hash."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -73,16 +74,21 @@ class TestCanonicalDigest:
 
 
 class TestRunSpec:
-    def test_content_hash_ignores_label_and_cacheable(self):
+    def test_content_hash_ignores_label(self):
         nap = {"mode": "sleep", "seconds": 0.5}
         a = RunSpec("selftest_point", nap, label="x")
-        b = RunSpec("selftest_point", nap, label="y", cacheable=False)
+        b = RunSpec("selftest_point", nap, label="y")
         assert a.content_hash() == b.content_hash()
+
+    def test_a_spec_is_its_entrypoint_params_and_label(self):
+        """Every spec is content: there is no per-spec cache policy."""
+        assert [f.name for f in dataclasses.fields(RunSpec)] == [
+            "entrypoint", "params", "label"]
 
     def test_content_hash_covers_entrypoint_and_params(self):
         a = RunSpec("selftest_point", {"mode": "sleep", "seconds": 0.5})
         assert (a.content_hash()
-                != RunSpec("simperf_probe", a.params).content_hash())
+                != RunSpec("pingpong_point", a.params).content_hash())
         assert (a.content_hash()
                 != RunSpec("selftest_point",
                            {"mode": "sleep", "seconds": 0.6}).content_hash())
@@ -103,10 +109,13 @@ class TestRunSpec:
 
 class TestRegistry:
     def test_known_entrypoints_registered(self):
-        names = set(registered_entrypoints())
-        assert {"chaos_case", "pingpong_point", "overlap_point",
-                "weak_scaling_point", "queue_burst_point", "staging_point",
-                "simperf_probe", "selftest_point"} <= names
+        """Every registered entrypoint is a pure function of its params;
+        a wall-clock probe is not one and is not registered."""
+        assert set(registered_entrypoints()) == {
+            "chaos_case", "pingpong_point", "topology_point",
+            "overlap_point", "weak_scaling_point", "collective_point",
+            "gemm_point", "train_point", "queue_burst_point",
+            "staging_point", "selftest_point"}
 
     def test_every_entrypoint_takes_only_its_params(self):
         """A task is its spec: each registered entrypoint has exactly one

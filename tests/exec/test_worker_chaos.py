@@ -32,7 +32,7 @@ KILLS_PER_ROUND = 2
 #: actually *in* a task when the signal arrives.
 CAMPAIGN = [RunSpec("selftest_point",
                     {"token": i, "mode": "sleep", "seconds": 0.02},
-                    label=f"chaos-{i}", cacheable=False)
+                    label=f"chaos-{i}")
             for i in range(24)]
 
 
@@ -126,7 +126,7 @@ class TestPoisonedSpecQuarantine:
         specs = [RunSpec("selftest_point", {"token": i},
                          label=f"healthy-{i}") for i in range(4)]
         specs.insert(2, RunSpec("selftest_point", {"mode": "exit"},
-                                label="poison-pill", cacheable=False))
+                                label="poison-pill"))
         ex = LocalPoolExecutor(workers=2)
         with pytest.raises(DCudaWorkerError) as exc_info:
             run_specs(specs, workers=2, executor=ex, max_attempts=3)

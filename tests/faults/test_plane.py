@@ -68,10 +68,11 @@ def test_degrade_window_only_active_inside():
     env, plane = make_plane(
         FaultEvent("link_degrade", start=1.0, duration=1.0, target="fabric",
                    factor=3.0))
-    assert plane.degrade_factor("fabric.nic0", 0.5) == 1.0
-    assert plane.degrade_factor("fabric.nic0", 1.5) == 3.0
-    assert plane.degrade_factor("fabric.nic0", 2.5) == 1.0
-    assert plane.degrade_factor("node0.gpu.memlink", 1.5) == 1.0  # no match
+    assert plane.slowdown("link_degrade", "fabric.nic0", 0.5) == 1.0
+    assert plane.slowdown("link_degrade", "fabric.nic0", 1.5) == 3.0
+    assert plane.slowdown("link_degrade", "fabric.nic0", 2.5) == 1.0
+    # No match:
+    assert plane.slowdown("link_degrade", "node0.gpu.memlink", 1.5) == 1.0
     assert plane.injections == {("link_degrade", "fabric.nic0"): 1}
 
 
@@ -79,23 +80,44 @@ def test_overlapping_degrade_windows_multiply():
     env, plane = make_plane(
         FaultEvent("link_degrade", start=0.0, duration=2.0, factor=2.0),
         FaultEvent("link_degrade", start=1.0, duration=2.0, factor=3.0))
-    assert plane.degrade_factor("any", 1.5) == 6.0
+    assert plane.slowdown("link_degrade", "any", 1.5) == 6.0
 
 
 def test_block_stall_factor():
     env, plane = make_plane(
         FaultEvent("block_stall", start=0.0, duration=1.0,
                    target="node0.gpu.b1", factor=4.0))
-    assert plane.block_stall_factor("node0.gpu.b1", 0.5) == 4.0
-    assert plane.block_stall_factor("node0.gpu.b0", 0.5) == 1.0
+    assert plane.slowdown("block_stall", "node0.gpu.b1", 0.5) == 4.0
+    assert plane.slowdown("block_stall", "node0.gpu.b0", 0.5) == 1.0
 
 
 def test_partition_hold_returns_time_to_heal():
     env, plane = make_plane(
         FaultEvent("partition", start=1.0, duration=3.0, target=0))
-    assert plane.partition_hold(0, 1, 0.5) == 0.0
-    assert plane.partition_hold(0, 1, 2.0) == 2.0   # heals at t=4
-    assert plane.partition_hold(1, 2, 2.0) == 0.0   # node 0 not involved
+    assert plane.partition_hold(0, 1, (), 0.5) == 0.0
+    assert plane.partition_hold(0, 1, (), 2.0) == 2.0   # heals at t=4
+    assert plane.partition_hold(1, 2, (), 2.0) == 0.0   # node 0 not involved
+
+
+def test_partition_hold_on_a_named_link():
+    """A window naming a topology link holds every route that crosses
+    it; the flat wire's empty route sees only node-pair targets."""
+    env, plane = make_plane(
+        FaultEvent("partition", start=0.0, duration=2.0, target="leaf0-spine"))
+    assert plane.partition_hold(0, 3, ("n0-leaf0", "leaf0-spine0"), 0.5) == 1.5
+    assert plane.partition_hold(0, 1, ("n0-leaf0", "leaf0-n1"), 0.5) == 0.0
+    assert plane.partition_hold(0, 3, (), 0.5) == 0.0
+    assert plane.injections == {("partition", "0->3"): 1}
+
+
+def test_a_kind_reads_only_its_own_windows():
+    env, plane = make_plane(
+        FaultEvent("link_degrade", start=0.0, duration=1.0, factor=2.0),
+        FaultEvent("queue_dup", start=0.0, duration=1.0, count=1))
+    assert plane.slowdown("block_stall", "node0.gpu.b0", 0.5) == 1.0
+    assert not plane.queue_hit("queue_drop", "cmd:r0", 0.5)
+    assert plane.queue_hit("queue_dup", "cmd:r0", 0.5)
+    assert plane.injections == {("queue_dup", "cmd:r0"): 1}
 
 
 def test_credit_starved_window():
@@ -111,9 +133,9 @@ def test_queue_drop_consumes_count():
     env, plane = make_plane(
         FaultEvent("queue_drop", start=0.0, duration=10.0, target="cmd:r0",
                    count=2))
-    assert plane.queue_drop("cmd:r0", 1.0)
-    assert plane.queue_drop("cmd:r0", 2.0)
-    assert not plane.queue_drop("cmd:r0", 3.0)  # budget spent
+    assert plane.queue_hit("queue_drop", "cmd:r0", 1.0)
+    assert plane.queue_hit("queue_drop", "cmd:r0", 2.0)
+    assert not plane.queue_hit("queue_drop", "cmd:r0", 3.0)  # budget spent
     assert plane.injections[("queue_drop", "cmd:r0")] == 2
 
 
@@ -121,9 +143,9 @@ def test_discrete_fault_stays_armed_past_window_end():
     # A zero-duration drop must still hit the *next* matching operation.
     env, plane = make_plane(
         FaultEvent("queue_drop", start=1.0, duration=0.0, target="ntf:r1"))
-    assert not plane.queue_drop("ntf:r1", 0.5)   # before start
-    assert plane.queue_drop("ntf:r1", 5.0)       # armed until spent
-    assert not plane.queue_drop("ntf:r1", 6.0)
+    assert not plane.queue_hit("queue_drop", "ntf:r1", 0.5)  # before start
+    assert plane.queue_hit("queue_drop", "ntf:r1", 5.0)  # armed until spent
+    assert not plane.queue_hit("queue_drop", "ntf:r1", 6.0)
 
 
 def test_loss_retries_consume_count():
@@ -169,8 +191,8 @@ def test_explicit_events_and_seed_combine():
 def test_note_records_log_and_counters():
     env, plane = make_plane(
         FaultEvent("queue_dup", start=0.0, duration=1.0, count=5))
-    plane.queue_dup("ack:r0", 0.1)
-    plane.queue_dup("ack:r0", 0.2)
+    plane.queue_hit("queue_dup", "ack:r0", 0.1)
+    plane.queue_hit("queue_dup", "ack:r0", 0.2)
     assert plane.total_injections() == 2
     assert plane.injections[("queue_dup", "ack:r0")] == 2
     assert [(k, s) for _, k, s in plane.log] == [("queue_dup", "ack:r0")] * 2

@@ -21,9 +21,9 @@ canonical digest looks numpy up instead of importing it, so a
 coordinator that builds the benchmark's sweep inputs (the Fig. 6 suite
 plus chaos specs) and runs them cold on two workers and then warm from
 the store loads neither numpy nor any module of the simulator's layers.
-Every suite builds with its defaults, and the ``status`` and ``cache
-stats`` commands run, without numpy or scipy; only the topo and ml
-suites load ``hw`` and ``platform``, for their machine configs.
+Every suite builds with its defaults, and the ``cache stats`` command
+runs, without numpy or scipy; only the topo and ml suites load ``hw``
+and ``platform``, for their machine configs.
 """
 
 import subprocess
@@ -163,7 +163,6 @@ import repro.bench.pingpong     # unpickle from
 import repro.bench.weak_scaling
 import repro.faults.report
 
-assert main(["status", "--cache-dir", sys.argv[2]]) == 0
 assert main(["cache", "stats", "--cache-dir", sys.argv[2]]) == 0
 numeric = sorted(m for m in sys.modules
                  if m.split(".")[0] in ("numpy", "scipy"))

@@ -25,6 +25,8 @@ import pytest
 
 from repro.sim import Environment, Event, SimulationError
 
+from .test_core import schedule_head
+
 #: Delay palette: heavy same-timestamp collisions (0.0 and repeated
 #: sub-microsecond values), nanosecond-to-millisecond model spacings, and
 #: delays of seconds to minutes beside them, so the heap holds entries
@@ -171,9 +173,10 @@ def _run_real(roots, mode: str = "run") -> list:
                 assert env.run_watchdog(c) is (c >= last)
                 assert env.now == (log[-1][0] if log else 0.0) <= c
             # Live-head rule: abandoned timers ahead of the next live
-            # entry were dropped, so peek() names the next dispatch.
+            # entry were dropped, so the schedule's head names the next
+            # dispatch.
             ahead = [entry[0] for entry in want if entry[0] > c]
-            assert env.peek() == (ahead[0] if ahead else float("inf"))
+            assert schedule_head(env) == (ahead[0] if ahead else float("inf"))
     stats = env.stats
     assert stats.pending == 0
     assert stats.entries == stats.scheduled
