@@ -39,23 +39,40 @@ def _shard(cache):
         entry.rename(shard / entry.name)
 
 
-class TestFlatLayout:
-    def test_cold_store_holds_only_key_files(self, cache):
-        """A cold store is one directory per generation holding
-        ``<key>.pkl`` files and nothing else: no subdirectory and no
-        ``meta.json``.  A spec's key is its content hash, unsalted.
-        Beside the generation sits only the sweep's progress file."""
+class TestShardedLayout:
+    """A store written now has one shard per generation: the generation
+    directory itself is every entry's home, ``<gen>/<key>.pkl``."""
+
+    def test_entries_land_in_shard_dirs(self, cache):
+        """A cold store holds ``<key>.pkl`` files in the generation
+        directory and nothing else: no subdirectory and no
+        ``meta.json``."""
+        keys = [f"{i:02x}{'0' * 62}" for i in range(16)]
+        for i, key in enumerate(keys):
+            cache.put(key, i)
+        gen = cache._generation_dir()
+        assert gen.name == FP[:16]
+        assert all(_entry(cache, key).is_file() for key in keys)
+        assert all(p.is_file() for p in gen.iterdir())
+        assert sorted(p.name for p in gen.iterdir()) == sorted(
+            f"{key}.pkl" for key in keys)
+        assert not (gen / "meta.json").exists()
+
+    def test_spec_entry_is_its_content_hash_in_its_home_shard(self, cache):
+        """The task key is the spec's content hash, unsalted, and its
+        entry sits directly in the generation directory.  Beside the
+        generation sits only the sweep's progress file."""
         specs = [RunSpec("selftest_point", {"token": t}) for t in "abcd"]
         run_specs(specs, cache=cache)
         gen = cache._generation_dir()
-        assert gen.name == FP[:16]
-        assert sorted(p.name for p in cache.root.iterdir()) == sorted(
-            [gen.name, STATUS_FILENAME])
-        assert all(p.is_file() for p in gen.iterdir())
-        assert sorted(p.name for p in gen.iterdir()) == sorted(
-            f"{spec.content_hash()}.pkl" for spec in specs)
         assert all(cache.key_for(spec) == spec.content_hash()
                    for spec in specs)
+        entries = list(cache.root.rglob("*.pkl"))
+        assert all(entry.parent == gen for entry in entries)
+        assert sorted(entry.name for entry in entries) == sorted(
+            f"{spec.content_hash()}.pkl" for spec in specs)
+        assert sorted(p.name for p in cache.root.iterdir()) == sorted(
+            [gen.name, STATUS_FILENAME])
 
 
 class TestCorruptShardEntry:
